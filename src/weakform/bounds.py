@@ -23,7 +23,9 @@ from .core import (
     Guards,
     Program,
     Statement,
+    _stmt_order,
     encode_statement,
+    enumerate_language,
     env_hash,
     extension_size,
     mk_environment,
@@ -59,32 +61,28 @@ __all__ = [
 MAX_SWEEP_STATES = 3
 
 
-def _stmt_order(x: Statement) -> tuple[int, Statement]:
-    return (len(x), x)
-
-
 # --- utility ---------------------------------------------------------------------
 
 def utility(task: Task, guards: Guards = DEFAULT_GUARDS) -> int:
     """Extension size of the weakest correct policy, minus the number of
     correct outputs.  Undefined (raises) when no correct policy exists."""
-    pols = correct_policies(task, guards)
-    if not pols.members:
-        raise NoCorrectPolicy("utility is undefined without a correct policy")
-    best = max(extension_size(task.env, p, guards) for p in pols.members)
-    return best - len(task.outputs_correct)
+    _, size = weakest_correct_policy(task, guards)
+    return size - len(task.outputs_correct)
 
 
 def weakest_correct_policy(task: Task, guards: Guards = DEFAULT_GUARDS) -> tuple[Statement, int]:
     """The weakest correct policy and its extension size; ties go to the
     canonically smallest statement."""
-    pols = correct_policies(task, guards)
-    if not pols.members:
+    return _weakest(task, correct_policies(task, guards).members, guards)
+
+
+def _weakest(task: Task, policies: tuple[Statement, ...], guards: Guards) -> tuple[Statement, int]:
+    # policies come in canonical order, so the first of the largest wins
+    if not policies:
         raise NoCorrectPolicy("the task has no correct policy")
-    sizes = {p: extension_size(task.env, p, guards) for p in pols.members}
-    best = max(sizes.values())
-    pick = min((p for p in pols.members if sizes[p] == best), key=_stmt_order)
-    return pick, best
+    sizes = [extension_size(task.env, p, guards) for p in policies]
+    best = max(sizes)
+    return policies[sizes.index(best)], best
 
 
 # --- uninstantiated tasks -----------------------------------------------------------
@@ -110,10 +108,6 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
             "the base task must be posed over the full powerset vocabulary"
         )
     return UninstantiatedTask(base)
-
-
-def _program_masks(env: Environment) -> tuple[int, ...]:
-    return tuple(p.mask for p in env.programs)
 
 
 def _normalise_vocabulary(
@@ -294,6 +288,33 @@ class UtilityReport:
         return head + "\n\n" + _aligned(body, cols)
 
 
+def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards) -> list:
+    """Instantiate each candidate once, giving its utility row, the
+    restricted task and its correct policies (empty if not found)."""
+    out = []
+    for idx, cand in enumerate(candidates):
+        encoded = encode_vocabulary(cand)
+        restricted, policies = None, ()
+        try:
+            restricted = instantiate(rho, cand, guards)
+            policies = correct_policies(restricted, guards).members
+            pi, size = _weakest(restricted, policies, guards)
+            row = VocabularyRow(
+                idx,
+                encoded,
+                len(enumerate_language(restricted.env, guards)),
+                size - len(restricted.outputs_correct),
+                encode_statement(pi),
+                size,
+                restriction_is_strict_child(rho, restricted),
+                None,
+            )
+        except WeakformError as exc:
+            row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
+        out.append((row, restricted, policies))
+    return out
+
+
 def compare_vocabularies(
     rho: UninstantiatedTask,
     candidates: Sequence[Iterable],
@@ -304,32 +325,8 @@ def compare_vocabularies(
     never raised."""
     header = _report_header(rho, guards, seeds)
     header["candidates"] = [encode_vocabulary(c) for c in candidates]
-    rows = []
-    for idx, cand in enumerate(candidates):
-        encoded = encode_vocabulary(cand)
-        try:
-            restricted = instantiate(rho, cand, guards)
-            from .core import enumerate_language
-
-            lang = enumerate_language(restricted.env, guards)
-            pi, size = weakest_correct_policy(restricted, guards)
-            rows.append(
-                VocabularyRow(
-                    idx,
-                    encoded,
-                    len(lang),
-                    size - len(restricted.outputs_correct),
-                    encode_statement(pi),
-                    size,
-                    restriction_is_strict_child(rho, restricted),
-                    None,
-                )
-            )
-        except WeakformError as exc:
-            rows.append(
-                VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
-            )
-    return UtilityReport(header, tuple(rows))
+    rows = tuple(row for row, _, _ in _candidate_pass(rho, candidates, guards))
+    return UtilityReport(header, rows)
 
 
 @dataclass(frozen=True)
@@ -410,20 +407,19 @@ def verify_upper_bound(
     """Select the candidate maximising utility, then its weakest correct
     policy, and check that pair attains the best generalization
     probability over every instantiable (vocabulary, policy) pair."""
-    report = compare_vocabularies(rho, candidates, guards, seeds)
+    outcomes = _candidate_pass(rho, candidates, guards)
+    rows = tuple(row for row, _, _ in outcomes)
     pairs: list[CandidatePolicy] = []
-    for idx, cand in enumerate(candidates):
+    for row, restricted, policies in outcomes:
+        if not policies:
+            continue
         try:
-            restricted = instantiate(rho, cand, guards)
-            pols = correct_policies(restricted, guards)
-            if not pols.members:
-                continue
             table = generalization_table(restricted.env, guards, include_empty_outputs)
-            for pi in pols.members:
+            for pi in policies:
                 pairs.append(
                     CandidatePolicy(
-                        idx,
-                        encode_vocabulary(cand),
+                        row.index,
+                        row.vocabulary,
                         encode_statement(pi),
                         extension_size(restricted.env, pi, guards),
                         table.probability(pi),
@@ -433,13 +429,11 @@ def verify_upper_bound(
             continue
 
     with_pairs = {p.candidate_index for p in pairs}
-    defined = [
-        r for r in report.rows if r.utility is not None and r.index in with_pairs
-    ]
+    defined = [r for r in rows if r.utility is not None and r.index in with_pairs]
     header = _report_header(rho, guards, seeds)
     header["candidates"] = [encode_vocabulary(c) for c in candidates]
     if not defined or not pairs:
-        return BoundReport(header, "no_candidate", None, None, (), report.rows)
+        return BoundReport(header, "no_candidate", None, None, (), rows)
 
     best_utility = max(r.utility for r in defined)
     chosen = next(r for r in defined if r.utility == best_utility)
@@ -456,7 +450,7 @@ def verify_upper_bound(
     )
     best = ranking[0]
     outcome = "attained" if selected.probability == best.probability else "not_attained"
-    return BoundReport(header, outcome, selected, best, ranking, report.rows)
+    return BoundReport(header, outcome, selected, best, ranking, rows)
 
 
 @dataclass(frozen=True)

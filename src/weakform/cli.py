@@ -38,7 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json"), default=None,
             help="report format (default: from config)",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="parallel learn workers (at most one per trial and per CPU)",
+        )
         p.add_argument(
             "--timing", action="store_true",
             help="fill the wall_ms column (breaks byte-identical reruns)",
@@ -64,7 +67,10 @@ def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: B
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     config_text: str | None = None
     try:
         config_path = Path(args.config)

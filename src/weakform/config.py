@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -17,14 +18,16 @@ from typing import Any
 from .core import (
     DEFAULT_GUARDS,
     HARD_GUARD_LIMITS,
+    Environment,
     Guards,
     environment_to_dict,
     full_powerset_vocabulary,
     load_environment,
     mk_environment,
 )
-from .errors import GuardConflict, ParseError
+from .errors import GuardConflict, GuardExceeded, ParseError, WeakformError
 from .learning import proxy_by_name
+from .tasks import mk_task
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -135,6 +138,22 @@ def _expect(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@contextmanager
+def _invalid_as_parse_error(label: str):
+    """A domain error in the document is a configuration error (exit 2);
+    an exceeded guard stays one (exit 3)."""
+    try:
+        yield
+    except GuardExceeded:
+        raise
+    except WeakformError as exc:
+        raise ParseError(f"{label}: {exc}") from None
+
+
 def _parse_guards(doc: Any) -> Guards:
     if doc is None:
         return DEFAULT_GUARDS
@@ -149,7 +168,7 @@ def _parse_guards(doc: Any) -> Guards:
     for key, value in doc.items():
         if key not in fields:
             raise ParseError(f"unknown guard {key!r}")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             raise GuardConflict(f"guard {key} must be a positive integer")
         if value > fields[key]:
             raise GuardConflict(
@@ -159,28 +178,46 @@ def _parse_guards(doc: Any) -> Guards:
     return replace(DEFAULT_GUARDS, **values)
 
 
-def _parse_environment(doc: Any, base_dir: Path | None, guards: Guards) -> dict:
+def _parse_environment(doc: Any, base_dir: Path | None, guards: Guards) -> Environment:
     _expect(isinstance(doc, dict), "environment must be an object")
-    if "file" in doc:
+    label = "environment"
+    from_file = "file" in doc
+    if from_file:
+        _expect(isinstance(doc["file"], str), "environment.file must be a path")
         path = Path(doc["file"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
+        label = f"environment file {path}"
         try:
-            env = load_environment(path)
-        except OSError as exc:
-            raise ParseError(f"cannot read environment file {path}: {exc}") from None
-    elif "full_powerset" in doc:
-        env = full_powerset_vocabulary(doc["full_powerset"], guards)
-    elif "states" in doc and "vocabulary" in doc:
-        env = mk_environment(doc["states"], doc["vocabulary"])
-    else:
-        raise ParseError(
-            "environment needs 'states'+'vocabulary', 'file' or 'full_powerset'"
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read {label}: {exc}") from None
+        _expect(
+            isinstance(doc, dict) and "states" in doc and "vocabulary" in doc,
+            f"{label} needs 'states' and 'vocabulary'",
         )
-    return environment_to_dict(env)
+    elif "full_powerset" in doc:
+        with _invalid_as_parse_error(label):
+            return full_powerset_vocabulary(doc["full_powerset"], guards)
+    _expect(
+        "states" in doc and "vocabulary" in doc,
+        "environment needs 'states'+'vocabulary', 'file' or 'full_powerset'",
+    )
+    vocabulary = doc["vocabulary"]
+    _expect(
+        isinstance(vocabulary, list) and all(isinstance(p, list) for p in vocabulary),
+        f"{label}.vocabulary must be a list of state lists",
+    )
+    with _invalid_as_parse_error(label):
+        # a file is loaded as a document, which warns when it had to be
+        # put in canonical order
+        if from_file:
+            return load_environment(doc)
+        return mk_environment(doc["states"], vocabulary)
 
 
-def _parse_statement_sets(doc: Any, label: str) -> dict:
+def _parse_statement_sets(doc: Any, label: str, env: Environment, guards: Guards) -> dict:
     _expect(isinstance(doc, dict), f"{label} must be an object")
     _expect(
         set(doc) <= {"inputs", "outputs"} and "inputs" in doc and "outputs" in doc,
@@ -189,9 +226,11 @@ def _parse_statement_sets(doc: Any, label: str) -> dict:
     for key in ("inputs", "outputs"):
         _expect(
             isinstance(doc[key], list)
-            and all(isinstance(s, list) for s in doc[key]),
+            and all(isinstance(s, list) and all(map(_is_int, s)) for s in doc[key]),
             f"{label}.{key} must be a list of index lists",
         )
+    with _invalid_as_parse_error(label):
+        mk_task(env, doc["inputs"], doc["outputs"], guards)
     return {
         "inputs": [sorted(set(s)) for s in doc["inputs"]],
         "outputs": [sorted(set(s)) for s in doc["outputs"]],
@@ -221,7 +260,8 @@ def config_from_dict(
 
     guards = _parse_guards(doc.get("guards"))
     _expect("environment" in doc, "missing 'environment'")
-    environment = _parse_environment(doc["environment"], base_dir, guards)
+    env = _parse_environment(doc["environment"], base_dir, guards)
+    environment = environment_to_dict(env)
 
     proxies = doc.get("proxies", ["weakness"])
     _expect(
@@ -235,18 +275,18 @@ def config_from_dict(
     _expect(
         isinstance(seeds, list)
         and seeds != []
-        and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds),
+        and all(map(_is_int, seeds)),
         "seeds must be a nonempty list of integers",
     )
 
     trials = doc.get("trials", 1)
-    _expect(isinstance(trials, int) and trials >= 1, "trials must be >= 1")
+    _expect(_is_int(trials) and trials >= 1, "trials must be an integer >= 1")
 
     child_input_count = doc.get("child_input_count")
     if child_input_count is not None:
         _expect(
-            isinstance(child_input_count, int) and child_input_count >= 1,
-            "child_input_count must be >= 1",
+            _is_int(child_input_count) and child_input_count >= 1,
+            "child_input_count must be an integer >= 1",
         )
 
     include_empty = doc.get("include_empty_outputs", True)
@@ -256,22 +296,31 @@ def config_from_dict(
     if candidates != "all":
         _expect(
             isinstance(candidates, list)
-            and all(isinstance(v, list) for v in candidates),
-            "candidates must be \"all\" or a list of vocabularies",
+            and all(
+                isinstance(v, list)
+                and all(isinstance(p, list) and all(map(_is_int, p)) for p in v)
+                for v in candidates
+            ),
+            "candidates must be \"all\" or a list of vocabularies (lists of states)",
         )
         candidates = tuple(
             tuple(tuple(sorted(set(p))) for p in vocab) for vocab in candidates
         )
+        base = set(env.program_sets())
+        _expect(
+            all(p in base for vocab in candidates for p in vocab),
+            "candidates may only use programs of the environment",
+        )
 
     rho = doc.get("rho")
     if rho is not None:
-        rho = _parse_statement_sets(rho, "rho")
+        rho = _parse_statement_sets(rho, "rho", env, guards)
     task = doc.get("task")
     if task is not None:
-        task = _parse_statement_sets(task, "task")
+        task = _parse_statement_sets(task, "task", env, guards)
 
     samples = doc.get("samples", 10000)
-    _expect(isinstance(samples, int) and samples >= 1, "samples must be >= 1")
+    _expect(_is_int(samples) and samples >= 1, "samples must be an integer >= 1")
 
     output = doc.get("output", {})
     _expect(isinstance(output, dict), "output must be an object")

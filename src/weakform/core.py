@@ -21,7 +21,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,6 +41,7 @@ __all__ = [
     "Environment",
     "ExtensionSet",
     "Guards",
+    "LanguageIndex",
     "Program",
     "Statement",
     "VocabularyReorderedWarning",
@@ -237,7 +238,7 @@ def encode_statement(x: Iterable[int]) -> str:
 
 
 def encode_statement_set(xs: Iterable[Statement]) -> str:
-    ordered = sorted(xs, key=lambda s: (len(s), s))
+    ordered = sorted(xs, key=_stmt_order)
     return "{%s}" % ",".join(encode_statement(s) for s in ordered)
 
 
@@ -277,8 +278,33 @@ def is_completion(y: Iterable[int], x: Iterable[int]) -> bool:
 
 # --- language enumeration ------------------------------------------------------
 
-def _statement_order(x: Statement) -> tuple[int, Statement]:
+def _stmt_order(x: Statement) -> tuple[int, Statement]:
     return (len(x), x)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first (linear time)."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _mask_of_positions(positions: Iterable[int], width: int) -> int:
+    """The ``width``-bit mask with the given bits set, in linear time
+    (OR-ing one bit at a time into a wide mask copies it per bit)."""
+    digits = bytearray(b"0") * width
+    for i in positions:
+        digits[width - 1 - i] = 49  # ord("1")
+    return int(digits or b"0", 2)
+
+
+def _containing_masks(statements: tuple[Statement, ...], vocabulary_size: int) -> tuple[int, ...]:
+    """For each program, the mask of the positions in ``statements`` of
+    the statements that contain it."""
+    containing: list[list[int]] = [[] for _ in range(vocabulary_size)]
+    for i, s in enumerate(statements):
+        for j in s:
+            containing[j].append(i)
+    width = len(statements)
+    return tuple(_mask_of_positions(c, width) for c in containing)
 
 
 def _enumerate_statements(env: Environment) -> tuple[Statement, ...]:
@@ -296,13 +322,62 @@ def _enumerate_statements(env: Environment) -> tuple[Statement, ...]:
                 walk(prefix + (j,), t, j + 1)
 
     walk((), env.all_states_mask, 0)
-    found.sort(key=_statement_order)
+    found.sort(key=_stmt_order)
     return tuple(found)
 
 
+class LanguageIndex:
+    """The canonical language of one environment; a set of statements is
+    a bit mask whose bit ``i`` stands for ``statements[i]``.
+
+    A program's mask holds the statements containing it, and the
+    extension of ``x`` is the AND of the masks of its programs.
+    """
+
+    def __init__(self, env: Environment):
+        self.statements = _enumerate_statements(env)
+        self._vocabulary_size = env.vocabulary_size
+
+    @staticmethod
+    def of(env: Environment, guards: Guards = DEFAULT_GUARDS) -> LanguageIndex:
+        """The shared index of ``env``, built once; refuses a vocabulary
+        above ``guards.max_vocabulary``."""
+        if env.vocabulary_size > guards.max_vocabulary:
+            raise VocabularyTooLarge(
+                f"|v| = {env.vocabulary_size} exceeds guard {guards.max_vocabulary}"
+            )
+        return _index_cached(env)
+
+    @cached_property
+    def position(self) -> dict[Statement, int]:
+        return {s: i for i, s in enumerate(self.statements)}
+
+    @cached_property
+    def _program_masks(self) -> tuple[int, ...]:
+        return _containing_masks(self.statements, self._vocabulary_size)
+
+    def extension_mask(self, x: Statement) -> int:
+        """The statements that contain ``x``; 0 when ``x`` is no statement."""
+        program_masks = self._program_masks
+        mask = (1 << len(self.statements)) - 1
+        for j in x:
+            mask &= program_masks[j]
+        return mask
+
+    def extension_of_set(self, xs: Iterable[Statement]) -> ExtensionSet:
+        """The union of the extensions of the canonical statements ``xs``."""
+        mask = 0
+        for x in xs:
+            mask |= self.extension_mask(x)
+        return ExtensionSet(self.statements_of(mask))
+
+    def statements_of(self, mask: int) -> tuple[Statement, ...]:
+        return tuple(self.statements[i] for i in _bits(mask))
+
+
 @lru_cache(maxsize=None)
-def _language_cached(env: Environment) -> tuple[Statement, ...]:
-    return _enumerate_statements(env)
+def _index_cached(env: Environment) -> LanguageIndex:
+    return LanguageIndex(env)
 
 
 def enumerate_language(env: Environment, guards: Guards = DEFAULT_GUARDS) -> tuple[Statement, ...]:
@@ -311,11 +386,7 @@ def enumerate_language(env: Environment, guards: Guards = DEFAULT_GUARDS) -> tup
     Canonical order is by statement size, then lexicographically on the
     index tuple; the result is identical across runs and platforms.
     """
-    if env.vocabulary_size > guards.max_vocabulary:
-        raise VocabularyTooLarge(
-            f"|v| = {env.vocabulary_size} exceeds guard {guards.max_vocabulary}"
-        )
-    return _language_cached(env)
+    return LanguageIndex.of(env, guards).statements
 
 
 def language_size(env: Environment, guards: Guards = DEFAULT_GUARDS) -> int:
@@ -331,7 +402,7 @@ class ExtensionSet:
     __slots__ = ("members", "_as_set")
 
     def __init__(self, members: Iterable[Statement]):
-        object.__setattr__(self, "members", tuple(sorted(set(members), key=_statement_order)))
+        object.__setattr__(self, "members", tuple(sorted(set(members), key=_stmt_order)))
         object.__setattr__(self, "_as_set", frozenset(self.members))
 
     def __setattr__(self, name, value):  # immutability, mirrors the frozen dataclasses
@@ -367,29 +438,10 @@ class ExtensionSet:
         return f"ExtensionSet({encode_statement_set(self.members)})"
 
 
-def _completions(env: Environment, x: Statement) -> list[Statement]:
-    nv = env.vocabulary_size
-    masks = [p.mask for p in env.programs]
-    in_x = set(x)
-    addable = [j for j in range(nv) if j not in in_x]
-    out: list[Statement] = []
-
-    def walk(extra: tuple[int, ...], truth: int, start: int) -> None:
-        out.append(tuple(sorted(x + extra)))
-        for pos in range(start, len(addable)):
-            j = addable[pos]
-            t = truth & masks[j]
-            if t:
-                walk(extra + (j,), t, pos + 1)
-
-    walk((), _truth_mask(env, x), 0)
-    return out
-
-
 def extension(env: Environment, x: Iterable[int]) -> ExtensionSet:
     """All statements that contain ``x`` (including ``x`` itself)."""
     xs = require_statement(env, x)
-    return ExtensionSet(_completions(env, xs))
+    return LanguageIndex.of(env).extension_of_set((xs,))
 
 
 @lru_cache(maxsize=None)
@@ -440,11 +492,8 @@ def extension_size(env: Environment, x: Iterable[int], guards: Guards = DEFAULT_
 
 def extension_of_set(env: Environment, xs: Iterable[Iterable[int]]) -> ExtensionSet:
     """Union of the extensions of every statement in ``xs``."""
-    members: set[Statement] = set()
-    for x in xs:
-        s = require_statement(env, x)
-        members.update(_completions(env, s))
-    return ExtensionSet(members)
+    statements = [require_statement(env, x) for x in xs]
+    return LanguageIndex.of(env).extension_of_set(statements)
 
 
 def equivalent(env: Environment, x: Iterable[int], y: Iterable[int]) -> bool:

@@ -32,6 +32,7 @@ from .core import (
     encode_statement,
     env_hash,
     enumerate_language,
+    extension_of_set,
     extension_size,
     mk_environment,
 )
@@ -136,13 +137,8 @@ def _derive_child(task: Task, rng: Random, child_input_count: int | None) -> Tas
     k = max(1, min(k, len(task.inputs) - 1))
     kept = sorted(rng.sample(range(len(task.inputs)), k))
     inputs = [task.inputs[i] for i in kept]
-    input_sets = [set(i) for i in inputs]
-    outs = [
-        o for o in task.outputs_correct if any(i <= set(o) for i in input_sets)
-    ]
-    from .core import extension_of_set
-
     ext = extension_of_set(task.env, inputs)
+    outs = [o for o in task.outputs_correct if o in ext]
     if len(outs) == ext.size:
         outs = outs[:-1]
     return mk_task(task.env, inputs, outs)
@@ -255,8 +251,10 @@ def _run_enumerate(config, env, factory) -> list[dict[str, str]]:
 
 def _run_learn(config, jobs) -> list[dict[str, str]]:
     units = [(config, seed, trial) for seed in config.seeds for trial in range(config.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker at once, so never more than can be busy
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_learn_unit_star, units))
     else:
         chunks = [_learn_unit_star(u) for u in units]
@@ -417,6 +415,8 @@ def write_report(rows: list[dict[str, str]], path: str | Path, format: str = "cs
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

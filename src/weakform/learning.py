@@ -24,7 +24,9 @@ from .core import (
     DEFAULT_GUARDS,
     Environment,
     Guards,
+    LanguageIndex,
     Statement,
+    _stmt_order,
     encode_statement,
     extension_size,
     require_statement,
@@ -56,10 +58,6 @@ __all__ = [
     "weakness_cmp",
     "weakness_proxy",
 ]
-
-
-def _stmt_order(x: Statement) -> tuple[int, Statement]:
-    return (len(x), x)
 
 
 # --- comparators ----------------------------------------------------------------
@@ -170,8 +168,7 @@ class GeneralizationTable:
     denominator: int
 
     def numerator(self, l: Iterable[int]) -> int:
-        idx = self.statements.index(tuple(sorted(set(l))))
-        return self.numerators[idx]
+        return self.numerators[LanguageIndex.of(self.env).position[tuple(sorted(set(l)))]]
 
     def probability(self, l: Iterable[int]) -> Fraction:
         if self.denominator == 0:
@@ -288,11 +285,7 @@ def estimate_generalization_probability(
     space = task_space(env, guards, include_empty_outputs)
     if space.total_count == 0:
         raise EmptyTaskSpace("no tasks exist, generalization is undefined")
-    pmask = 0
-    for idx, s in enumerate(space.language):
-        if s == x:
-            pmask = space.ext_masks[idx]
-            break
+    pmask = space.ext_masks[space.index.position[x]]
     rng = Random(seed)
     hits = 0
     for _ in range(samples):

@@ -18,14 +18,19 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     DEFAULT_GUARDS,
     Environment,
     ExtensionSet,
     Guards,
+    LanguageIndex,
     Statement,
+    _bits,
+    _containing_masks,
+    _mask_of_positions,
+    _stmt_order,
     canon_statement,
     encode_statement,
     encode_statement_set,
@@ -68,10 +73,6 @@ __all__ = [
 #: hierarchy_level walks the full up-set of a task; refuse beyond this
 #: many tasks in the space.
 MAX_HIERARCHY_TASKS = 1 << 20
-
-
-def _stmt_order(x: Statement) -> tuple[int, Statement]:
-    return (len(x), x)
 
 
 @dataclass(frozen=True)
@@ -121,25 +122,18 @@ def mk_task(
     outs = _canon_statement_tuple(env, outputs)
     if not ins:
         raise EmptyInputs("a task needs at least one input statement")
-    lang = enumerate_language(env, guards)
-    if len(ins) >= len(lang):
+    index = LanguageIndex.of(env, guards)
+    if len(ins) >= len(index.statements):
         raise InputsNotStrictSubset("inputs cover the whole language")
-    ext = _extension_of(env, ins)
-    ext_set = ext.as_set()
+    ext = index.extension_of_set(ins)
     for o in outs:
-        if o not in ext_set:
+        if o not in ext:
             raise OutputsNotInExtension(
                 f"{encode_statement(o)} completes none of the inputs"
             )
     if len(outs) == ext.size:
         raise OutputsNotStrict("outputs equal the whole input extension")
     return Task(env, ins, outs, ext)
-
-
-def _extension_of(env: Environment, statements: Iterable[Statement]) -> ExtensionSet:
-    from .core import extension_of_set
-
-    return extension_of_set(env, statements)
 
 
 def outputs(task: Task) -> ExtensionSet:
@@ -174,13 +168,29 @@ def load_task(source: str | Path | dict, env: Environment | None = None) -> Task
 
 # --- policies and inference ----------------------------------------------------
 
+def _policy_test(task: Task) -> Callable[[Statement], bool]:
+    # p is correct when E & ext[p] == O for the inputs' extension E and
+    # the outputs O; both sides lie in E, so the masks span E's members
+    # only (ext[p] is the AND of p's programs' masks there)
+    members = task.extension.members
+    program_masks = _containing_masks(members, task.env.vocabulary_size)
+    outs = task.output_set
+    omask = _mask_of_positions((k for k, y in enumerate(members) if y in outs), len(members))
+    full = (1 << len(members)) - 1
+
+    def correct(p: Statement) -> bool:
+        mask = full
+        for j in p:
+            mask &= program_masks[j]
+        return mask == omask
+
+    return correct
+
+
 def is_correct_policy(task: Task, pi: Iterable[int]) -> bool:
     """True iff completing inputs under ``pi`` lands exactly on the
     correct outputs."""
-    p = require_statement(task.env, pi)
-    ps = set(p)
-    got = {y for y in task.extension if ps <= set(y)}
-    return got == task.output_set
+    return _policy_test(task)(require_statement(task.env, pi))
 
 
 @dataclass(frozen=True)
@@ -201,8 +211,8 @@ class PolicySet:
 
 
 def correct_policies(task: Task, guards: Guards = DEFAULT_GUARDS) -> PolicySet:
-    lang = enumerate_language(task.env, guards)
-    members = tuple(pi for pi in lang if is_correct_policy(task, pi))
+    correct = _policy_test(task)
+    members = tuple(filter(correct, enumerate_language(task.env, guards)))
     return PolicySet(task, members)
 
 
@@ -218,16 +228,13 @@ def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -
     x = canon_statement(env, input_stmt)
     if x not in task.input_set:
         raise InputNotInTask(f"{encode_statement(x)} is not an input of this task")
-    merged = tuple(sorted(set(x) | set(p)))
-    from .core import extension, is_statement
-
-    if not is_statement(env, merged):
+    index = LanguageIndex.of(env)
+    shared = index.extension_mask(p) & index.extension_mask(x)
+    if not shared:
         raise NoOutput(
             f"policy {encode_statement(p)} admits no completion of {encode_statement(x)}"
         )
-    # completions of the merged statement are exactly the completions
-    # shared by the input and the policy
-    choices = extension(env, merged).members
+    choices = index.statements_of(shared)
     out = choices[Random(seed).randrange(len(choices))]
     return out, out in task.output_set
 
@@ -260,30 +267,21 @@ class TaskSpace:
     ):
         self.env = env
         self.include_empty_outputs = include_empty_outputs
-        self.language = enumerate_language(env, guards)
+        self.index = LanguageIndex.of(env, guards)
+        self.language = self.index.statements  # an alias, not a copy
         n = len(self.language)
         if n > guards.max_task_language:
             raise TaskSpaceTooLarge(
                 f"|L_v| = {n} exceeds guard {guards.max_task_language}"
             )
-        self._index = {s: i for i, s in enumerate(self.language)}
-        from .core import extension
-
-        # extension of each statement as a bit mask over language indices
-        ext_masks = []
-        for s in self.language:
-            m = 0
-            for y in extension(env, s):
-                m |= 1 << self._index[y]
-            ext_masks.append(m)
-        self.ext_masks = tuple(ext_masks)
-        self.ext_sizes = tuple(m.bit_count() for m in ext_masks)
+        # each statement's extension as a mask over language positions
+        ext = self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
         # union of member extensions for every subset of the language
         union = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
-            union[mask] = union[mask ^ low] | ext_masks[low.bit_length() - 1]
+            union[mask] = union[mask ^ low] | ext[low.bit_length() - 1]
         self._union = union
 
         full = (1 << n) - 1
@@ -301,23 +299,15 @@ class TaskSpace:
         w = (1 << ext_size) - 1 - self._min_outputs
         return w if w > 0 else 0
 
-    # -- decoding helpers ------------------------------------------------
-
-    def _statements_of(self, mask: int) -> tuple[Statement, ...]:
-        return tuple(self.language[i] for i in _bit_indices(mask))
-
     def _task_from_masks(self, imask: int, omask: int) -> Task:
-        emask = self._union[imask]
-        ext = ExtensionSet(self._statements_of(emask))
+        """The task with input set ``imask`` and output set ``omask``."""
+        statements_of = self.index.statements_of
         return Task(
             self.env,
-            self._statements_of(imask),
-            self._statements_of(omask),
-            ext,
+            statements_of(imask),
+            statements_of(omask),
+            ExtensionSet(statements_of(self._union[imask])),
         )
-
-    def task_key_from_masks(self, imask: int, omask: int) -> tuple[int, int]:
-        return (imask, omask)
 
     # -- enumeration -------------------------------------------------------
 
@@ -334,10 +324,11 @@ class TaskSpace:
         """Every task exactly once: input sets by size then encoding,
         output sets likewise within each input set."""
         env = self.env
+        statements_of = self.index.statements_of
         for imask in self._input_masks_in_order():
             # everything but the output set is shared across one input set
-            inputs = self._statements_of(imask)
-            ext_statements = self._statements_of(self._union[imask])
+            inputs = statements_of(imask)
+            ext_statements = statements_of(self._union[imask])
             ext = ExtensionSet(ext_statements)
             k = len(ext_statements)
             for r in range(self._min_outputs, k):
@@ -371,11 +362,8 @@ class TaskSpace:
         imask = masks[pos]
         offset = index - (cum[pos - 1] if pos else 0)
         ordinal = offset + self._min_outputs  # skip the empty output set if excluded
-        ext_indices = list(_bit_indices(self._union[imask]))
-        omask = 0
-        for bit, i in enumerate(ext_indices):
-            if (ordinal >> bit) & 1:
-                omask |= 1 << i
+        ext_positions = _bits(self._union[imask])
+        omask = sum(1 << i for bit, i in enumerate(ext_positions) if (ordinal >> bit) & 1)
         return imask, omask
 
     def sample(self, seed: int) -> Task:
@@ -402,15 +390,10 @@ class TaskSpace:
             raise TaskSpaceTooLarge(
                 f"|task space| = {self.total_count} exceeds {MAX_HIERARCHY_TASKS}"
             )
-        imask = self._mask_of_statements(task.inputs)
-        omask = self._mask_of_statements(task.outputs_correct)
+        position = self.index.position
+        imask = sum(1 << position[s] for s in task.inputs)
+        omask = sum(1 << position[s] for s in task.outputs_correct)
         return self._level(imask, omask)
-
-    def _mask_of_statements(self, statements: Iterable[Statement]) -> int:
-        mask = 0
-        for s in statements:
-            mask |= 1 << self._index[s]
-        return mask
 
     def _level(self, imask: int, omask: int) -> int:
         key = (imask, omask)
@@ -442,13 +425,6 @@ class TaskSpace:
             sub = (sub - 1) & free
         memo[key] = best
         return best
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @lru_cache(maxsize=None)

@@ -58,3 +58,14 @@ def all_environments(max_states: int, max_vocab: int, min_vocab: int = 0):
         for size in range(min_vocab, min(max_vocab, len(programs)) + 1):
             for combo in combinations(programs, size):
                 yield mk_environment(n, combo)
+
+
+def brute_correct_policies(task) -> list[tuple[int, ...]]:
+    """Every statement whose completions of the task's inputs are exactly
+    its correct outputs, by the set definition and in canonical order."""
+    ext = brute_extension_of_set(task.env, task.inputs)
+    outs = set(task.outputs_correct)
+    return [
+        pi for pi in brute_language(task.env)
+        if {y for y in ext if set(pi) <= set(y)} == outs
+    ]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from weakform import cli
 
 ENV2_DOC = {"states": 2, "vocabulary": [[0], [1], [0, 1]]}
@@ -133,3 +135,45 @@ def test_rerun_byte_identical(tmp_path):
     assert cli.main(["learn", "--config", str(config), "--out", str(a)]) == 0
     assert cli.main(["learn", "--config", str(config), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("doc, code", [
+    ({"experiment": "enumerate", "environment": {"states": 2, "vocabulary": 5}}, 2),
+    ({"experiment": "enumerate", "environment": {"states": "2", "vocabulary": [[0]]}}, 2),
+    ({"experiment": "enumerate", "environment": {"states": 2, "vocabulary": [[0], [2]]}}, 2),
+    ({"experiment": "enumerate", "environment": {"states": 2, "vocabulary": [[0], [0]]}}, 2),
+    ({"experiment": "enumerate", "environment": {"full_powerset": "2"}}, 2),
+    ({"experiment": "enumerate", "environment": {"file": 5}}, 2),
+    ({"experiment": "utility", "environment": ENV2_DOC,
+      "task": {"inputs": [[7]], "outputs": []}}, 2),
+    ({"experiment": "learn", "environment": ENV2_DOC, "trials": True}, 2),
+    ({"experiment": "sample-gen", "environment": ENV2_DOC, "samples": True}, 2),
+    ({"experiment": "learn", "environment": ENV2_DOC, "child_input_count": True}, 2),
+    ({"experiment": "verify-bound", "environment": {"full_powerset": 2},
+      "rho": {"inputs": [[1]], "outputs": []}, "candidates": [[[0], [5]]]}, 2),
+    ({"experiment": "verify-bound", "environment": {"full_powerset": 2},
+      "rho": {"inputs": [[1]], "outputs": []}, "candidates": [[5]]}, 2),
+    # an exceeded guard keeps its own exit code
+    ({"experiment": "enumerate", "environment": {"full_powerset": 9}}, 3),
+])
+def test_bad_config_exit_code(tmp_path, capsys, doc, code):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "r.csv"
+    assert cli.main([doc["experiment"], "--config", str(config), "--out", str(out)]) == code
+    assert not (tmp_path / "weakform-repro.json").exists()
+    assert not out.exists()
+
+
+def test_jobs_must_be_positive(tmp_path, capsys):
+    config = write_config(tmp_path, {"experiment": "learn", "environment": ENV2_DOC})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["learn", "--config", str(config), "--jobs", "0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("env_text", ['{"states": 2, "vocabulary": 5}', "not json"])
+def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
+    (tmp_path / "env.json").write_text(env_text)
+    config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
+    assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert not (tmp_path / "weakform-repro.json").exists()

@@ -107,6 +107,18 @@ def test_enumerate_language_guard(env2):
         enumerate_language(env2, Guards(max_vocabulary=2))
 
 
+def test_extension_guard():
+    # |v| = 25 exceeds the default guard: the language index refuses to
+    # build instead of enumerating the language
+    env = mk_environment(25, [[s] for s in range(25)])
+    with pytest.raises(VocabularyTooLarge):
+        extension(env, (0,))
+    with pytest.raises(VocabularyTooLarge):
+        extension_of_set(env, [(0,)])
+    with pytest.raises(VocabularyTooLarge):
+        equivalent(env, (0,), (1,))
+
+
 def test_enumerate_language_matches_brute_sweep():
     for env in all_environments(3, 3):
         assert enumerate_language(env) == tuple(brute_language(env))

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from weakform import mk_environment, sample_efficiency, simplicity_proxy, weakness_proxy
+from weakform import harness, mk_environment, sample_efficiency, simplicity_proxy, weakness_proxy
 from weakform.config import parse_config
 from weakform.errors import (
     EmptyReport,
@@ -277,6 +277,34 @@ def test_parallel_learn_matches_serial():
         "trials": 4,
     }
     assert run_experiment(cfg(doc), jobs=2) == run_experiment(cfg(doc), jobs=1)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (1000, 64, 6),  # one worker per unit: 2 seeds x 3 trials
+    (1000, 4, 4),   # one worker per CPU
+    (3, 64, 3),     # as many as asked for
+])
+def test_learn_pool_is_clamped(monkeypatch, jobs, cpus, expected):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    doc = {"experiment": "learn", "environment": ENV2_DOC, "seeds": [1, 2], "trials": 3}
+    assert run_experiment(cfg(doc), jobs=jobs) == run_experiment(cfg(doc), jobs=1)
+    assert started == [expected]
 
 
 def test_write_report_csv_and_json_agree(tmp_path):

@@ -27,9 +27,9 @@ from weakform.learning import (
     weakness_cmp,
     weakness_proxy,
 )
-from weakform.tasks import enumerate_tasks, is_correct_policy, mk_task
+from weakform.tasks import enumerate_tasks, mk_task
 
-from helpers import all_environments
+from helpers import all_environments, brute_correct_policies
 
 
 # --- comparators --------------------------------------------------------------
@@ -71,9 +71,8 @@ def test_generalization_table_matches_brute_scan(env2, env_pair):
         tasks = 0
         for t in enumerate_tasks(env):
             tasks += 1
-            for l in lang:
-                if is_correct_policy(t, l):
-                    brute[l] += 1
+            for l in brute_correct_policies(t):
+                brute[l] += 1
         assert table.denominator == tasks
         for l in lang:
             assert table.numerator(l) == brute[l]

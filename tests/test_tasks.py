@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -33,7 +34,12 @@ from weakform.tasks import (
     task_to_dict,
 )
 
-from helpers import all_environments, brute_extension_of_set, brute_language
+from helpers import (
+    all_environments,
+    brute_correct_policies,
+    brute_extension_of_set,
+    brute_language,
+)
 
 
 def _stmt_order(x):
@@ -138,16 +144,40 @@ def test_correct_policies_examples(env2):
     assert correct_policies(t3).members == ((1,), (1, 2))
 
 
-def test_correct_policies_match_brute_definition(env2):
+def test_correct_policies_match_brute_definition():
     # filter the whole language by the set definition, with no masks
-    for t in [mk_task(env2, [(2,)], [(0, 2)]), mk_task(env2, [(0,)], [])]:
-        expected = []
-        ext = set(t.extension.members)
-        for pi in brute_language(env2):
-            completions = {y for y in ext if set(pi) <= set(y)}
-            if completions == set(t.outputs_correct):
-                expected.append(pi)
-        assert list(correct_policies(t).members) == expected
+    checked = 0
+    for env in all_environments(2, 3):
+        lang = brute_language(env)
+        for include_empty in (True, False):
+            for t in enumerate_tasks(env, include_empty_outputs=include_empty):
+                expected = brute_correct_policies(t)
+                assert list(correct_policies(t).members) == expected
+                for pi in lang:
+                    assert is_correct_policy(t, pi) == (pi in expected)
+                checked += 1
+    assert checked > 2000
+
+
+def test_policies_of_a_large_language_use_linear_memory():
+    # 14 programs sharing state 0 make every index set a statement, so
+    # |L| = 2^14.  One extension mask per statement would take |L|^2 bits
+    # (32 MiB); the policy test works on the two-member input extension.
+    env = mk_environment(15, [[0, s] for s in range(1, 15)])
+    top = tuple(range(14))
+    tracemalloc.start()
+    try:
+        t = mk_task(env, [top[:-1]], [top])
+        policies = correct_policies(t).members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(enumerate_language(env)) == 1 << 14
+    # a policy is correct iff it contains program 13
+    assert len(policies) == 1 << 13
+    assert policies[0] == (13,)
+    assert is_correct_policy(t, (13,)) and not is_correct_policy(t, (0,))
+    assert peak < 16 << 20
 
 
 # --- inference ---------------------------------------------------------------------
