@@ -262,14 +262,24 @@ def config_from_dict(
     _expect("environment" in doc, "missing 'environment'")
     env = _parse_environment(doc["environment"], base_dir, guards)
     environment = environment_to_dict(env)
+    # with no program true anywhere the language is the empty statement
+    # alone, which admits no task; only enumerate has something to report
+    _expect(
+        experiment == "enumerate" or any(env.program_sets()),
+        f"{experiment} needs a task, and an environment with no program "
+        "true in any state admits none",
+    )
 
     proxies = doc.get("proxies", ["weakness"])
     _expect(
-        isinstance(proxies, list) and all(isinstance(p, str) for p in proxies),
-        "proxies must be a list of names",
+        isinstance(proxies, list)
+        and proxies != []
+        and all(isinstance(p, str) for p in proxies),
+        "proxies must be a nonempty list of names",
     )
-    for name in proxies:
-        proxy_by_name(name, base_dir)  # raises UnknownProxy
+    # raises UnknownProxy; names that resolve alike ("random:1" and
+    # "random:01") are the same proxy
+    distinct_proxies = {proxy_by_name(name, base_dir).name for name in proxies}
 
     seeds = doc.get("seeds", [0])
     _expect(
@@ -330,7 +340,7 @@ def config_from_dict(
     _expect(output_format in ("csv", "json"), "output format must be csv or json")
 
     if experiment == "compare-proxies":
-        _expect(len(proxies) >= 2, "compare-proxies needs at least two proxies")
+        _expect(len(distinct_proxies) >= 2, "compare-proxies needs at least two distinct proxies")
     if experiment == "verify-bound":
         _expect(rho is not None, "verify-bound needs 'rho'")
         n = environment["states"]

@@ -7,6 +7,11 @@ random relations, and explicit tables.  The generalization order ranks
 statements by how often they are a correct policy for a task drawn
 uniformly from the task space; sample efficiency scores a proxy by how
 well its verdicts match that order over all ordered statement pairs.
+
+Each of those counts has a closed form in the statement's extension E:
+``2^|L| - 2^|E| - 1`` tasks, plus one when E is the whole language L,
+less ``2^|D| - 1`` when empty outputs are excluded (D: the statements
+incompatible with it).  The tests check it against enumerating tasks.
 """
 
 from __future__ import annotations
@@ -168,7 +173,7 @@ class GeneralizationTable:
     denominator: int
 
     def numerator(self, l: Iterable[int]) -> int:
-        return self.numerators[LanguageIndex.of(self.env).position[tuple(sorted(set(l)))]]
+        return self.numerators[LanguageIndex.of(self.env).position[require_statement(self.env, l)]]
 
     def probability(self, l: Iterable[int]) -> Fraction:
         if self.denominator == 0:
@@ -191,25 +196,24 @@ class GeneralizationTable:
 @lru_cache(maxsize=None)
 def _table_cached(env: Environment, guards: Guards, include_empty_outputs: bool) -> GeneralizationTable:
     space = task_space(env, guards, include_empty_outputs)
-    lang = space.language
     ext_masks = space.ext_masks
-    union = space._union
-    n = len(lang)
-    numerators = [0] * n
-    # a statement is a correct policy for exactly one output set per
-    # input set (the intersection of the two extensions), and for none
-    # when that intersection is not an admissible output set
-    for imask in range(1, (1 << n) - 1):
-        emask = union[imask]
-        for j in range(n):
-            inter = emask & ext_masks[j]
-            if inter == emask:
-                continue
-            if not include_empty_outputs and inter == 0:
-                continue
-            numerators[j] += 1
+    n = len(ext_masks)
+    numerators = []
+    # l is a correct policy for exactly one output set per input set I,
+    # namely E_I & E_l.  It is inadmissible when it is all of E_I, that
+    # is when I lies inside E_l (2^|E_l| - 1 sets, one fewer when E_l is
+    # the whole language, since I = L is no input set), and, with empty
+    # outputs excluded, when it is empty, that is when I holds only
+    # statements incompatible with l (their extensions miss E_l)
+    for e in ext_masks:
+        k = e.bit_count()
+        count = (1 << n) - (1 << k) - 1 + (k == n)
+        if not include_empty_outputs:
+            disjoint = sum(1 for f in ext_masks if not f & e)
+            count -= (1 << disjoint) - 1
+        numerators.append(count)
     return GeneralizationTable(
-        env, include_empty_outputs, lang, tuple(numerators), space.total_count
+        env, include_empty_outputs, space.language, tuple(numerators), space.total_count
     )
 
 
@@ -242,10 +246,8 @@ def gen_cmp(
 ) -> bool:
     """True iff ``l1`` generalizes strictly less probably than ``l2``."""
     table = generalization_table(env, guards, include_empty_outputs)
-    a = require_statement(env, l1)
-    b = require_statement(env, l2)
     # same denominator, so the numerators decide
-    return table.numerator(a) < table.numerator(b)
+    return table.numerator(l1) < table.numerator(l2)
 
 
 @dataclass(frozen=True)

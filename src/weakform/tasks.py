@@ -70,11 +70,6 @@ __all__ = [
     "task_to_dict",
 ]
 
-#: hierarchy_level walks the full up-set of a task; refuse beyond this
-#: many tasks in the space.
-MAX_HIERARCHY_TASKS = 1 << 20
-
-
 @dataclass(frozen=True)
 class Task:
     """Inputs, correct outputs, and the cached input extension."""
@@ -292,7 +287,6 @@ class TaskSpace:
         self.total_count = total
         self._cum: list[int] | None = None
         self._masks_in_order: list[int] | None = None
-        self._levels: dict[tuple[int, int], int] = {}
 
     def _weight(self, ext_size: int) -> int:
         # number of admissible output sets below an extension of that size
@@ -383,48 +377,16 @@ class TaskSpace:
     # -- hierarchy levels --------------------------------------------------------
 
     def level(self, task: Task) -> int:
-        """Length of the longest strictly ascending chain of parents."""
+        """Length of the longest strictly ascending chain of parents.
+
+        Every parent has at least one more input, and adding one input
+        at a time always yields a parent (keep the outputs, or add one
+        when empty outputs are excluded), so the longest chain stops one
+        short of the whole language: ``|L| - 1 - |inputs|``.
+        """
         if task.env != self.env:
             raise EnvironmentMismatch("task belongs to a different environment")
-        if self.total_count > MAX_HIERARCHY_TASKS:
-            raise TaskSpaceTooLarge(
-                f"|task space| = {self.total_count} exceeds {MAX_HIERARCHY_TASKS}"
-            )
-        position = self.index.position
-        imask = sum(1 << position[s] for s in task.inputs)
-        omask = sum(1 << position[s] for s in task.outputs_correct)
-        return self._level(imask, omask)
-
-    def _level(self, imask: int, omask: int) -> int:
-        key = (imask, omask)
-        memo = self._levels
-        if key in memo:
-            return memo[key]
-        n = len(self.language)
-        full = (1 << n) - 1
-        best = 0
-        free = full & ~imask
-        # parents grow the input set strictly; outputs may grow within
-        # the parent's extension
-        sub = free
-        while sub:
-            imask2 = imask | sub
-            if imask2 != full:
-                emask2 = self._union[imask2]
-                grow = emask2 & ~omask
-                osub = grow
-                while True:
-                    omask2 = omask | osub
-                    if omask2 != emask2 and (self.include_empty_outputs or omask2):
-                        cand = 1 + self._level(imask2, omask2)
-                        if cand > best:
-                            best = cand
-                    if osub == 0:
-                        break
-                    osub = (osub - 1) & grow
-            sub = (sub - 1) & free
-        memo[key] = best
-        return best
+        return len(self.language) - 1 - len(task.inputs)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakform import cli
+from weakform import cli, mk_environment
+from weakform.config import EXPERIMENT_KINDS
+
+from helpers import brute_extension_of_set, brute_language
 
 ENV2_DOC = {"states": 2, "vocabulary": [[0], [1], [0, 1]]}
+EMPTY_LANGUAGE_DOCS = [{"states": 1, "vocabulary": []}, {"states": 2, "vocabulary": [[]]}]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -155,6 +163,18 @@ def test_rerun_byte_identical(tmp_path):
       "rho": {"inputs": [[1]], "outputs": []}, "candidates": [[5]]}, 2),
     # an exceeded guard keeps its own exit code
     ({"experiment": "enumerate", "environment": {"full_powerset": 9}}, 3),
+] + [
+    # no program is true anywhere, so the language is the empty statement
+    # alone and there is no task to learn, compare, sample or score
+    ({"experiment": experiment, "environment": environment,
+      "proxies": ["weakness", "simplicity"]}, 2)
+    for environment in EMPTY_LANGUAGE_DOCS
+    for experiment in ("learn", "compare-proxies", "sample-gen", "utility")
+] + [
+    # no proxy to learn with, and two names for one proxy
+    ({"experiment": "learn", "environment": ENV2_DOC, "proxies": []}, 2),
+    ({"experiment": "compare-proxies", "environment": ENV2_DOC,
+      "proxies": ["random:1", "random:01"]}, 2),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)
@@ -162,6 +182,14 @@ def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     assert cli.main([doc["experiment"], "--config", str(config), "--out", str(out)]) == code
     assert not (tmp_path / "weakform-repro.json").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("environment", EMPTY_LANGUAGE_DOCS)
+def test_enumerate_empty_language(tmp_path, environment):
+    config = write_config(tmp_path, {"experiment": "enumerate", "environment": environment})
+    out = tmp_path / "r.csv"
+    assert cli.main(["enumerate", "--config", str(config), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):
@@ -177,3 +205,102 @@ def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
     config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
     assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "weakform-repro.json").exists()
+
+
+# --- generated documents ------------------------------------------------------------
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def _statement_sets(draw, env):
+    """A task document: valid when the language allows one, or rarely
+    (always, for a one-statement language) a malformed one."""
+    lang = brute_language(env)
+    if len(lang) < 2 or _rarely(draw):
+        return draw(st.one_of(
+            st.fixed_dictionaries({
+                "inputs": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3),
+                "outputs": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3),
+            }),
+            st.sampled_from([[], {"inputs": [[0]]}, {"inputs": [[0]], "outputs": 1}]),
+        ))
+    inputs = draw(st.lists(st.sampled_from(lang), min_size=1, max_size=len(lang) - 1, unique=True))
+    ext = sorted(brute_extension_of_set(env, inputs))
+    outputs = draw(st.lists(st.sampled_from(ext), max_size=len(ext) - 1, unique=True))
+    return {"inputs": [list(x) for x in inputs], "outputs": [list(x) for x in outputs]}
+
+
+@st.composite
+def config_docs(draw):
+    """Config documents over environments with at most 3 states and 3
+    programs (or a full powerset of at most 2 states, which verify-bound
+    needs), mostly valid, each part rarely malformed."""
+    experiment = draw(st.sampled_from(EXPERIMENT_KINDS))
+    powerset = draw(st.booleans()) if experiment == "verify-bound" else _rarely(draw)
+    if powerset:
+        states = draw(st.integers(1, 2))
+        vocabulary = [[s for s in range(states) if m >> s & 1] for m in range(1 << states)]
+        environment = {"full_powerset": states}
+    else:
+        states = draw(st.integers(1, 3))
+        vocabulary = draw(st.lists(
+            st.sets(st.integers(0, states - 1), min_size=0 if _rarely(draw) else 1).map(sorted),
+            min_size=1, max_size=3, unique_by=tuple,
+        ))
+        environment = {"states": states, "vocabulary": vocabulary}
+    if _rarely(draw):
+        environment = draw(st.sampled_from([
+            {"states": 0, "vocabulary": []},
+            {"states": states, "vocabulary": vocabulary + [[states]]},
+            {"states": states, "vocabulary": [[0], [0]]},
+            {"states": states, "vocabulary": 5},
+            {"full_powerset": 0},
+        ]))
+    doc = {"experiment": experiment, "environment": environment}
+
+    names = ["weakness", "simplicity", "random:1", "random:01", "random:2"]
+    if _rarely(draw):
+        names.append("shortest")
+    if not _rarely(draw):
+        doc["proxies"] = draw(st.lists(
+            st.sampled_from(names), min_size=0 if _rarely(draw) else 2, max_size=3,
+        ))
+    for key, needed in (("task", "utility"), ("rho", "verify-bound")):
+        if (experiment == needed and not _rarely(draw)) or draw(st.booleans()):
+            doc[key] = draw(_statement_sets(mk_environment(states, vocabulary)))
+    if draw(st.booleans()):
+        bad = [[states]] if _rarely(draw) else []
+        doc["candidates"] = draw(st.one_of(
+            st.just("all"),
+            st.lists(st.lists(st.sampled_from(vocabulary + bad), unique_by=tuple), max_size=3),
+        ))
+    low = 0 if _rarely(draw) else 1
+    for key, top in (("trials", 2), ("child_input_count", 4), ("samples", 50)):
+        if draw(st.booleans()):
+            doc[key] = draw(st.integers(low, top))
+    if draw(st.booleans()):
+        doc["seeds"] = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        doc["include_empty_outputs"] = draw(st.booleans())
+    if _rarely(draw):
+        doc["guards"] = draw(st.dictionaries(
+            st.sampled_from(["max_vocabulary", "max_task_language", "max_truth_set"]),
+            st.integers(0, 8),
+            max_size=2,
+        ))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config_docs())
+def test_generated_configs_never_exit_internal(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        out = Path(tmp) / "r.csv"
+        code = cli.main([doc["experiment"], "--config", str(config), "--out", str(out)])
+        assert code in (0, 2, 3), doc
+        assert not (Path(tmp) / "weakform-repro.json").exists()
+        assert out.exists() == (code == 0)

@@ -8,7 +8,9 @@ from weakform import enumerate_language, extension_size, mk_environment
 from weakform.errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
+    IndexOutOfRange,
     NoCorrectPolicy,
+    NotAStatement,
     UnknownProxy,
 )
 from weakform.learning import (
@@ -62,20 +64,35 @@ def test_simplicity_cmp_examples():
 
 # --- generalization ------------------------------------------------------------
 
-def test_generalization_table_matches_brute_scan(env2, env_pair):
+def test_generalization_table_matches_brute_scan():
     # definition path: count over every enumerated task
-    for env in (env2, env_pair):
-        table = generalization_table(env)
+    checked = 0
+    for env in all_environments(2, 3):
         lang = enumerate_language(env)
-        brute = {l: 0 for l in lang}
-        tasks = 0
-        for t in enumerate_tasks(env):
-            tasks += 1
-            for l in brute_correct_policies(t):
-                brute[l] += 1
-        assert table.denominator == tasks
-        for l in lang:
-            assert table.numerator(l) == brute[l]
+        if len(lang) < 2:
+            continue
+        for include_empty in (True, False):
+            table = generalization_table(env, include_empty_outputs=include_empty)
+            brute = {l: 0 for l in lang}
+            tasks = 0
+            for t in enumerate_tasks(env, include_empty_outputs=include_empty):
+                tasks += 1
+                for l in brute_correct_policies(t):
+                    brute[l] += 1
+            assert table.denominator == tasks
+            for l in lang:
+                assert table.numerator(l) == brute[l], (env, include_empty, l)
+            checked += 1
+    assert checked == 30
+
+
+def test_generalization_table_numerator_domain_errors(env2):
+    table = generalization_table(env2)
+    with pytest.raises(NotAStatement):
+        table.numerator((0, 1))
+    with pytest.raises(IndexOutOfRange):
+        table.numerator((7,))
+    assert table.numerator([2, 0, 2]) == table.numerator((0, 2))
 
 
 def test_generalization_numerators_closed_form_sweep():

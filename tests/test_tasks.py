@@ -60,9 +60,9 @@ def brute_task_keys(env, include_empty_outputs=True):
     return keys
 
 
-def brute_hierarchy_levels(env):
+def brute_hierarchy_levels(env, include_empty_outputs=True):
     """Longest ascending chains by plain recursion over the task list."""
-    keys = brute_task_keys(env)
+    keys = brute_task_keys(env, include_empty_outputs)
     memo: dict = {}
 
     def level(key):
@@ -278,11 +278,15 @@ def test_hierarchy_level_no_parent_possible(env_pair):
 
 
 def test_hierarchy_level_matches_brute_chain_search():
-    for env in [mk_environment(2, [{0}, {1}]), mk_environment(2, [{0}, {0, 1}])]:
-        space = task_space(env)
-        expected = brute_hierarchy_levels(env)
-        for t in enumerate_tasks(env):
-            assert hierarchy_level(t, space) == expected[(t.inputs, t.outputs_correct)]
+    checked = 0
+    for env in all_environments(2, 2):
+        for include_empty in (True, False):
+            space = task_space(env, include_empty_outputs=include_empty)
+            expected = brute_hierarchy_levels(env, include_empty)
+            for t in enumerate_tasks(env, include_empty_outputs=include_empty):
+                assert hierarchy_level(t, space) == expected[(t.inputs, t.outputs_correct)]
+                checked += 1
+    assert checked == 594
 
 
 def test_hierarchy_level_env2(env2):
@@ -366,14 +370,14 @@ def test_task_space_guard(env2):
 
 
 def test_hierarchy_level_guard():
-    # four programs sharing a state give a 16-statement language whose
-    # task space is far too large to chain through
+    # four programs sharing a state give a 16-statement language with
+    # more than 2^20 tasks; the closed form walks none of them, so it
+    # needs no guard
     env = mk_environment(3, [{0}, {0, 1}, {0, 2}, {0, 1, 2}])
     space = task_space(env)
     assert space.total_count > (1 << 20)
     t = mk_task(env, [(3,)], [])
-    with pytest.raises(TaskSpaceTooLarge):
-        hierarchy_level(t, space)
+    assert hierarchy_level(t, space) == 14
 
 
 def test_sample_task_deterministic(env2):
