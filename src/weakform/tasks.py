@@ -12,6 +12,7 @@ the counted space is decoded back into a task.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -272,8 +273,12 @@ class TaskSpace:
         # each statement's extension as a mask over language positions
         ext = self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
-        # union of member extensions for every subset of the language
-        union = [0] * (1 << n)
+        # union of member extensions for every subset of the language.  The
+        # 2^|L| tables here and in _sampling_tables are arrays of 64-bit
+        # words (masks below 2^|L|, counts below 4^|L|), not lists: the
+        # garbage collector walks every entry of a list, tens of
+        # milliseconds at |L| = 20, but never looks inside an array.
+        union = array("Q", [0]) * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
             union[mask] = union[mask ^ low] | ext[low.bit_length() - 1]
@@ -285,8 +290,8 @@ class TaskSpace:
         for mask in range(1, full):
             total += self._weight(union[mask].bit_count())
         self.total_count = total
-        self._cum: list[int] | None = None
-        self._masks_in_order: list[int] | None = None
+        self._cum: array | None = None
+        self._masks_in_order: array | None = None
 
     def _weight(self, ext_size: int) -> int:
         # number of admissible output sets below an extension of that size
@@ -334,10 +339,10 @@ class TaskSpace:
 
     # -- exact uniform sampling ----------------------------------------------
 
-    def _sampling_tables(self) -> tuple[list[int], list[int]]:
+    def _sampling_tables(self) -> tuple[array, array]:
         if self._cum is None:
-            masks: list[int] = []
-            cum: list[int] = []
+            masks = array("Q")
+            cum = array("Q")
             running = 0
             for imask in self._input_masks_in_order():
                 w = self._weight(self._union[imask].bit_count())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from itertools import combinations
 
@@ -378,6 +379,16 @@ def test_hierarchy_level_guard():
     assert space.total_count > (1 << 20)
     t = mk_task(env, [(3,)], [])
     assert hierarchy_level(t, space) == 14
+
+
+def test_task_space_tables_are_not_walked_by_gc(env2):
+    # the 2^|L| tables are flat arrays: a collection that reaches one
+    # visits its type, not one int object per entry
+    space = task_space(env2)
+    masks, cum = space._sampling_tables()
+    for table in (space._union, masks, cum):
+        assert len(table) > 1
+        assert gc.get_referents(table) == [type(table)]
 
 
 def test_sample_task_deterministic(env2):
