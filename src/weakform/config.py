@@ -80,6 +80,10 @@ class ExperimentConfig:
     guards: Guards
     output_path: str | None
     output_format: str
+    # the directory relative paths in the document resolve against (table
+    # proxies); where the document lives does not define the experiment,
+    # so it is neither serialised nor hashed
+    base_dir: Path | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -364,6 +368,7 @@ def config_from_dict(
         guards=guards,
         output_path=output_path,
         output_format=output_format,
+        base_dir=base_dir,
     )
 
 

@@ -170,7 +170,7 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
     task_id = f"parent:{parent.encode()};child:{child.encode()}"
     rows = []
     for name in config.proxies:
-        proxy = proxy_by_name(name)
+        proxy = proxy_by_name(name, config.base_dir)
         try:
             pi = learn(child, proxy, config.guards)
         except NoCorrectPolicy:
@@ -264,7 +264,7 @@ def _run_learn(config, jobs) -> list[dict[str, str]]:
 def _run_compare(config, env, factory) -> list[dict[str, str]]:
     lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
-    proxies = [proxy_by_name(name) for name in config.proxies]
+    proxies = [proxy_by_name(name, config.base_dir) for name in config.proxies]
     rows = []
     for a in proxies:
         for b in proxies:

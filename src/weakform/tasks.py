@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, combinations, filterfalse, islice
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -249,10 +250,12 @@ def is_child(alpha: Task, omega: Task) -> bool:
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
-    Input sets are indexed as bit masks over the canonical language;
-    for each the extension union is looked up in a subset table built
-    once.  ``include_empty_outputs`` keeps or drops tasks whose correct
-    output set is empty (kept by default).
+    Input sets are bit masks over the canonical language; ``_union``
+    holds each one's union of extensions and ``total_count`` weighs a
+    histogram of their sizes.  Enumeration and sampling share one
+    canonical order of input sets, and the index->task mapping of
+    ``sample_index`` is a contract.  ``include_empty_outputs`` keeps or
+    drops tasks whose correct output set is empty (kept by default).
     """
 
     def __init__(
@@ -273,30 +276,22 @@ class TaskSpace:
         # each statement's extension as a mask over language positions
         ext = self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
-        # union of member extensions for every subset of the language.  The
-        # 2^|L| tables here and in _sampling_tables are arrays of 64-bit
+        # every subset's union of extensions, doubled in place (a half-size
+        # copy would raise the peak).  The 2^|L| tables are arrays of 64-bit
         # words (masks below 2^|L|, counts below 4^|L|), not lists: the
         # garbage collector walks every entry of a list, tens of
         # milliseconds at |L| = 20, but never looks inside an array.
-        union = array("Q", [0]) * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            union[mask] = union[mask ^ low] | ext[low.bit_length() - 1]
+        union = array("Q", [0])
+        for e in ext:
+            union.extend(map(e.__or__, islice(union, len(union))))
         self._union = union
 
-        full = (1 << n) - 1
         self._min_outputs = 0 if include_empty_outputs else 1
-        total = 0
-        for mask in range(1, full):
-            total += self._weight(union[mask].bit_count())
-        self.total_count = total
-        self._cum: array | None = None
-        self._masks_in_order: array | None = None
-
-    def _weight(self, ext_size: int) -> int:
-        # number of admissible output sets below an extension of that size
-        w = (1 << ext_size) - 1 - self._min_outputs
-        return w if w > 0 else 0
+        # output sets strictly below an extension of k statements
+        self._weights = [max((1 << k) - 1 - self._min_outputs, 0) for k in range(n + 1)]
+        sizes = Counter(map(int.bit_count, union))
+        sizes[n] -= 1  # the whole language is no input set (the empty set weighs 0)
+        self.total_count = sum(self._weights[k] * c for k, c in sizes.items())
 
     def _task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``."""
@@ -311,13 +306,9 @@ class TaskSpace:
     # -- enumeration -------------------------------------------------------
 
     def _input_masks_in_order(self) -> Iterator[int]:
-        n = len(self.language)
-        for size in range(1, n):
-            for combo in combinations(range(n), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                yield mask
+        """The canonical order of input sets: by size, then positions."""
+        bits = [1 << i for i in range(len(self.language))]
+        return chain.from_iterable(map(sum, combinations(bits, k)) for k in range(1, len(bits)))
 
     def tasks(self) -> Iterator[Task]:
         """Every task exactly once: input sets by size then encoding,
@@ -339,24 +330,21 @@ class TaskSpace:
 
     # -- exact uniform sampling ----------------------------------------------
 
+    @cached_property
     def _sampling_tables(self) -> tuple[array, array]:
-        if self._cum is None:
-            masks = array("Q")
-            cum = array("Q")
-            running = 0
-            for imask in self._input_masks_in_order():
-                w = self._weight(self._union[imask].bit_count())
-                if w:
-                    running += w
-                    masks.append(imask)
-                    cum.append(running)
-            self._masks_in_order = masks
-            self._cum = cum
-        return self._masks_in_order, self._cum
+        """Input masks in canonical order and the running task count after
+        each, built on the first draw.  A set that admits no task repeats
+        its predecessor's count, so bisection never lands on it."""
+        # filterfalse yields each mask once masks.append has kept it: grown
+        # in step, not in turn, the tables keep 0.2 MiB less heap at |L| = 20
+        masks = array("Q")
+        kept = filterfalse(masks.append, self._input_masks_in_order())
+        sizes = map(int.bit_count, map(self._union.__getitem__, kept))
+        return masks, array("Q", accumulate(map(self._weights.__getitem__, sizes)))
 
     def sample_index(self, index: int) -> tuple[int, int]:
         """Decode a flat index in [0, total_count) into task masks."""
-        masks, cum = self._sampling_tables()
+        masks, cum = self._sampling_tables
         pos = bisect_right(cum, index)
         imask = masks[pos]
         offset = index - (cum[pos - 1] if pos else 0)
@@ -366,10 +354,7 @@ class TaskSpace:
         return imask, omask
 
     def sample(self, seed: int) -> Task:
-        if self.total_count == 0:
-            raise EmptyTaskSpace("this environment admits no task")
-        imask, omask = self.sample_index(Random(seed).randrange(self.total_count))
-        return self._task_from_masks(imask, omask)
+        return next(self.sample_many(seed, 1))
 
     def sample_many(self, seed: int, count: int) -> Iterator[Task]:
         if self.total_count == 0:

@@ -7,6 +7,7 @@ can disagree when one of them is wrong.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from weakform import Environment, mk_environment
@@ -69,3 +70,33 @@ def brute_correct_policies(task) -> list[tuple[int, ...]]:
         pi for pi in brute_language(task.env)
         if {y for y in ext if set(pi) <= set(y)} == outs
     ]
+
+
+@lru_cache(maxsize=None)
+def _brute_input_sets(env: Environment) -> list:
+    """Every input set, by size then canonical order, with its extension
+    in canonical order."""
+    lang = brute_language(env)
+    return [
+        (inputs, sorted(brute_extension_of_set(env, inputs), key=lambda y: (len(y), y)))
+        for r in range(1, len(lang))
+        for inputs in combinations(lang, r)
+    ]
+
+
+def brute_sample_index(env: Environment, index: int, include_empty_outputs: bool = True):
+    """The (inputs, outputs) pair at a flat sampler index, by definition.
+
+    Each input set takes one index per output set it admits; the
+    ordinal of the output set (past the empty one when that is
+    excluded) picks, bit by bit, members of the inputs' extension in
+    canonical order.
+    """
+    skip = 0 if include_empty_outputs else 1
+    for inputs, ext in _brute_input_sets(env):
+        admits = max(2 ** len(ext) - 1 - skip, 0)
+        if index < admits:
+            ordinal = index + skip
+            return inputs, tuple(y for bit, y in enumerate(ext) if ordinal >> bit & 1)
+        index -= admits
+    raise IndexError("index past the task count")

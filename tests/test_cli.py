@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -205,6 +206,46 @@ def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
     config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
     assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "weakform-repro.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["compare-proxies", "learn"])
+def test_table_proxy_resolves_against_the_config_directory(tmp_path, monkeypatch, experiment):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "pairs.json").write_text('{"true_pairs": [[[0], [2]], [[2], [0, 2]]]}')
+    write_config(sub, {
+        "experiment": experiment,
+        "environment": ENV2_DOC,
+        "proxies": ["table:pairs.json", "weakness"],
+        "seeds": [3],
+        "trials": 4,
+    }, name="c.json")
+    outside, inside = tmp_path / "outside.csv", tmp_path / "inside.csv"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([experiment, "--config", "sub/c.json", "--out", str(outside)]) == 0
+    monkeypatch.chdir(sub)
+    assert cli.main([experiment, "--config", "c.json", "--out", str(inside)]) == 0
+    assert outside.read_bytes() == inside.read_bytes()
+    assert "table:pairs.json" in inside.read_text()
+
+
+SHIPPED_REPORT_SHA256 = {
+    "compare-env2": "26f29869ee80d81ab96aa0cc8b62205bfeafeea348edc476ae94ba7a3ba759c7",
+    "learn-env2": "ef27bec12b1034d842f22a027be2f6d8ea689f8ad01d5189e46dfebc49a4d1ad",
+    "verify-bound-2": "0203bca0f7870f5296af81324b51f60a0fd3e3187e3bf2320e9a902110b1d5dd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
+def test_shipped_config_reports_are_pinned(tmp_path, capsys, name):
+    """The reports of the configs under configs/ are byte-identical from
+    one change to the next.  A digest here changes only together with an
+    intended change to that report, recorded in a CHANGES.md line."""
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    experiment = json.loads(config.read_text())["experiment"]
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_REPORT_SHA256[name]
 
 
 # --- generated documents ------------------------------------------------------------

@@ -20,6 +20,7 @@ from weakform.errors import (
     TaskSpaceTooLarge,
 )
 from weakform.tasks import (
+    TaskSpace,
     correct_policies,
     count_tasks,
     enumerate_tasks,
@@ -40,6 +41,7 @@ from helpers import (
     brute_correct_policies,
     brute_extension_of_set,
     brute_language,
+    brute_sample_index,
 )
 
 
@@ -385,10 +387,52 @@ def test_task_space_tables_are_not_walked_by_gc(env2):
     # the 2^|L| tables are flat arrays: a collection that reaches one
     # visits its type, not one int object per entry
     space = task_space(env2)
-    masks, cum = space._sampling_tables()
+    masks, cum = space._sampling_tables
     for table in (space._union, masks, cum):
         assert len(table) > 1
         assert gc.get_referents(table) == [type(table)]
+
+
+def test_task_space_build_holds_one_table():
+    # the union table doubles in place: the build's peak is the 2^|L|
+    # words of the table, not that plus a half-size copy
+    env = mk_environment(4, [[0], [1], [2], [3], [0, 1], [2, 3], [0, 2]])
+    guards = Guards(max_task_language=18)
+    assert len(enumerate_language(env, guards)) == 18
+    tracemalloc.start()
+    try:
+        space = TaskSpace(env, guards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 << 18
+    assert len(space._union) << 3 == table
+    assert peak <= 1.25 * table + (64 << 10)
+
+
+def test_counting_and_enumerating_build_no_sampling_tables():
+    # a guard value no other test uses keys a task space of its own
+    env = mk_environment(2, [{0}, {1}, {0, 1}])
+    guards = Guards(max_task_language=13)
+    space = task_space(env, guards)
+    assert count_tasks(env, guards) == sum(1 for _ in enumerate_tasks(env, guards)) == 2330
+    assert "_sampling_tables" not in vars(space)
+    space.sample(0)
+    assert "_sampling_tables" in vars(space)
+
+
+def test_sample_index_matches_brute_definition():
+    checked = 0
+    for env in all_environments(2, 3):
+        for include_empty in (True, False):
+            space = task_space(env, include_empty_outputs=include_empty)
+            statements_of = space.index.statements_of
+            for i in range(space.total_count):
+                imask, omask = space.sample_index(i)
+                got = (statements_of(imask), statements_of(omask))
+                assert got == brute_sample_index(env, i, include_empty), (env, include_empty, i)
+                checked += 1
+    assert checked == 5738
 
 
 def test_sample_task_deterministic(env2):
