@@ -1,12 +1,17 @@
 """Proxies, policy learning and the generalization order.
 
 A proxy is a deterministic 0/1 relation on statements used to pick one
-correct policy out of many.  The built-in proxies are weakness (compare
-extension sizes), simplicity (fewer member programs ranks higher), fixed
-random relations, and explicit tables.  The generalization order ranks
-statements by how often they are a correct policy for a task drawn
-uniformly from the task space; sample efficiency scores a proxy by how
-well its verdicts match that order over all ordered statement pairs.
+correct policy out of many.  It is given by its rows: for a sequence of
+statements, one bit mask per statement holding the statements it ranks
+below.  The built-in proxies are weakness (compare extension sizes),
+simplicity (fewer member programs ranks higher), fixed random relations,
+and explicit tables.  Weakness and simplicity are key orders, so their
+rows come from one sort.  The generalization order ranks statements by
+how often they are a correct policy for a task drawn uniformly from the
+task space; sample efficiency scores a proxy by how well its verdicts
+match that order over all ordered statement pairs, a popcount of the
+XOR of the two orders' rows.  Learning keeps the correct policies whose
+row over the policy set is empty.
 
 Each of those counts has a closed form in the statement's extension E:
 ``2^|L| - 2^|E| - 1`` tasks, plus one when E is the whole language L,
@@ -20,10 +25,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     DEFAULT_GUARDS,
@@ -84,52 +90,103 @@ def simplicity_cmp(l1: Iterable[int], l2: Iterable[int]) -> bool:
     return len(tuple(l1)) > len(tuple(l2))
 
 
+def _key_rows(keys: Sequence) -> list[int]:
+    """The rows of a key order: bit j of row i is set when
+    ``keys[i] < keys[j]``.
+
+    One sort, then a walk from the largest key down: every key class
+    gets the OR of the positions of the strictly larger classes.
+    """
+    rows = [0] * len(keys)
+    above = 0  # positions of the classes already passed
+    current = 0  # positions of the class being walked
+    last = None
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        if current and keys[i] < last:
+            above |= current
+            current = 0
+        rows[i] = above
+        current |= 1 << i
+        last = keys[i]
+    return rows
+
+
 @dataclass(frozen=True)
 class Proxy:
-    """A named deterministic 0/1 relation on statements."""
+    """A named deterministic 0/1 relation on statements, given by its rows.
+
+    ``rows(env, statements)`` returns one mask per statement: bit j of
+    row i is set when the relation holds of
+    ``(statements[i], statements[j])``.
+    """
 
     name: str
-    relation: Callable[[Environment, Statement, Statement], bool]
+    rows: Callable[[Environment, Sequence[Statement]], list[int]]
 
     def holds(self, env: Environment, l1: Statement, l2: Statement) -> bool:
-        return bool(self.relation(env, l1, l2))
+        return bool(self.rows(env, (l1, l2))[0] >> 1 & 1)
 
     def __repr__(self) -> str:
         return f"Proxy({self.name})"
 
 
 def weakness_proxy() -> Proxy:
-    return Proxy("weakness", lambda env, a, b: weakness_cmp(env, a, b))
+    return Proxy(
+        "weakness",
+        lambda env, statements: _key_rows([extension_size(env, s) for s in statements]),
+    )
 
 
 def simplicity_proxy() -> Proxy:
-    return Proxy("simplicity", lambda env, a, b: simplicity_cmp(a, b))
+    return Proxy(
+        "simplicity",
+        lambda env, statements: _key_rows([-len(tuple(s)) for s in statements]),
+    )
 
 
 def random_proxy(seed: int) -> Proxy:
     """A fixed random relation: the same pair always gets the same bit.
 
-    Bits come from a hash of (seed, pair), so the relation is stable
-    across runs, platforms and environments.
+    The bit of ``(l1, l2)`` is the low bit of the first byte of the
+    SHA-256 of ``"{seed}|{l1}|{l2}"``, so the relation is stable across
+    runs, platforms and environments.  Each row hashes its shared
+    prefix once and extends a copy per column.
     """
 
-    def rel(env: Environment, l1: Statement, l2: Statement) -> bool:
-        key = f"{seed}|{encode_statement(l1)}|{encode_statement(l2)}"
-        return hashlib.sha256(key.encode("utf-8")).digest()[0] & 1 == 1
+    def rows(env: Environment, statements: Sequence[Statement]) -> list[int]:
+        codes = [encode_statement(s) for s in statements]
+        tails = [code.encode("utf-8") for code in codes]
+        out = []
+        for code in codes:
+            prefix = hashlib.sha256(f"{seed}|{code}|".encode("utf-8"))
+            row = 0
+            for j, tail in enumerate(tails):
+                h = prefix.copy()
+                h.update(tail)
+                row |= (h.digest()[0] & 1) << j
+            out.append(row)
+        return out
 
-    return Proxy(f"random:{seed}", rel)
+    return Proxy(f"random:{seed}", rows)
 
 
 def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Proxy:
     """A relation given extensionally: listed ordered pairs are 1."""
-    table = frozenset(
-        (tuple(sorted(a)), tuple(sorted(b))) for a, b in true_pairs
-    )
+    successors: dict[Statement, set[Statement]] = {}
+    for a, b in true_pairs:
+        successors.setdefault(tuple(sorted(a)), set()).add(tuple(sorted(b)))
 
-    def rel(env: Environment, l1: Statement, l2: Statement) -> bool:
-        return (tuple(l1), tuple(l2)) in table
+    def rows(env: Environment, statements: Sequence[Statement]) -> list[int]:
+        keys = [tuple(s) for s in statements]
+        columns: dict[Statement, int] = {}
+        for j, key in enumerate(keys):
+            columns[key] = columns.get(key, 0) | 1 << j
+        return [
+            reduce(or_, (columns.get(b, 0) for b in successors.get(key, ())), 0)
+            for key in keys
+        ]
 
-    return Proxy(name, rel)
+    return Proxy(name, rows)
 
 
 def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
@@ -150,7 +207,7 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return table_proxy(f"table:{path.name}", doc["true_pairs"])
+            return table_proxy(name, doc["true_pairs"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UnknownProxy(f"cannot load proxy table {path}: {exc}") from None
     raise UnknownProxy(f"unknown proxy {name!r}")
@@ -309,21 +366,18 @@ def sample_efficiency(
     """Error of proxy ``a`` minus error of proxy ``b`` against the
     generalization order, summed over all ordered statement pairs.
 
+    Every term is a bit, so a row's error is the popcount of its XOR
+    with the generalization order's row ``{j : num_i < num_j}``.
     Negative means ``a`` is the more sample-efficient proxy.
     """
     table = generalization_table(env, guards, include_empty_outputs)
     if table.denominator == 0:
         raise EmptyTaskSpace("no tasks exist, sample efficiency is undefined")
-    lang = table.statements
-    nums = table.numerators
-    total = 0
-    for i, l1 in enumerate(lang):
-        for j, l2 in enumerate(lang):
-            g = 1 if nums[i] < nums[j] else 0
-            ea = 1 if a.holds(env, l1, l2) else 0
-            eb = 1 if b.holds(env, l1, l2) else 0
-            total += abs(g - ea) - abs(g - eb)
-    return total
+    g = _key_rows(table.numerators)
+    return sum(
+        (gi ^ ai).bit_count() - (gi ^ bi).bit_count()
+        for gi, ai, bi in zip(g, a.rows(env, table.statements), b.rows(env, table.statements))
+    )
 
 
 # --- learning ------------------------------------------------------------------------------
@@ -339,17 +393,14 @@ def learn(
     Maximal means no other correct policy ranks above it.  Ties break to
     the canonically smallest statement; with tie-breaking disabled, ties
     raise.  A cyclic relation leaves no maximal element, in which case
-    the tie set is the whole policy set.
+    the tie set is the whole policy set.  The maximal policies are those
+    whose row over the policy set is empty.
     """
     pols = correct_policies(child, guards)
     if not pols.members:
         raise NoCorrectPolicy("the task has no correct policy")
-    env = child.env
     members = pols.members
-    maximal = [
-        p for p in members
-        if not any(proxy.holds(env, p, q) for q in members)
-    ]
+    maximal = [p for p, row in zip(members, proxy.rows(child.env, members)) if not row]
     if not maximal:
         maximal = list(members)
     if len(maximal) > 1 and not tie_break:

@@ -7,6 +7,7 @@ can disagree when one of them is wrong.
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from itertools import combinations
 
@@ -100,3 +101,49 @@ def brute_sample_index(env: Environment, index: int, include_empty_outputs: bool
             return inputs, tuple(y for bit, y in enumerate(ext) if ordinal >> bit & 1)
         index -= admits
     raise IndexError("index past the task count")
+
+
+def brute_relation(env: Environment, name: str, true_pairs=()):
+    """``holds(l1, l2)`` of a built-in proxy, by its definition.
+
+    ``name`` is weakness, simplicity, random:<seed> or table:<anything>;
+    a table relation holds of exactly the listed ``true_pairs``.
+    """
+    if name == "weakness":
+        sizes = {x: len(brute_extension(env, x)) for x in brute_language(env)}
+        return lambda l1, l2: sizes[tuple(l1)] < sizes[tuple(l2)]
+    if name == "simplicity":
+        return lambda l1, l2: len(l1) > len(l2)
+    if name.startswith("random:"):
+        seed = int(name.split(":", 1)[1])
+
+        def holds(l1, l2):
+            key = "%d|{%s}|{%s}" % (seed, ",".join(map(str, l1)), ",".join(map(str, l2)))
+            return hashlib.sha256(key.encode("utf-8")).digest()[0] & 1 == 1
+
+        return holds
+    if name.startswith("table:"):
+        pairs = {(tuple(sorted(a)), tuple(sorted(b))) for a, b in true_pairs}
+        return lambda l1, l2: (tuple(l1), tuple(l2)) in pairs
+    raise ValueError(f"no oracle for proxy {name!r}")
+
+
+def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
+    """The double sum of |g - a| - |g - b| over ordered statement pairs.
+
+    ``verdicts_x[i][j]`` is the proxy's verdict on the i-th and j-th
+    statements of ``brute_language``; g compares the closed-form counts
+    of tasks (empty outputs included) in which each is a correct policy.
+    """
+    lang = brute_language(env)
+    n = len(lang)
+    counts = []
+    for x in lang:
+        e = len(brute_extension(env, x))
+        counts.append(2 ** n - 2 ** e - 1 + (1 if e == n else 0))
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            g = 1 if counts[i] < counts[j] else 0
+            total += abs(g - verdicts_a[i][j]) - abs(g - verdicts_b[i][j])
+    return total

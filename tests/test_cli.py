@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from weakform import cli, mk_environment
 from weakform.config import EXPERIMENT_KINDS
+from weakform.learning import sample_efficiency, table_proxy
 
 from helpers import brute_extension_of_set, brute_language
 
@@ -227,6 +229,35 @@ def test_table_proxy_resolves_against_the_config_directory(tmp_path, monkeypatch
     assert cli.main([experiment, "--config", "c.json", "--out", str(inside)]) == 0
     assert outside.read_bytes() == inside.read_bytes()
     assert "table:pairs.json" in inside.read_text()
+
+
+TWO_RELATIONS = {
+    "a": [[[0], [2]]],
+    "b": [[[2], [0]], [[], [2]]],
+}
+
+
+@pytest.mark.parametrize("others", [["weakness"], []])
+def test_same_named_tables_are_distinct_proxies(tmp_path, others):
+    # two different relations in files of the same name: each keeps the
+    # label it was written with, and the two are compared
+    for sub, pairs in TWO_RELATIONS.items():
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "rel.json").write_text(json.dumps({"true_pairs": pairs}))
+    proxies = ["table:a/rel.json", "table:b/rel.json"] + others
+    config = write_config(tmp_path, {
+        "experiment": "compare-proxies",
+        "environment": ENV2_DOC,
+        "proxies": proxies,
+    })
+    out = tmp_path / "report.csv"
+    assert cli.main(["compare-proxies", "--config", str(config), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        values = {row["proxy"]: int(row["value"]) for row in csv.DictReader(fh)}
+    assert sorted(values) == sorted(f"{a}|{b}" for a in proxies for b in proxies if a != b)
+    env = mk_environment(ENV2_DOC["states"], ENV2_DOC["vocabulary"])
+    a, b = (table_proxy(f"table:{sub}/rel.json", TWO_RELATIONS[sub]) for sub in "ab")
+    assert values["table:a/rel.json|table:b/rel.json"] == sample_efficiency(env, a, b) != 0
 
 
 SHIPPED_REPORT_SHA256 = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,6 +15,7 @@ from weakform.errors import (
     UnknownProxy,
 )
 from weakform.learning import (
+    Proxy,
     estimate_generalization_probability,
     evaluate_generalization,
     gen_cmp,
@@ -31,7 +33,13 @@ from weakform.learning import (
 )
 from weakform.tasks import enumerate_tasks, mk_task
 
-from helpers import all_environments, brute_correct_policies
+from helpers import (
+    all_environments,
+    brute_correct_policies,
+    brute_language,
+    brute_relation,
+    brute_sample_efficiency,
+)
 
 
 # --- comparators --------------------------------------------------------------
@@ -258,6 +266,59 @@ def test_proxy_by_name(tmp_path):
         proxy_by_name("table:/no/such/file.json")
 
 
+# every subset of four programs, paired by a fixed arithmetic rule; the
+# rule lists some pairs (x, x) and leaves others out
+_SUBSETS = [c for r in range(5) for c in combinations(range(4), r)]
+ORACLE_TABLE = [
+    (a, b) for a in _SUBSETS for b in _SUBSETS
+    if (len(a) + 2 * sum(a) + 3 * sum(b)) % 4 == 0
+]
+ORACLE_PROXIES = ("weakness", "simplicity", "random:0", "random:17", "table:oracle")
+
+
+def test_proxy_rows_match_pairwise_definition():
+    checked = 0
+    for env in all_environments(3, 4):
+        lang = enumerate_language(env)
+        assert list(lang) == brute_language(env)
+        proxies, verdicts = {}, {}
+        for name in ORACLE_PROXIES:
+            holds = brute_relation(env, name, ORACLE_TABLE)
+            expected = [[1 if holds(a, b) else 0 for b in lang] for a in lang]
+            if name.startswith("table:"):
+                proxy = table_proxy(name, ORACLE_TABLE)
+            else:
+                proxy = proxy_by_name(name)
+            rows = proxy.rows(env, lang)
+            got = [[row >> j & 1 for j in range(len(lang))] for row in rows]
+            assert got == expected, (env, name)
+            assert all(row >> len(lang) == 0 for row in rows), (env, name)
+            proxies[name], verdicts[name] = proxy, expected
+        for a, b in permutations(ORACLE_PROXIES, 2):
+            if len(lang) < 2:  # one statement leaves no task
+                with pytest.raises(EmptyTaskSpace):
+                    sample_efficiency(env, proxies[a], proxies[b])
+                continue
+            expected = brute_sample_efficiency(env, verdicts[a], verdicts[b])
+            assert sample_efficiency(env, proxies[a], proxies[b]) == expected, (env, a, b)
+            checked += 1
+    assert checked > 1000
+
+
+def test_holds_answers_one_pair(env2):
+    # weakness validates both statements, as its comparator does
+    with pytest.raises(NotAStatement):
+        weakness_proxy().holds(env2, (0, 1), (0,))
+    with pytest.raises(NotAStatement):
+        weakness_proxy().holds(env2, (0,), (0, 1))
+    # a listed pair (x, x) holds; an unlisted one does not
+    table = table_proxy("diagonal", [((0,), (0,))])
+    assert table.holds(env2, (0,), (0,)) is True
+    assert table.holds(env2, (1,), (1,)) is False
+    # defined on the class, where method tracing can wrap it
+    assert "holds" in Proxy.__dict__
+
+
 # --- learning ---------------------------------------------------------------------------------
 
 def test_learn_weakness(env2):
@@ -325,3 +386,35 @@ def test_evaluate_generalization_examples(env2):
     assert evaluate_generalization((1,), parent) is False
     no_policy = mk_task(env2, [(2,)], [(0, 2), (1, 2)])
     assert evaluate_generalization((0,), no_policy) is False
+
+
+def test_learn_matches_pairwise_maximal_definition():
+    # every ordered pair of distinct statements: each policy ranks above
+    # every other, so no policy set of two or more has a maximal element
+    cyclic_pairs = [(a, b) for a in _SUBSETS for b in _SUBSETS if a != b]
+    proxies = {name: proxy_by_name(name) for name in ("weakness", "simplicity", "random:0")}
+    proxies["table:cyclic"] = table_proxy("table:cyclic", cyclic_pairs)
+    fallbacks = ambiguous = 0
+    for env in all_environments(2, 3):
+        relations = {name: brute_relation(env, name, cyclic_pairs) for name in proxies}
+        for include_empty_outputs in (True, False):
+            for task in enumerate_tasks(env, include_empty_outputs=include_empty_outputs):
+                pols = brute_correct_policies(task)
+                for name, proxy in proxies.items():
+                    if not pols:
+                        with pytest.raises(NoCorrectPolicy):
+                            learn(task, proxy)
+                        continue
+                    holds = relations[name]
+                    maximal = [p for p in pols if not any(holds(p, q) for q in pols)]
+                    if not maximal:
+                        maximal = pols
+                        fallbacks += 1
+                    assert learn(task, proxy) == min(maximal, key=lambda x: (len(x), x))
+                    if len(maximal) > 1:
+                        ambiguous += 1
+                        with pytest.raises(AmbiguousMaximum):
+                            learn(task, proxy, tie_break=False)
+                    else:
+                        assert learn(task, proxy, tie_break=False) == maximal[0]
+    assert fallbacks and ambiguous
