@@ -408,6 +408,9 @@ class ExtensionSet:
     def __setattr__(self, name, value):  # immutability, mirrors the frozen dataclasses
         raise AttributeError("ExtensionSet is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, past the guard
+        return (ExtensionSet, (self.members,))
+
     @property
     def size(self) -> int:
         return len(self.members)

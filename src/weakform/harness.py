@@ -156,7 +156,7 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
         candidate = space.sample_index(rng.randrange(space.total_count))
         imask, omask = candidate
         if imask.bit_count() >= 2:
-            parent = space._task_from_masks(imask, omask)
+            parent = space.task_from_masks(imask, omask)
             break
     common = dict(
         language_size=lang_size,

@@ -15,9 +15,10 @@ import json
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, filterfalse, islice
+from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -50,6 +51,7 @@ from .errors import (
     NoOutput,
     OutputsNotInExtension,
     OutputsNotStrict,
+    ParseError,
     TaskSpaceTooLarge,
 )
 
@@ -72,14 +74,46 @@ __all__ = [
     "task_to_dict",
 ]
 
-@dataclass(frozen=True)
-class Task:
-    """Inputs, correct outputs, and the cached input extension."""
+class Task(tuple):
+    """Inputs, correct outputs, and the cached input extension.
 
-    env: Environment
-    inputs: tuple[Statement, ...]
-    outputs_correct: tuple[Statement, ...]
-    extension: ExtensionSet = field(compare=False, repr=False)
+    A slotted tuple ``(env, inputs, outputs_correct, extension)`` with
+    read-only fields: the task space streams millions of tasks, and a
+    tuple is built in C, with no Python ``__init__``.  Two tasks are equal
+    when their environment, inputs and correct outputs are (the extension
+    follows from the inputs), and the hash agrees.  A task equals only
+    another ``Task``: never a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        env: Environment,
+        inputs: tuple[Statement, ...],
+        outputs_correct: tuple[Statement, ...],
+        extension: ExtensionSet,
+    ) -> Task:
+        return tuple.__new__(cls, (env, inputs, outputs_correct, extension))
+
+    env = property(itemgetter(0))
+    inputs = property(itemgetter(1))
+    outputs_correct = property(itemgetter(2))
+    extension = property(itemgetter(3))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self[:3] == other[:3]
+        # a plain tuple would otherwise answer with tuple equality
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__; tuple's own compares all four fields
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def input_set(self) -> frozenset[Statement]:
@@ -158,6 +192,12 @@ def load_task(source: str | Path | dict, env: Environment | None = None) -> Task
             doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ParseError("a task document must be a JSON object")
+    needed = ("inputs", "outputs") if env is not None else ("env", "inputs", "outputs")
+    missing = [key for key in needed if key not in doc]
+    if missing:
+        raise ParseError(f"task document has no {' or '.join(map(repr, missing))}")
     if env is None:
         env = load_environment(doc["env"])
     return mk_task(env, doc["inputs"], doc["outputs"])
@@ -293,8 +333,10 @@ class TaskSpace:
         sizes[n] -= 1  # the whole language is no input set (the empty set weighs 0)
         self.total_count = sum(self._weights[k] * c for k, c in sizes.items())
 
-    def _task_from_masks(self, imask: int, omask: int) -> Task:
-        """The task with input set ``imask`` and output set ``omask``."""
+    def task_from_masks(self, imask: int, omask: int) -> Task:
+        """The task with input set ``imask`` and output set ``omask``, both
+        masks over canonical language positions (as ``sample_index``
+        returns them)."""
         statements_of = self.index.statements_of
         return Task(
             self.env,
@@ -320,10 +362,14 @@ class TaskSpace:
             inputs = statements_of(imask)
             ext_statements = statements_of(self._union[imask])
             ext = ExtensionSet(ext_statements)
-            k = len(ext_statements)
-            for r in range(self._min_outputs, k):
-                for combo in combinations(ext_statements, r):
-                    yield Task(env, inputs, combo, ext)
+            # output sets by size, then positions, short of the whole extension
+            outs = chain.from_iterable(
+                combinations(ext_statements, r) for r in range(self._min_outputs, len(ext_statements))
+            )
+            # C iterators build the tasks: no Python frame runs per task
+            # but this generator's own
+            fields = zip(repeat(env), repeat(inputs), outs, repeat(ext))
+            yield from map(tuple.__new__, repeat(Task), fields)
 
     def __iter__(self) -> Iterator[Task]:
         return self.tasks()
@@ -362,7 +408,7 @@ class TaskSpace:
         rng = Random(seed)
         for _ in range(count):
             imask, omask = self.sample_index(rng.randrange(self.total_count))
-            yield self._task_from_masks(imask, omask)
+            yield self.task_from_masks(imask, omask)
 
     # -- hierarchy levels --------------------------------------------------------
 

@@ -194,7 +194,7 @@ def test_derive_child_is_strict_child():
         imask, omask = space.sample_index(rng.randrange(space.total_count))
         if imask.bit_count() < 2:
             continue
-        parent = space._task_from_masks(imask, omask)
+        parent = space.task_from_masks(imask, omask)
         child = _derive_child(parent, rng, None)
         assert is_child(child, parent)
         found += 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import tracemalloc
 from itertools import combinations
 
@@ -17,6 +19,7 @@ from weakform.errors import (
     NotAStatement,
     OutputsNotInExtension,
     OutputsNotStrict,
+    ParseError,
     TaskSpaceTooLarge,
 )
 from weakform.tasks import (
@@ -91,6 +94,59 @@ def test_mk_task_valid(env2):
     assert t.inputs == ((2,),)
     assert t.outputs_correct == ((0, 2),)
     assert t.extension.as_set() == {(2,), (0, 2), (1, 2)}
+    assert repr(t) == "Task(I={{2}};O={{0,2}})"
+
+
+def _encoded(statements):
+    return "{%s}" % ",".join("{%s}" % ",".join(map(str, x)) for x in statements)
+
+
+def test_task_contract():
+    """A task is a value of (env, inputs, outputs): whichever way it was
+    built, it equals and hashes like every other build of it, equals no
+    plain tuple, has read-only fields and no instance dictionary, and
+    keeps its printed forms."""
+    checked = 0
+    for env in all_environments(2, 2):
+        for task in enumerate_tasks(env):
+            built = mk_task(env, *task.key())
+            assert built == task and task == built and not built != task
+            assert hash(built) == hash(task)
+            fields = (built.env, built.inputs, built.outputs_correct, built.extension)
+            assert built != fields and fields != built
+            assert not built == fields and not fields == built
+            assert len({built, task, fields}) == 2
+            for name in ("env", "inputs", "outputs_correct", "extension"):
+                with pytest.raises(AttributeError):
+                    setattr(built, name, getattr(task, name))
+            with pytest.raises(AttributeError):
+                built.note = "x"
+            assert not hasattr(built, "__dict__")
+            encoded = "I=%s;O=%s" % (_encoded(task.inputs), _encoded(task.outputs_correct))
+            assert built.encode() == task.encode() == encoded
+            assert repr(built) == repr(task) == f"Task({encoded})"
+            assert built.key() == (task.inputs, task.outputs_correct)
+            assert built.input_set == frozenset(task.inputs)
+            assert built.output_set == frozenset(task.outputs_correct)
+            checked += 1
+    assert checked > 50
+
+
+def test_task_pickles_and_copies(env2):
+    space = task_space(env2)
+    made = [
+        mk_task(env2, [(2,), (1,)], [(0, 2)]),
+        next(t for t in space.tasks() if t.outputs_correct),
+        space.sample(3),
+    ]
+    for task in made:
+        for again in (pickle.loads(pickle.dumps(task)), copy.deepcopy(task), copy.copy(task)):
+            assert type(again) is type(task)
+            assert again == task
+            assert again.extension == task.extension
+            assert again.extension.members == task.extension.members
+            assert again.env == task.env
+            assert repr(again) == repr(task)
 
 
 def test_mk_task_empty_inputs(env2):
@@ -496,3 +552,23 @@ def test_load_task_revalidates(env2):
     doc = {"inputs": [[2]], "outputs": [[2], [0, 2], [1, 2]]}
     with pytest.raises(OutputsNotStrict):
         load_task(doc, env2)
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"inputs": [[0]]}, "'outputs'"),
+        ({"outputs": [[0]]}, "'inputs'"),
+        ({}, "'inputs' or 'outputs'"),
+    ],
+)
+def test_load_task_names_a_missing_key(env2, doc, named):
+    with pytest.raises(ParseError, match=named):
+        load_task(doc, env2)
+
+
+def test_load_task_needs_an_environment_and_an_object(env2):
+    with pytest.raises(ParseError, match="'env'"):
+        load_task({"inputs": [[2]], "outputs": []})
+    with pytest.raises(ParseError, match="JSON object"):
+        load_task([[2]], env2)
