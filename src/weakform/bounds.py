@@ -12,7 +12,7 @@ verification reports in this module do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +23,6 @@ from .core import (
     Guards,
     Program,
     Statement,
-    _stmt_order,
     encode_statement,
     enumerate_language,
     env_hash,
@@ -110,56 +109,46 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
     return UninstantiatedTask(base)
 
 
-def _normalise_vocabulary(
-    rho: UninstantiatedTask, v_prime: Iterable
-) -> tuple[tuple[int, ...], ...]:
-    """Accept state-set iterables or Program values; reject anything not
-    drawn from the base vocabulary."""
-    base_sets = set(rho.env.program_sets())
-    out = []
-    for p in v_prime:
-        states = tuple(sorted(p.states() if isinstance(p, Program) else p))
-        if states not in base_sets:
-            raise InvalidVocabulary(
-                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
-            )
-        out.append(states)
-    return tuple(out)
-
-
 def instantiate(
     rho: UninstantiatedTask,
     v_prime: Iterable,
     guards: Guards = DEFAULT_GUARDS,
 ) -> Task:
-    """Restrict the base task to a sub-vocabulary.
+    """Restrict the base task to a sub-vocabulary of state-set iterables
+    or Program values, each drawn from the base vocabulary.
 
     Keeps exactly the inputs and correct outputs whose programs are all
-    still present, drops outputs that no longer complete any surviving
-    input, and re-validates the result as a task of the new environment.
-    Restriction by the full vocabulary is the identity.
+    still present, and re-validates the result as a task of the new
+    environment.  A kept output still completes a kept input: the input
+    it completed has a subset of its programs.  Restriction by the full
+    vocabulary is the identity.
     """
-    sets = _normalise_vocabulary(rho, v_prime)
+    position = {states: b for b, states in enumerate(rho.env.program_sets())}
+    sets = []
+    for p in v_prime:
+        states = tuple(sorted(p.states() if isinstance(p, Program) else p))
+        if states not in position:
+            raise InvalidVocabulary(
+                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
+            )
+        sets.append(states)
     env2 = mk_environment(rho.env.state_count, sets)
-    kept = {p.states(): j for j, p in enumerate(env2.programs)}
-    base_sets = rho.env.program_sets()
+    # both vocabularies are in canonical order, so the kept programs keep
+    # their base order: the renumbering is monotone and a renumbered
+    # canonical statement stays canonical
+    renumber = {b: j for j, b in enumerate(sorted(map(position.__getitem__, sets)))}
 
-    def remap(statement: Statement) -> Statement | None:
-        members = [base_sets[j] for j in statement]
-        if any(m not in kept for m in members):
-            return None
-        return tuple(sorted(kept[m] for m in members))
+    def restrict(statements: Sequence[Statement]) -> list[Statement]:
+        return [
+            tuple(map(renumber.__getitem__, s))
+            for s in statements
+            if all(map(renumber.__contains__, s))
+        ]
 
-    inputs = sorted(
-        {m for m in (remap(i) for i in rho.base.inputs) if m is not None},
-        key=_stmt_order,
-    )
+    inputs = restrict(rho.base.inputs)
     if not inputs:
         raise EmptyInstantiation("no input statement survives this vocabulary")
-    survivors = {m for m in (remap(o) for o in rho.base.outputs_correct) if m is not None}
-    input_sets = [set(i) for i in inputs]
-    outs = [o for o in survivors if any(i <= set(o) for i in input_sets)]
-    return mk_task(env2, inputs, outs, guards)
+    return mk_task(env2, inputs, restrict(rho.base.outputs_correct), guards)
 
 
 def restriction_is_strict_child(rho: UninstantiatedTask, restricted: Task) -> bool:
@@ -230,21 +219,19 @@ class VocabularyRow:
         }
 
 
-def _report_header(rho: UninstantiatedTask, guards: Guards, seeds: Sequence[int]) -> dict:
+def _report_header(
+    rho: UninstantiatedTask, rows: Sequence[VocabularyRow], guards: Guards, seeds: Sequence[int]
+) -> dict:
     from . import __version__
 
     return {
         "environment_hash": env_hash(rho.env),
         "states": rho.env.state_count,
         "base_task": rho.base.encode(),
-        "guards": {
-            "max_vocabulary": guards.max_vocabulary,
-            "max_truth_set": guards.max_truth_set,
-            "max_task_language": guards.max_task_language,
-            "max_powerset_states": guards.max_powerset_states,
-        },
+        "guards": asdict(guards),
         "seeds": list(seeds),
         "version": __version__,
+        "candidates": [r.vocabulary for r in rows],
     }
 
 
@@ -293,6 +280,7 @@ def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], gua
     restricted task and its correct policies (empty if not found)."""
     out = []
     for idx, cand in enumerate(candidates):
+        cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
         encoded = encode_vocabulary(cand)
         restricted, policies = None, ()
         try:
@@ -323,9 +311,8 @@ def compare_vocabularies(
 ) -> UtilityReport:
     """One row per candidate vocabulary; per-row failures are recorded,
     never raised."""
-    header = _report_header(rho, guards, seeds)
-    header["candidates"] = [encode_vocabulary(c) for c in candidates]
     rows = tuple(row for row, _, _ in _candidate_pass(rho, candidates, guards))
+    header = _report_header(rho, rows, guards, seeds)
     return UtilityReport(header, rows)
 
 
@@ -430,8 +417,7 @@ def verify_upper_bound(
 
     with_pairs = {p.candidate_index for p in pairs}
     defined = [r for r in rows if r.utility is not None and r.index in with_pairs]
-    header = _report_header(rho, guards, seeds)
-    header["candidates"] = [encode_vocabulary(c) for c in candidates]
+    header = _report_header(rho, rows, guards, seeds)
     if not defined or not pairs:
         return BoundReport(header, "no_candidate", None, None, (), rows)
 

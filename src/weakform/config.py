@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -102,12 +102,7 @@ class ExperimentConfig:
             "rho": self.rho,
             "task": self.task,
             "samples": self.samples,
-            "guards": {
-                "max_vocabulary": self.guards.max_vocabulary,
-                "max_truth_set": self.guards.max_truth_set,
-                "max_task_language": self.guards.max_task_language,
-                "max_powerset_states": self.guards.max_powerset_states,
-            },
+            "guards": asdict(self.guards),
             "output": {"path": self.output_path, "format": self.output_format},
         }
 
@@ -162,21 +157,16 @@ def _parse_guards(doc: Any) -> Guards:
     if doc is None:
         return DEFAULT_GUARDS
     _expect(isinstance(doc, dict), "guards must be an object")
-    fields = {
-        "max_vocabulary": HARD_GUARD_LIMITS.max_vocabulary,
-        "max_truth_set": HARD_GUARD_LIMITS.max_truth_set,
-        "max_task_language": HARD_GUARD_LIMITS.max_task_language,
-        "max_powerset_states": HARD_GUARD_LIMITS.max_powerset_states,
-    }
+    limits = asdict(HARD_GUARD_LIMITS)
     values = {}
     for key, value in doc.items():
-        if key not in fields:
+        if key not in limits:
             raise ParseError(f"unknown guard {key!r}")
         if not _is_int(value) or value < 1:
             raise GuardConflict(f"guard {key} must be a positive integer")
-        if value > fields[key]:
+        if value > limits[key]:
             raise GuardConflict(
-                f"guard {key}={value} exceeds the hard maximum {fields[key]}"
+                f"guard {key}={value} exceeds the hard maximum {limits[key]}"
             )
         values[key] = value
     return replace(DEFAULT_GUARDS, **values)

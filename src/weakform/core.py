@@ -29,6 +29,7 @@ from .errors import (
     DuplicateProgram,
     IndexOutOfRange,
     NotAStatement,
+    ParseError,
     StateOutOfRange,
     StateSpaceTooLarge,
     TruthSetTooLarge,
@@ -157,14 +158,19 @@ def _mask_of(states: Iterable[int], state_count: int) -> int:
     return mask
 
 
+def _check_state_count(state_count: int) -> None:
+    # bool is an int subclass, but True is no count of states
+    if not isinstance(state_count, int) or isinstance(state_count, bool) or state_count < 1:
+        raise StateOutOfRange(f"state_count must be an integer >= 1, got {state_count!r}")
+
+
 def mk_environment(state_count: int, programs: Iterable[Iterable[int]]) -> Environment:
     """Validate and canonicalise an environment.
 
     Programs are reordered into canonical order (cardinality, then state
     list); two identical programs are an error, not a silent merge.
     """
-    if not isinstance(state_count, int) or state_count < 1:
-        raise StateOutOfRange(f"state_count must be >= 1, got {state_count!r}")
+    _check_state_count(state_count)
     masks = [_mask_of(p, state_count) for p in programs]
     seen: set[int] = set()
     for m in masks:
@@ -201,8 +207,11 @@ def load_environment(source: str | Path | dict) -> Environment:
             doc = json.load(fh)
     else:
         doc = source
-    if not isinstance(doc, dict) or "states" not in doc or "vocabulary" not in doc:
-        raise StateOutOfRange("environment document needs 'states' and 'vocabulary'")
+    if not isinstance(doc, dict):
+        raise ParseError("an environment document must be a JSON object")
+    missing = [key for key in ("states", "vocabulary") if key not in doc]
+    if missing:
+        raise ParseError(f"environment document has no {' or '.join(map(repr, missing))}")
     env = mk_environment(doc["states"], doc["vocabulary"])
     loaded = [tuple(sorted(p)) for p in doc["vocabulary"]]
     if loaded != list(env.program_sets()):
@@ -510,8 +519,7 @@ def equivalent(env: Environment, x: Iterable[int], y: Iterable[int]) -> bool:
 
 def full_powerset_vocabulary(state_count: int, guards: Guards = DEFAULT_GUARDS) -> Environment:
     """The environment whose vocabulary is every program over the states."""
-    if not isinstance(state_count, int) or state_count < 1:
-        raise StateOutOfRange(f"state_count must be >= 1, got {state_count!r}")
+    _check_state_count(state_count)
     if state_count > guards.max_powerset_states:
         raise StateSpaceTooLarge(
             f"|states| = {state_count} exceeds guard {guards.max_powerset_states}"

@@ -349,7 +349,7 @@ def estimate_generalization_probability(
     hits = 0
     for _ in range(samples):
         imask, omask = space.sample_index(rng.randrange(space.total_count))
-        if space._union[imask] & pmask == omask:
+        if space.union_masks[imask] & pmask == omask:
             hits += 1
     return GeneralizationEstimate(x, hits, samples, seed)
 

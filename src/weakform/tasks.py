@@ -290,12 +290,13 @@ def is_child(alpha: Task, omega: Task) -> bool:
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
-    Input sets are bit masks over the canonical language; ``_union``
-    holds each one's union of extensions and ``total_count`` weighs a
-    histogram of their sizes.  Enumeration and sampling share one
-    canonical order of input sets, and the index->task mapping of
-    ``sample_index`` is a contract.  ``include_empty_outputs`` keeps or
-    drops tasks whose correct output set is empty (kept by default).
+    Input sets are bit masks over the canonical language, and
+    ``union_masks[imask]`` is the union of the extensions of input set
+    ``imask``; ``total_count`` weighs a histogram of their sizes.
+    Enumeration and sampling share one canonical order of input sets,
+    and the index->task mapping of ``sample_index`` is a contract.
+    ``include_empty_outputs`` keeps or drops tasks whose correct output
+    set is empty (kept by default).
     """
 
     def __init__(
@@ -324,7 +325,7 @@ class TaskSpace:
         union = array("Q", [0])
         for e in ext:
             union.extend(map(e.__or__, islice(union, len(union))))
-        self._union = union
+        self.union_masks = union
 
         self._min_outputs = 0 if include_empty_outputs else 1
         # output sets strictly below an extension of k statements
@@ -342,7 +343,7 @@ class TaskSpace:
             self.env,
             statements_of(imask),
             statements_of(omask),
-            ExtensionSet(statements_of(self._union[imask])),
+            ExtensionSet(statements_of(self.union_masks[imask])),
         )
 
     # -- enumeration -------------------------------------------------------
@@ -360,7 +361,7 @@ class TaskSpace:
         for imask in self._input_masks_in_order():
             # everything but the output set is shared across one input set
             inputs = statements_of(imask)
-            ext_statements = statements_of(self._union[imask])
+            ext_statements = statements_of(self.union_masks[imask])
             ext = ExtensionSet(ext_statements)
             # output sets by size, then positions, short of the whole extension
             outs = chain.from_iterable(
@@ -385,7 +386,7 @@ class TaskSpace:
         # in step, not in turn, the tables keep 0.2 MiB less heap at |L| = 20
         masks = array("Q")
         kept = filterfalse(masks.append, self._input_masks_in_order())
-        sizes = map(int.bit_count, map(self._union.__getitem__, kept))
+        sizes = map(int.bit_count, map(self.union_masks.__getitem__, kept))
         return masks, array("Q", accumulate(map(self._weights.__getitem__, sizes)))
 
     def sample_index(self, index: int) -> tuple[int, int]:
@@ -395,7 +396,7 @@ class TaskSpace:
         imask = masks[pos]
         offset = index - (cum[pos - 1] if pos else 0)
         ordinal = offset + self._min_outputs  # skip the empty output set if excluded
-        ext_positions = _bits(self._union[imask])
+        ext_positions = _bits(self.union_masks[imask])
         omask = sum(1 << i for bit, i in enumerate(ext_positions) if (ordinal >> bit) & 1)
         return imask, omask
 

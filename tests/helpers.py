@@ -11,7 +11,8 @@ import hashlib
 from functools import lru_cache
 from itertools import combinations
 
-from weakform import Environment, mk_environment
+from weakform import Environment, Program, mk_environment, mk_task
+from weakform.errors import EmptyInstantiation, InvalidVocabulary
 
 
 def brute_language(env: Environment) -> list[tuple[int, ...]]:
@@ -147,3 +148,39 @@ def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
             g = 1 if counts[i] < counts[j] else 0
             total += abs(g - verdicts_a[i][j]) - abs(g - verdicts_b[i][j])
     return total
+
+
+def brute_instantiate(rho, v_prime):
+    """``bounds.instantiate`` by its state-tuple definition.
+
+    Every candidate program must be a base program; the restricted
+    environment is built from the candidate, and each base statement is
+    carried over program by program, through the programs' state tuples,
+    when all of its programs survive.  Outputs that complete no
+    surviving input are dropped.
+    """
+    base_sets = rho.env.program_sets()
+    sets = []
+    for p in v_prime:
+        states = tuple(sorted(p.states() if isinstance(p, Program) else p))
+        if states not in base_sets:
+            raise InvalidVocabulary(
+                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
+            )
+        sets.append(states)
+    env2 = mk_environment(rho.env.state_count, sets)
+    kept = {p.states(): j for j, p in enumerate(env2.programs)}
+
+    def remap(statements):
+        out = set()
+        for s in statements:
+            members = [base_sets[j] for j in s]
+            if all(m in kept for m in members):
+                out.add(tuple(sorted(kept[m] for m in members)))
+        return out
+
+    inputs = remap(rho.base.inputs)
+    if not inputs:
+        raise EmptyInstantiation("no input statement survives this vocabulary")
+    outs = [o for o in remap(rho.base.outputs_correct) if any(set(i) <= set(o) for i in inputs)]
+    return mk_task(env2, inputs, outs)

@@ -389,7 +389,7 @@ def test_criterion_8_guaranteed_correctness():
         full = (1 << n) - 1
         ext = space.ext_masks
         for imask in range(1, full):
-            emask = space._union[imask]
+            emask = space.union_masks[imask]
             input_bits = [i for i in range(n) if (imask >> i) & 1]
             for j in range(n):
                 inter = emask & ext[j]

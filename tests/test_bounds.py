@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from random import Random
 
 import pytest
 
@@ -18,12 +19,18 @@ from weakform.bounds import (
     weakest_correct_policy,
 )
 from weakform.errors import (
+    DuplicateProgram,
     EmptyInstantiation,
     InvalidVocabulary,
     NoCorrectPolicy,
+    StateOutOfRange,
     StateSpaceTooLarge,
+    WeakformError,
 )
-from weakform.tasks import correct_policies, mk_task
+from weakform.tasks import correct_policies, enumerate_tasks, mk_task
+
+from helpers import brute_instantiate
+from test_acceptance import _phi3_family
 
 
 @pytest.fixture
@@ -118,6 +125,64 @@ def test_instantiate_rejects_foreign_programs():
     rho = mk_uninstantiated(mk_task(env_p, [(1,)], []))
     with pytest.raises(InvalidVocabulary):
         instantiate(rho, [(0, 1)])
+
+
+def _restriction(restrict, rho, vocabulary):
+    """The restricted task and its extension, or the error's type and message."""
+    try:
+        task = restrict(rho, vocabulary)
+    except WeakformError as exc:
+        return type(exc), str(exc)
+    return task, task.extension.members
+
+
+def test_instantiate_matches_state_tuple_definition(rho2):
+    env2p = full_powerset_vocabulary(2)
+    vocabularies = list(all_vocabularies(env2p))
+    cases = []
+    for t, base in enumerate(enumerate_tasks(env2p)):
+        rho = mk_uninstantiated(base)
+        for v, vocabulary in enumerate(vocabularies):
+            # each vocabulary as state tuples in canonical and in reverse
+            # order, and as Program values, in turn
+            form = (t + v) % 3
+            if form == 1:
+                vocabulary = vocabulary[::-1]
+            elif form == 2:
+                vocabulary = [p for p in env2p.programs[::-1] if p.states() in vocabulary]
+            cases.append((rho, vocabulary))
+    errors = [
+        ([(5,)], InvalidVocabulary),
+        ([(0,), (True,)], StateOutOfRange),
+        ([(0, 1), (1, 0)], DuplicateProgram),
+        ([(1,), (5,), (0, 1), (0, 1)], InvalidVocabulary),
+    ]
+    cases += [(rho2, vocabulary) for vocabulary, _ in errors]
+    for rho3 in _phi3_family(4, seed=7):
+        rng = Random(repr(rho3))
+        for vocabulary in all_vocabularies(rho3.env):
+            cases.append((rho3, rng.sample(vocabulary, len(vocabulary))))
+
+    for base, vocabulary in cases:
+        assert _restriction(instantiate, base, vocabulary) == _restriction(
+            brute_instantiate, base, vocabulary
+        ), (base, vocabulary)
+    for vocabulary, error in errors:
+        assert _restriction(instantiate, rho2, vocabulary)[0] is error
+
+
+def test_compare_vocabularies_records_a_duplicate_program(rho2):
+    rep = compare_vocabularies(rho2, [[(0,), (0, 1), (0,)]])
+    assert rep.rows[0].error == "DuplicateProgram"
+    assert rep.header["candidates"] == ["[{0},{0,1},{0}]"]
+
+
+def test_one_shot_candidates_are_read_once(rho2):
+    cand = [(0,), (0, 1)]
+    listed = verify_upper_bound(rho2, [cand])
+    streamed = verify_upper_bound(rho2, [iter(cand)])
+    assert streamed.to_json() == listed.to_json()
+    assert compare_vocabularies(rho2, [iter(cand)]).rows[0].utility == 1
 
 
 def test_strict_child_flag(rho2):

@@ -178,6 +178,10 @@ def test_rerun_byte_identical(tmp_path):
     ({"experiment": "learn", "environment": ENV2_DOC, "proxies": []}, 2),
     ({"experiment": "compare-proxies", "environment": ENV2_DOC,
       "proxies": ["random:1", "random:01"]}, 2),
+] + [
+    # true is an int to Python, but no count of states
+    ({"experiment": "enumerate", "environment": {"states": True, "vocabulary": [[0]]}}, 2),
+    ({"experiment": "enumerate", "environment": {"full_powerset": True}}, 2),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)

@@ -14,6 +14,7 @@ from weakform import (
     extension,
     extension_of_set,
     extension_size,
+    full_powerset_vocabulary,
     is_completion,
     is_statement,
     language_size,
@@ -26,10 +27,12 @@ from weakform.errors import (
     DuplicateProgram,
     IndexOutOfRange,
     NotAStatement,
+    ParseError,
     StateOutOfRange,
     TruthSetTooLarge,
     VocabularyTooLarge,
 )
+from weakform.tasks import load_task
 
 from helpers import (
     all_environments,
@@ -61,6 +64,13 @@ def test_mk_environment_rejects_bad_states():
         mk_environment(2, [{0, 2}])
     with pytest.raises(StateOutOfRange):
         mk_environment(0, [])
+
+
+def test_state_count_rejects_bool():
+    with pytest.raises(StateOutOfRange, match="got True"):
+        mk_environment(True, [[0]])
+    with pytest.raises(StateOutOfRange, match="got True"):
+        full_powerset_vocabulary(True)
 
 
 def test_canonical_order_is_cardinality_then_lex():
@@ -249,6 +259,26 @@ def test_load_warns_on_reorder(tmp_path):
     with pytest.warns(VocabularyReorderedWarning):
         env = load_environment(path)
     assert env.program_sets() == ((0,), (1,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"states": 2}, "'vocabulary'"),
+        ({"vocabulary": [[0]]}, "'states'"),
+        ({}, "'states' or 'vocabulary'"),
+    ],
+)
+def test_load_environment_names_a_missing_key(doc, named):
+    with pytest.raises(ParseError, match=named):
+        load_environment(doc)
+    with pytest.raises(ParseError, match=named):
+        load_task({"env": doc, "inputs": [[0]], "outputs": []})
+
+
+def test_load_environment_needs_an_object():
+    with pytest.raises(ParseError, match="JSON object"):
+        load_environment([2, [[0]]])
 
 
 def test_environment_to_dict(env2):

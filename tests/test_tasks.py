@@ -444,7 +444,7 @@ def test_task_space_tables_are_not_walked_by_gc(env2):
     # visits its type, not one int object per entry
     space = task_space(env2)
     masks, cum = space._sampling_tables
-    for table in (space._union, masks, cum):
+    for table in (space.union_masks, masks, cum):
         assert len(table) > 1
         assert gc.get_referents(table) == [type(table)]
 
@@ -462,7 +462,7 @@ def test_task_space_build_holds_one_table():
     finally:
         tracemalloc.stop()
     table = 8 << 18
-    assert len(space._union) << 3 == table
+    assert len(space.union_masks) << 3 == table
     assert peak <= 1.25 * table + (64 << 10)
 
 
