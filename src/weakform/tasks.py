@@ -17,7 +17,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
+from math import comb
 from operator import itemgetter
 from pathlib import Path
 from random import Random
@@ -46,6 +47,7 @@ from .errors import (
     EmptyInputs,
     EmptyTaskSpace,
     EnvironmentMismatch,
+    IndexOutOfRange,
     InputNotInTask,
     InputsNotStrictSubset,
     NoOutput,
@@ -293,10 +295,13 @@ class TaskSpace:
     Input sets are bit masks over the canonical language, and
     ``union_masks[imask]`` is the union of the extensions of input set
     ``imask``; ``total_count`` weighs a histogram of their sizes.
-    Enumeration and sampling share one canonical order of input sets,
-    and the index->task mapping of ``sample_index`` is a contract.
-    ``include_empty_outputs`` keeps or drops tasks whose correct output
-    set is empty (kept by default).
+    Enumeration and sampling share one canonical order of input sets
+    (``_input_masks_in_order``), and the index->task mapping of
+    ``sample_index`` is a contract.  The sampler keeps one more 2^|L|
+    table, the running task count ``cum`` along that order; it finds an
+    index's position by bisection and unranks the position into its
+    input set with binomials.  ``include_empty_outputs`` keeps or drops
+    tasks whose correct output set is empty (kept by default).
     """
 
     def __init__(
@@ -337,13 +342,24 @@ class TaskSpace:
     def task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``, both
         masks over canonical language positions (as ``sample_index``
-        returns them)."""
+        returns them).  The masks are checked as ``mk_task`` checks a
+        task: nonempty inputs short of the whole language, and outputs
+        strictly inside their extension."""
+        if not imask:
+            raise EmptyInputs("a task needs at least one input statement")
+        if imask < 0 or imask >= len(self.union_masks) - 1:
+            raise InputsNotStrictSubset(f"input mask {imask:#x} is no proper subset of the language")
+        ext = self.union_masks[imask]
+        if omask & ~ext:
+            raise OutputsNotInExtension(f"output mask {omask:#x} leaves the extension {ext:#x}")
+        if omask == ext:
+            raise OutputsNotStrict("outputs equal the whole input extension")
         statements_of = self.index.statements_of
         return Task(
             self.env,
             statements_of(imask),
             statements_of(omask),
-            ExtensionSet(statements_of(self.union_masks[imask])),
+            ExtensionSet(statements_of(ext)),
         )
 
     # -- enumeration -------------------------------------------------------
@@ -378,22 +394,65 @@ class TaskSpace:
     # -- exact uniform sampling ----------------------------------------------
 
     @cached_property
-    def _sampling_tables(self) -> tuple[array, array]:
-        """Input masks in canonical order and the running task count after
-        each, built on the first draw.  A set that admits no task repeats
-        its predecessor's count, so bisection never lands on it."""
-        # filterfalse yields each mask once masks.append has kept it: grown
-        # in step, not in turn, the tables keep 0.2 MiB less heap at |L| = 20
-        masks = array("Q")
-        kept = filterfalse(masks.append, self._input_masks_in_order())
-        sizes = map(int.bit_count, map(self.union_masks.__getitem__, kept))
-        return masks, array("Q", accumulate(map(self._weights.__getitem__, sizes)))
+    def cum(self) -> array:
+        """The running task count over input sets in canonical order,
+        built on the first draw: entry p counts the tasks whose input set
+        sits at position p or before.  A set that admits no task repeats
+        its predecessor's count, so bisection never lands on it.  The
+        input set at a position is unranked, not stored."""
+        n = len(self.language)
+        # rev[k] gathers the unions of the k-subsets, doubled per size
+        # class with statements taken from last to first.  Among the
+        # subsets of statements i.., those holding i come first in
+        # canonical order; appending them last leaves each class reversed
+        rev = [array("Q", [0])] + [array("Q") for _ in range(n - 1)]
+        for e in reversed(self.ext_masks):
+            for k in range(n - 1, 0, -1):
+                rev[k].extend(map(e.__or__, rev[k - 1]))
+        weight = self._weights.__getitem__
+        cum = array("Q")
+        total = 0
+        for k in range(1, n):
+            unions, rev[k] = rev[k], None  # released once consumed
+            counts = accumulate(map(weight, map(int.bit_count, reversed(unions))), initial=total)
+            cum.extend(islice(counts, 1, None))
+            total = cum[-1]
+        return cum
+
+    @cached_property
+    def _binomials(self) -> list[list[int]]:
+        n = len(self.language)
+        return [[comb(m, j) for j in range(n + 1)] for m in range(n + 1)]
+
+    def _unrank(self, pos: int) -> int:
+        """The input mask at position ``pos`` of the canonical order: the
+        size class first, then the lexicographic rank within it."""
+        n = len(self.language)
+        binom = self._binomials
+        k = 1
+        while pos >= binom[n][k]:
+            pos -= binom[n][k]
+            k += 1
+        imask = 0
+        i = 0
+        while k:
+            # the k-subsets of positions i.. whose smallest member is i
+            first = binom[n - 1 - i][k - 1]
+            if pos < first:
+                imask |= 1 << i
+                k -= 1
+            else:
+                pos -= first
+            i += 1
+        return imask
 
     def sample_index(self, index: int) -> tuple[int, int]:
         """Decode a flat index in [0, total_count) into task masks."""
-        masks, cum = self._sampling_tables
+        if not 0 <= index < self.total_count:
+            raise IndexOutOfRange(f"task index {index} outside [0, {self.total_count})")
+        cum = self.cum
         pos = bisect_right(cum, index)
-        imask = masks[pos]
+        imask = self._unrank(pos)
         offset = index - (cum[pos - 1] if pos else 0)
         ordinal = offset + self._min_outputs  # skip the empty output set if excluded
         ext_positions = _bits(self.union_masks[imask])

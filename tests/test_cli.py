@@ -283,6 +283,35 @@ def test_shipped_config_reports_are_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_REPORT_SHA256[name]
 
 
+# The seed-1 guard-limit configs of the benchmark (|L| = 20, the hard
+# ceiling of max_task_language) and the digests its manifest records:
+# the index->task mapping of the sampler at the size where its tables
+# are largest.
+GUARD_LIMIT_BASE = {
+    "environment": {"states": 4, "vocabulary": [[1], [2], [3], [0, 2], [1, 2], [0, 2, 3]]},
+    "guards": {"max_task_language": 20},
+    "output": {"format": "csv"},
+}
+GUARD_LIMIT_CONFIGS = {
+    "learn": {"proxies": ["weakness", "simplicity"], "seeds": [650], "trials": 4},
+    "sample-gen": {"samples": 1000, "seeds": [650]},
+}
+GUARD_LIMIT_REPORT_SHA256 = {
+    "learn": "8711012f00f0ac8f415838641da1c2f8ff0a9620962e9c84b014154585926e1c",
+    "sample-gen": "b71934fcbfd3b8cf647ae0da87a5d3a5e4e4c5fa08638cfa68cb1a6d0857ed34",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(GUARD_LIMIT_CONFIGS))
+def test_guard_limit_sampler_reports_are_pinned(tmp_path, capsys, experiment):
+    doc = dict(GUARD_LIMIT_BASE, experiment=experiment, **GUARD_LIMIT_CONFIGS[experiment])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GUARD_LIMIT_REPORT_SHA256[experiment]
+
+
 # --- generated documents ------------------------------------------------------------
 
 def _rarely(draw) -> bool:

@@ -4,7 +4,7 @@ import copy
 import gc
 import pickle
 import tracemalloc
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -13,6 +13,7 @@ from weakform.errors import (
     EmptyInputs,
     EmptyTaskSpace,
     EnvironmentMismatch,
+    IndexOutOfRange,
     InputNotInTask,
     InputsNotStrictSubset,
     NoOutput,
@@ -443,18 +444,22 @@ def test_task_space_tables_are_not_walked_by_gc(env2):
     # the 2^|L| tables are flat arrays: a collection that reaches one
     # visits its type, not one int object per entry
     space = task_space(env2)
-    masks, cum = space._sampling_tables
-    for table in (space.union_masks, masks, cum):
+    for table in (space.union_masks, space.cum):
         assert len(table) > 1
         assert gc.get_referents(table) == [type(table)]
+
+
+def _env_18():
+    env = mk_environment(4, [[0], [1], [2], [3], [0, 1], [2, 3], [0, 2]])
+    guards = Guards(max_task_language=18)
+    assert len(enumerate_language(env, guards)) == 18
+    return env, guards
 
 
 def test_task_space_build_holds_one_table():
     # the union table doubles in place: the build's peak is the 2^|L|
     # words of the table, not that plus a half-size copy
-    env = mk_environment(4, [[0], [1], [2], [3], [0, 1], [2, 3], [0, 2]])
-    guards = Guards(max_task_language=18)
-    assert len(enumerate_language(env, guards)) == 18
+    env, guards = _env_18()
     tracemalloc.start()
     try:
         space = TaskSpace(env, guards)
@@ -472,9 +477,9 @@ def test_counting_and_enumerating_build_no_sampling_tables():
     guards = Guards(max_task_language=13)
     space = task_space(env, guards)
     assert count_tasks(env, guards) == sum(1 for _ in enumerate_tasks(env, guards)) == 2330
-    assert "_sampling_tables" not in vars(space)
+    assert "cum" not in vars(space)
     space.sample(0)
-    assert "_sampling_tables" in vars(space)
+    assert "cum" in vars(space)
 
 
 def test_sample_index_matches_brute_definition():
@@ -489,6 +494,68 @@ def test_sample_index_matches_brute_definition():
                 assert got == brute_sample_index(env, i, include_empty), (env, include_empty, i)
                 checked += 1
     assert checked == 5738
+
+
+def test_first_draw_retains_one_table():
+    # the sampler keeps only the running count: each input set is
+    # unranked from its position, and the per-size classes of unions
+    # that build the count are released as they are consumed
+    space = TaskSpace(*_env_18())
+    table = 8 << 18
+    tracemalloc.start()
+    try:
+        space.sample_index(0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(space.cum) == (1 << 18) - 2
+    assert retained <= 1.1 * table
+    assert peak <= 1.5 * table + (64 << 10)
+
+
+def test_unrank_matches_canonical_order():
+    for size in range(1, 15):
+        # size - 1 disjoint programs: each statement holds one of them,
+        # plus the empty statement
+        env = mk_environment(max(size - 1, 1), [{i} for i in range(size - 1)])
+        space = TaskSpace(env)
+        assert len(space.language) == size
+        order = list(space._input_masks_in_order())
+        assert len(order) == max((1 << size) - 2, 0)
+        assert list(map(space._unrank, range(len(order)))) == order, size
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_running_count_matches_canonical_walk(include_empty):
+    space = TaskSpace(*_env_18(), include_empty_outputs=include_empty)
+    weights = (space._weights[space.union_masks[m].bit_count()] for m in space._input_masks_in_order())
+    assert list(space.cum) == list(accumulate(weights))
+    assert space.cum[-1] == space.total_count
+
+
+@pytest.mark.parametrize("index", [-1, -2330, 2330, 2331, 1 << 70])
+def test_sample_index_out_of_range(env2, index):
+    space = task_space(env2)
+    assert space.total_count == 2330
+    with pytest.raises(IndexOutOfRange):
+        space.sample_index(index)
+
+
+# env2's language is ((), (0,), (1,), (2,), (0, 2), (1, 2)); the input
+# mask 0b10 is the statement (0,), whose extension is 0b10010
+@pytest.mark.parametrize("imask, omask, error", [
+    (0, 0, EmptyInputs),
+    (0b111111, 0, InputsNotStrictSubset),
+    (0b1000000, 0, InputsNotStrictSubset),
+    (-1, 0, InputsNotStrictSubset),
+    (0b10, 0b1, OutputsNotInExtension),
+    (0b10, 0b10011, OutputsNotInExtension),
+    (0b10, -1, OutputsNotInExtension),
+    (0b10, 0b10010, OutputsNotStrict),
+])
+def test_task_from_masks_checks_the_masks(env2, imask, omask, error):
+    with pytest.raises(error):
+        task_space(env2).task_from_masks(imask, omask)
 
 
 def test_sample_task_deterministic(env2):
