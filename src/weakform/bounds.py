@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -96,6 +97,11 @@ class UninstantiatedTask:
     def env(self) -> Environment:
         return self.base.env
 
+    @cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        """Each base program's state tuple -> its base position."""
+        return {states: b for b, states in enumerate(self.env.program_sets())}
+
     def __repr__(self) -> str:
         return f"UninstantiatedTask({self.base.encode()})"
 
@@ -123,7 +129,7 @@ def instantiate(
     it completed has a subset of its programs.  Restriction by the full
     vocabulary is the identity.
     """
-    position = {states: b for b, states in enumerate(rho.env.program_sets())}
+    position = rho._position
     sets = []
     for p in v_prime:
         states = tuple(sorted(p.states() if isinstance(p, Program) else p))

@@ -168,6 +168,10 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
 
     child = _derive_child(parent, rng, config.child_input_count)
     task_id = f"parent:{parent.encode()};child:{child.encode()}"
+    try:
+        eps = str(utility(child, config.guards))
+    except NoCorrectPolicy:
+        eps = ""
     rows = []
     for name in config.proxies:
         proxy = proxy_by_name(name, config.base_dir)
@@ -178,10 +182,6 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
                 factory.row(task_id=task_id, proxy=name, note="NoCorrectPolicy", **common)
             )
             continue
-        try:
-            eps = str(utility(child, config.guards))
-        except NoCorrectPolicy:
-            eps = ""
         rows.append(
             factory.row(
                 task_id=task_id,

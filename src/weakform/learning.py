@@ -115,16 +115,17 @@ def _key_rows(keys: Sequence) -> list[int]:
 class Proxy:
     """A named deterministic 0/1 relation on statements, given by its rows.
 
-    ``rows(env, statements)`` returns one mask per statement: bit j of
-    row i is set when the relation holds of
-    ``(statements[i], statements[j])``.
+    ``rows(env, statements, guards)`` returns one mask per statement:
+    bit j of row i is set when the relation holds of
+    ``(statements[i], statements[j])``; weakness counts extensions
+    under the guards.
     """
 
     name: str
-    rows: Callable[[Environment, Sequence[Statement]], list[int]]
+    rows: Callable[[Environment, Sequence[Statement], Guards], list[int]]
 
-    def holds(self, env: Environment, l1: Statement, l2: Statement) -> bool:
-        return bool(self.rows(env, (l1, l2))[0] >> 1 & 1)
+    def holds(self, env: Environment, l1: Statement, l2: Statement, guards=DEFAULT_GUARDS) -> bool:
+        return bool(self.rows(env, (l1, l2), guards)[0] >> 1 & 1)
 
     def __repr__(self) -> str:
         return f"Proxy({self.name})"
@@ -133,14 +134,14 @@ class Proxy:
 def weakness_proxy() -> Proxy:
     return Proxy(
         "weakness",
-        lambda env, statements: _key_rows([extension_size(env, s) for s in statements]),
+        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows([extension_size(env, s, guards) for s in xs]),
     )
 
 
 def simplicity_proxy() -> Proxy:
     return Proxy(
         "simplicity",
-        lambda env, statements: _key_rows([-len(tuple(s)) for s in statements]),
+        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows([-len(tuple(s)) for s in xs]),
     )
 
 
@@ -153,7 +154,7 @@ def random_proxy(seed: int) -> Proxy:
     prefix once and extends a copy per column.
     """
 
-    def rows(env: Environment, statements: Sequence[Statement]) -> list[int]:
+    def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
         codes = [encode_statement(s) for s in statements]
         tails = [code.encode("utf-8") for code in codes]
         out = []
@@ -176,7 +177,7 @@ def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[in
     for a, b in true_pairs:
         successors.setdefault(tuple(sorted(a)), set()).add(tuple(sorted(b)))
 
-    def rows(env: Environment, statements: Sequence[Statement]) -> list[int]:
+    def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
         keys = [tuple(s) for s in statements]
         columns: dict[Statement, int] = {}
         for j, key in enumerate(keys):
@@ -348,8 +349,8 @@ def estimate_generalization_probability(
     rng = Random(seed)
     hits = 0
     for _ in range(samples):
-        imask, omask = space.sample_index(rng.randrange(space.total_count))
-        if space.union_masks[imask] & pmask == omask:
+        _, union, omask = space._decode(rng.randrange(space.total_count))
+        if union & pmask == omask:
             hits += 1
     return GeneralizationEstimate(x, hits, samples, seed)
 
@@ -374,9 +375,9 @@ def sample_efficiency(
     if table.denominator == 0:
         raise EmptyTaskSpace("no tasks exist, sample efficiency is undefined")
     g = _key_rows(table.numerators)
+    rows_a, rows_b = (p.rows(env, table.statements, guards) for p in (a, b))
     return sum(
-        (gi ^ ai).bit_count() - (gi ^ bi).bit_count()
-        for gi, ai, bi in zip(g, a.rows(env, table.statements), b.rows(env, table.statements))
+        (gi ^ ai).bit_count() - (gi ^ bi).bit_count() for gi, ai, bi in zip(g, rows_a, rows_b)
     )
 
 
@@ -400,7 +401,7 @@ def learn(
     if not pols.members:
         raise NoCorrectPolicy("the task has no correct policy")
     members = pols.members
-    maximal = [p for p, row in zip(members, proxy.rows(child.env, members)) if not row]
+    maximal = [p for p, row in zip(members, proxy.rows(child.env, members, guards)) if not row]
     if not maximal:
         maximal = list(members)
     if len(maximal) > 1 and not tie_break:

@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, islice, repeat
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -292,16 +291,17 @@ def is_child(alpha: Task, omega: Task) -> bool:
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
-    Input sets are bit masks over the canonical language, and
-    ``union_masks[imask]`` is the union of the extensions of input set
-    ``imask``; ``total_count`` weighs a histogram of their sizes.
-    Enumeration and sampling share one canonical order of input sets
-    (``_input_masks_in_order``), and the index->task mapping of
-    ``sample_index`` is a contract.  The sampler keeps one more 2^|L|
-    table, the running task count ``cum`` along that order; it finds an
-    index's position by bisection and unranks the position into its
-    input set with binomials.  ``include_empty_outputs`` keeps or drops
-    tasks whose correct output set is empty (kept by default).
+    Input sets are bit masks over the canonical language, taken in one
+    canonical order (``_input_masks_in_order``: by size, then positions)
+    that enumeration and sampling share; the index->task mapping of
+    ``sample_index`` is a contract.  ``unions[p]`` is the union of the
+    extensions of the input set at position p, and ``total_count``
+    weighs each union by the output sets below it.  The sampler keeps
+    one more 2^|L| table, the running task count ``cum`` along that
+    order; it finds an index's position by bisection and unranks the
+    position into its input set with binomials.
+    ``include_empty_outputs`` keeps or drops tasks whose correct output
+    set is empty (kept by default).
     """
 
     def __init__(
@@ -322,22 +322,26 @@ class TaskSpace:
         # each statement's extension as a mask over language positions
         ext = self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
-        # every subset's union of extensions, doubled in place (a half-size
-        # copy would raise the peak).  The 2^|L| tables are arrays of 64-bit
-        # words (masks below 2^|L|, counts below 4^|L|), not lists: the
-        # garbage collector walks every entry of a list, tens of
-        # milliseconds at |L| = 20, but never looks inside an array.
-        union = array("Q", [0])
-        for e in ext:
-            union.extend(map(e.__or__, islice(union, len(union))))
-        self.union_masks = union
+        # every input set's union of extensions in canonical order, one
+        # size class at a time: the k-sets with first member s are s
+        # joined to the (k-1)-sets after s, the last C(n-1-s, k-1) of
+        # class k-1.  An array, not a list: the garbage collector walks
+        # a list's entries (tens of ms at |L| = 20), never an array's.
+        unions = array("Q", ext if n > 1 else ())
+        for k in range(2, n):
+            end = len(unions)
+            for s in range(n - k + 1):
+                unions.extend(map(ext[s].__or__, unions[end - comb(n - 1 - s, k - 1):end]))
+        self.unions = unions
 
         self._min_outputs = 0 if include_empty_outputs else 1
         # output sets strictly below an extension of k statements
         self._weights = [max((1 << k) - 1 - self._min_outputs, 0) for k in range(n + 1)]
-        sizes = Counter(map(int.bit_count, union))
-        sizes[n] -= 1  # the whole language is no input set (the empty set weighs 0)
-        self.total_count = sum(self._weights[k] * c for k, c in sizes.items())
+        self.total_count = sum(self._task_counts())
+
+    def _task_counts(self) -> Iterator[int]:
+        """The number of tasks of each input set, in canonical order."""
+        return map(self._weights.__getitem__, map(int.bit_count, self.unions))
 
     def task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``, both
@@ -347,9 +351,9 @@ class TaskSpace:
         strictly inside their extension."""
         if not imask:
             raise EmptyInputs("a task needs at least one input statement")
-        if imask < 0 or imask >= len(self.union_masks) - 1:
+        if imask < 0 or imask >= (1 << len(self.language)) - 1:
             raise InputsNotStrictSubset(f"input mask {imask:#x} is no proper subset of the language")
-        ext = self.union_masks[imask]
+        ext = reduce(or_, map(self.ext_masks.__getitem__, _bits(imask)), 0)
         if omask & ~ext:
             raise OutputsNotInExtension(f"output mask {omask:#x} leaves the extension {ext:#x}")
         if omask == ext:
@@ -374,10 +378,10 @@ class TaskSpace:
         output sets likewise within each input set."""
         env = self.env
         statements_of = self.index.statements_of
-        for imask in self._input_masks_in_order():
+        for imask, union in zip(self._input_masks_in_order(), self.unions):
             # everything but the output set is shared across one input set
             inputs = statements_of(imask)
-            ext_statements = statements_of(self.union_masks[imask])
+            ext_statements = statements_of(union)
             ext = ExtensionSet(ext_statements)
             # output sets by size, then positions, short of the whole extension
             outs = chain.from_iterable(
@@ -395,29 +399,12 @@ class TaskSpace:
 
     @cached_property
     def cum(self) -> array:
-        """The running task count over input sets in canonical order,
-        built on the first draw: entry p counts the tasks whose input set
-        sits at position p or before.  A set that admits no task repeats
-        its predecessor's count, so bisection never lands on it.  The
-        input set at a position is unranked, not stored."""
-        n = len(self.language)
-        # rev[k] gathers the unions of the k-subsets, doubled per size
-        # class with statements taken from last to first.  Among the
-        # subsets of statements i.., those holding i come first in
-        # canonical order; appending them last leaves each class reversed
-        rev = [array("Q", [0])] + [array("Q") for _ in range(n - 1)]
-        for e in reversed(self.ext_masks):
-            for k in range(n - 1, 0, -1):
-                rev[k].extend(map(e.__or__, rev[k - 1]))
-        weight = self._weights.__getitem__
-        cum = array("Q")
-        total = 0
-        for k in range(1, n):
-            unions, rev[k] = rev[k], None  # released once consumed
-            counts = accumulate(map(weight, map(int.bit_count, reversed(unions))), initial=total)
-            cum.extend(islice(counts, 1, None))
-            total = cum[-1]
-        return cum
+        """The running task count over ``unions``, built on the first
+        draw: entry p counts the tasks whose input set sits at position p
+        or before.  A set that admits no task repeats its predecessor's
+        count, so bisection never lands on it.  The input set at a
+        position is unranked, not stored."""
+        return array("Q", accumulate(self._task_counts()))
 
     @cached_property
     def _binomials(self) -> list[list[int]]:
@@ -446,17 +433,22 @@ class TaskSpace:
             i += 1
         return imask
 
-    def sample_index(self, index: int) -> tuple[int, int]:
-        """Decode a flat index in [0, total_count) into task masks."""
+    def _decode(self, index: int) -> tuple[int, int, int]:
+        """The input mask, its union of extensions and the output mask of
+        the task at a flat index in [0, total_count)."""
         if not 0 <= index < self.total_count:
             raise IndexOutOfRange(f"task index {index} outside [0, {self.total_count})")
         cum = self.cum
         pos = bisect_right(cum, index)
-        imask = self._unrank(pos)
+        union = self.unions[pos]
         offset = index - (cum[pos - 1] if pos else 0)
         ordinal = offset + self._min_outputs  # skip the empty output set if excluded
-        ext_positions = _bits(self.union_masks[imask])
-        omask = sum(1 << i for bit, i in enumerate(ext_positions) if (ordinal >> bit) & 1)
+        omask = sum(1 << i for bit, i in enumerate(_bits(union)) if (ordinal >> bit) & 1)
+        return self._unrank(pos), union, omask
+
+    def sample_index(self, index: int) -> tuple[int, int]:
+        """Decode a flat index in [0, total_count) into task masks."""
+        imask, _, omask = self._decode(index)
         return imask, omask
 
     def sample(self, seed: int) -> Task:

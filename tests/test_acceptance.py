@@ -386,10 +386,8 @@ def test_criterion_8_guaranteed_correctness():
     for env in _c3_universe():
         space = task_space(env)
         n = len(space.language)
-        full = (1 << n) - 1
         ext = space.ext_masks
-        for imask in range(1, full):
-            emask = space.union_masks[imask]
+        for imask, emask in zip(space._input_masks_in_order(), space.unions):
             input_bits = [i for i in range(n) if (imask >> i) & 1]
             for j in range(n):
                 inter = emask & ext[j]

@@ -182,6 +182,12 @@ def test_rerun_byte_identical(tmp_path):
     # true is an int to Python, but no count of states
     ({"experiment": "enumerate", "environment": {"states": True, "vocabulary": [[0]]}}, 2),
     ({"experiment": "enumerate", "environment": {"full_powerset": True}}, 2),
+] + [
+    # the weakness proxy counts extensions under the config's guards, as
+    # enumerate does: the empty statement's truth set of two states
+    # exceeds a max_truth_set of 1
+    ({"experiment": "compare-proxies", "environment": ENV2_DOC,
+      "proxies": ["weakness", "simplicity"], "guards": {"max_truth_set": 1}}, 3),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)

@@ -5,13 +5,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from weakform import enumerate_language, extension_size, mk_environment
+from weakform import Guards, enumerate_language, extension_size, mk_environment
 from weakform.errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
     IndexOutOfRange,
     NoCorrectPolicy,
     NotAStatement,
+    TruthSetTooLarge,
     UnknownProxy,
 )
 from weakform.learning import (
@@ -418,3 +419,18 @@ def test_learn_matches_pairwise_maximal_definition():
                     else:
                         assert learn(task, proxy, tie_break=False) == maximal[0]
     assert fallbacks and ambiguous
+
+
+def test_weakness_counts_under_the_callers_guards(env2):
+    # the statement (2,) holds in both states, over a max_truth_set of 1;
+    # it is a correct policy of this task, as is (0, 2)
+    guards = Guards(max_truth_set=1)
+    task = mk_task(env2, [(0,)], [(0, 2)])
+    weakness = weakness_proxy()
+    assert learn(task, weakness) == (2,)
+    with pytest.raises(TruthSetTooLarge):
+        learn(task, weakness, guards)
+    with pytest.raises(TruthSetTooLarge):
+        weakness.holds(env2, (2,), (0, 2), guards)
+    with pytest.raises(TruthSetTooLarge):
+        sample_efficiency(env2, weakness, simplicity_proxy(), guards)

@@ -444,7 +444,7 @@ def test_task_space_tables_are_not_walked_by_gc(env2):
     # the 2^|L| tables are flat arrays: a collection that reaches one
     # visits its type, not one int object per entry
     space = task_space(env2)
-    for table in (space.union_masks, space.cum):
+    for table in (space.unions, space.cum):
         assert len(table) > 1
         assert gc.get_referents(table) == [type(table)]
 
@@ -457,8 +457,8 @@ def _env_18():
 
 
 def test_task_space_build_holds_one_table():
-    # the union table doubles in place: the build's peak is the 2^|L|
-    # words of the table, not that plus a half-size copy
+    # the union table grows forward in place: the build's peak is the
+    # 2^|L| words of the table, not that plus a copy of it
     env, guards = _env_18()
     tracemalloc.start()
     try:
@@ -467,7 +467,7 @@ def test_task_space_build_holds_one_table():
     finally:
         tracemalloc.stop()
     table = 8 << 18
-    assert len(space.union_masks) << 3 == table
+    assert len(space.unions) == (1 << 18) - 2
     assert peak <= 1.25 * table + (64 << 10)
 
 
@@ -497,9 +497,8 @@ def test_sample_index_matches_brute_definition():
 
 
 def test_first_draw_retains_one_table():
-    # the sampler keeps only the running count: each input set is
-    # unranked from its position, and the per-size classes of unions
-    # that build the count are released as they are consumed
+    # the sampler keeps only the running count, accumulated straight
+    # from the union table: each input set is unranked from its position
     space = TaskSpace(*_env_18())
     table = 8 << 18
     tracemalloc.start()
@@ -510,15 +509,27 @@ def test_first_draw_retains_one_table():
         tracemalloc.stop()
     assert len(space.cum) == (1 << 18) - 2
     assert retained <= 1.1 * table
-    assert peak <= 1.5 * table + (64 << 10)
+    assert peak <= 1.1 * table + (64 << 10)
+
+
+def _disjoint_env(size):
+    # size - 1 disjoint programs: each statement holds one of them, plus
+    # the empty statement
+    return mk_environment(max(size - 1, 1), [{i} for i in range(size - 1)])
+
+
+def _union_of(space, imask):
+    # the union of the extensions of an input set, by its definition
+    union = 0
+    for i, e in enumerate(space.ext_masks):
+        if imask >> i & 1:
+            union |= e
+    return union
 
 
 def test_unrank_matches_canonical_order():
     for size in range(1, 15):
-        # size - 1 disjoint programs: each statement holds one of them,
-        # plus the empty statement
-        env = mk_environment(max(size - 1, 1), [{i} for i in range(size - 1)])
-        space = TaskSpace(env)
+        space = TaskSpace(_disjoint_env(size))
         assert len(space.language) == size
         order = list(space._input_masks_in_order())
         assert len(order) == max((1 << size) - 2, 0)
@@ -528,9 +539,18 @@ def test_unrank_matches_canonical_order():
 @pytest.mark.parametrize("include_empty", [True, False])
 def test_running_count_matches_canonical_walk(include_empty):
     space = TaskSpace(*_env_18(), include_empty_outputs=include_empty)
-    weights = (space._weights[space.union_masks[m].bit_count()] for m in space._input_masks_in_order())
+    weights = (space._weights[_union_of(space, m).bit_count()] for m in space._input_masks_in_order())
     assert list(space.cum) == list(accumulate(weights))
     assert space.cum[-1] == space.total_count
+
+
+def test_unions_match_their_definition():
+    spaces = [task_space(env) for env in all_environments(3, 3)]
+    spaces += [TaskSpace(_disjoint_env(size)) for size in range(1, 15)]
+    for space in spaces:
+        assert len(space.unions) == max((1 << len(space.language)) - 2, 0)
+        reference = [_union_of(space, m) for m in space._input_masks_in_order()]
+        assert list(space.unions) == reference, space.env
 
 
 @pytest.mark.parametrize("index", [-1, -2330, 2330, 2331, 1 << 70])
