@@ -82,7 +82,7 @@ class Guards:
     """
 
     max_vocabulary: int = 24      # 2^|v| language enumeration
-    max_truth_set: int = 24       # 2^|truth set| inclusion-exclusion terms
+    max_truth_set: int = 24       # |truth set|: at most 2^that inclusion-exclusion terms
     max_task_language: int = 16   # 2^|L_v| task-space paths
     max_powerset_states: int = 4  # full-powerset vocabulary construction
 
@@ -296,24 +296,17 @@ def _bits(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _mask_of_positions(positions: Iterable[int], width: int) -> int:
-    """The ``width``-bit mask with the given bits set, in linear time
-    (OR-ing one bit at a time into a wide mask copies it per bit)."""
-    digits = bytearray(b"0") * width
-    for i in positions:
-        digits[width - 1 - i] = 49  # ord("1")
-    return int(digits or b"0", 2)
-
-
-def _containing_masks(statements: tuple[Statement, ...], vocabulary_size: int) -> tuple[int, ...]:
-    """For each program, the mask of the positions in ``statements`` of
-    the statements that contain it."""
-    containing: list[list[int]] = [[] for _ in range(vocabulary_size)]
-    for i, s in enumerate(statements):
-        for j in s:
-            containing[j].append(i)
-    width = len(statements)
-    return tuple(_mask_of_positions(c, width) for c in containing)
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that lie inside no other one."""
+    maximal: list[int] = []
+    # a strict superset is the larger number, so it comes first
+    for m in sorted(set(masks), reverse=True):
+        for k in maximal:
+            if not m & ~k:
+                break
+        else:
+            maximal.append(m)
+    return maximal
 
 
 def _enumerate_statements(env: Environment) -> tuple[Statement, ...]:
@@ -363,7 +356,14 @@ class LanguageIndex:
 
     @cached_property
     def _program_masks(self) -> tuple[int, ...]:
-        return _containing_masks(self.statements, self._vocabulary_size)
+        # one '0'/'1' digit per position, then int(digits, 2): OR-ing one
+        # bit at a time into a wide mask copies it per bit
+        width = len(self.statements)
+        digits = [bytearray(b"0") * width for _ in range(self._vocabulary_size)]
+        for pos, s in zip(range(width - 1, -1, -1), self.statements):
+            for j in s:
+                digits[j][pos] = 49  # ord("1")
+        return tuple(int(d or b"0", 2) for d in digits)
 
     def extension_mask(self, x: Statement) -> int:
         """The statements that contain ``x``; 0 when ``x`` is no statement."""
@@ -373,12 +373,21 @@ class LanguageIndex:
             mask &= program_masks[j]
         return mask
 
+    def below(self, programs: int) -> int:
+        """The statements whose programs all lie in the program mask
+        ``programs``: ``full & ~OR_{j not in programs} P_j``."""
+        outside = 0
+        for j, mask in enumerate(self._program_masks):
+            if not programs >> j & 1:
+                outside |= mask
+        return ((1 << len(self.statements)) - 1) & ~outside
+
     def extension_of_set(self, xs: Iterable[Statement]) -> ExtensionSet:
         """The union of the extensions of the canonical statements ``xs``."""
         mask = 0
         for x in xs:
             mask |= self.extension_mask(x)
-        return ExtensionSet(self.statements_of(mask))
+        return ExtensionSet._of_canonical(self.statements_of(mask))
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         return tuple(self.statements[i] for i in _bits(mask))
@@ -413,6 +422,15 @@ class ExtensionSet:
     def __init__(self, members: Iterable[Statement]):
         object.__setattr__(self, "members", tuple(sorted(set(members), key=_stmt_order)))
         object.__setattr__(self, "_as_set", frozenset(self.members))
+
+    @classmethod
+    def _of_canonical(cls, members: tuple[Statement, ...]) -> ExtensionSet:
+        """The set of ``members`` that are already in canonical order and
+        free of duplicates, as ``LanguageIndex.statements_of`` yields them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_as_set", frozenset(members))
+        return self
 
     def __setattr__(self, name, value):  # immutability, mirrors the frozen dataclasses
         raise AttributeError("ExtensionSet is immutable")
@@ -459,31 +477,28 @@ def extension(env: Environment, x: Iterable[int]) -> ExtensionSet:
 @lru_cache(maxsize=None)
 def _ie_extension_size(env: Environment, x: Statement, max_truth_set: int) -> int:
     truth = _truth_mask(env, x)
-    states = [i for i in range(env.state_count) if (truth >> i) & 1]
+    states = _bits(truth)
     if len(states) > max_truth_set:
         raise TruthSetTooLarge(
             f"|truth set| = {len(states)} exceeds guard {max_truth_set}"
         )
-    # for each state, the vocabulary programs containing it, minus the
-    # members of x themselves
-    x_bits = 0
-    for j in x:
-        x_bits |= 1 << j
-    containing = []
-    for s in states:
-        bits = 0
-        for j, p in enumerate(env.programs):
-            if (p.mask >> s) & 1:
-                bits |= 1 << j
-        containing.append(bits & ~x_bits)
+    # a completion of x adds programs that are all true at one state of
+    # x's truth set: for each state, the programs outside x true there.
+    # States with equal masks collapse in the inclusion-exclusion, and a
+    # mask inside another adds nothing, so only the maximal ones count
+    x_bits = sum(1 << j for j in x)
+    containing = _maximal(
+        sum(1 << j for j, p in enumerate(env.programs) if (p.mask >> s) & 1) & ~x_bits
+        for s in states
+    )
 
-    # alternating sum over nonempty subsets S of the truth set: each
-    # term counts the completions whose added programs all contain S
+    # alternating sum over nonempty subsets S of those masks: each term
+    # counts the completions whose added programs lie in all of S
     total = 0
 
     def walk(acc: int, depth: int, sign: int) -> None:
         nonlocal total
-        for i in range(depth, len(states)):
+        for i in range(depth, len(containing)):
             cur = acc & containing[i]
             total += sign * (1 << cur.bit_count())
             walk(cur, i + 1, -sign)

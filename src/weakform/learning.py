@@ -340,7 +340,9 @@ def estimate_generalization_probability(
     include_empty_outputs: bool = True,
 ) -> GeneralizationEstimate:
     """Estimate by uniform task sampling; reported with its sample count
-    and seed so the binomial error is reconstructible."""
+    and seed so the binomial error is reconstructible.  A draw is a hit
+    when ``union & pmask == omask``: ``E ∩ ext(p) = O``, the identity
+    that ``correct_policies`` states as down-sets."""
     x = require_statement(env, l)
     space = task_space(env, guards, include_empty_outputs)
     if space.total_count == 0:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, combinations, repeat
 from math import comb
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     DEFAULT_GUARDS,
@@ -31,13 +31,12 @@ from .core import (
     LanguageIndex,
     Statement,
     _bits,
-    _containing_masks,
-    _mask_of_positions,
+    _index_cached,
+    _maximal,
     _stmt_order,
     canon_statement,
     encode_statement,
     encode_statement_set,
-    enumerate_language,
     environment_to_dict,
     load_environment,
     require_statement,
@@ -206,29 +205,28 @@ def load_task(source: str | Path | dict, env: Environment | None = None) -> Task
 
 # --- policies and inference ----------------------------------------------------
 
-def _policy_test(task: Task) -> Callable[[Statement], bool]:
+def _programs(x: Statement) -> int:
+    return sum(map((1).__lshift__, x))
+
+
+def _policy_bounds(task: Task) -> tuple[int, list[int]]:
     # p is correct when E & ext[p] == O for the inputs' extension E and
-    # the outputs O; both sides lie in E, so the masks span E's members
-    # only (ext[p] is the AND of p's programs' masks there)
-    members = task.extension.members
-    program_masks = _containing_masks(members, task.env.vocabulary_size)
+    # the outputs O: p lies in ``common``, the programs of every output,
+    # and in no rival, the programs of another member of E (within
+    # common).  A p inside a rival is inside every rival above it, so
+    # the maximal rivals decide
     outs = task.output_set
-    omask = _mask_of_positions((k for k, y in enumerate(members) if y in outs), len(members))
-    full = (1 << len(members)) - 1
-
-    def correct(p: Statement) -> bool:
-        mask = full
-        for j in p:
-            mask &= program_masks[j]
-        return mask == omask
-
-    return correct
+    common = reduce(and_, map(_programs, outs), (1 << task.env.vocabulary_size) - 1)
+    rivals = {_programs(y) & common for y in task.extension.members if y not in outs}
+    return common, _maximal(rivals)
 
 
 def is_correct_policy(task: Task, pi: Iterable[int]) -> bool:
     """True iff completing inputs under ``pi`` lands exactly on the
     correct outputs."""
-    return _policy_test(task)(require_statement(task.env, pi))
+    p = _programs(require_statement(task.env, pi))
+    common, maximal = _policy_bounds(task)
+    return not p & ~common and all(p & ~b for b in maximal)
 
 
 @dataclass(frozen=True)
@@ -249,9 +247,12 @@ class PolicySet:
 
 
 def correct_policies(task: Task, guards: Guards = DEFAULT_GUARDS) -> PolicySet:
-    correct = _policy_test(task)
-    members = tuple(filter(correct, enumerate_language(task.env, guards)))
-    return PolicySet(task, members)
+    """The statements inside every output and inside no maximal rival
+    (see ``_policy_bounds``), as one mask of down-sets."""
+    index = LanguageIndex.of(task.env, guards)
+    common, maximal = _policy_bounds(task)
+    mask = index.below(common) & ~reduce(or_, map(index.below, maximal), 0)
+    return PolicySet(task, index.statements_of(mask))
 
 
 def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -> tuple[Statement, bool]:
@@ -266,7 +267,9 @@ def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -
     x = canon_statement(env, input_stmt)
     if x not in task.input_set:
         raise InputNotInTask(f"{encode_statement(x)} is not an input of this task")
-    index = LanguageIndex.of(env)
+    # the task's index was admitted when the task was built, perhaps
+    # under raised guards, so it is not checked against the defaults again
+    index = _index_cached(env)
     shared = index.extension_mask(p) & index.extension_mask(x)
     if not shared:
         raise NoOutput(
@@ -363,7 +366,7 @@ class TaskSpace:
             self.env,
             statements_of(imask),
             statements_of(omask),
-            ExtensionSet(statements_of(ext)),
+            ExtensionSet._of_canonical(statements_of(ext)),
         )
 
     # -- enumeration -------------------------------------------------------
@@ -382,7 +385,7 @@ class TaskSpace:
             # everything but the output set is shared across one input set
             inputs = statements_of(imask)
             ext_statements = statements_of(union)
-            ext = ExtensionSet(ext_statements)
+            ext = ExtensionSet._of_canonical(ext_statements)
             # output sets by size, then positions, short of the whole extension
             outs = chain.from_iterable(
                 combinations(ext_statements, r) for r in range(self._min_outputs, len(ext_statements))

@@ -43,6 +43,26 @@ def brute_extension(env: Environment, x) -> set[tuple[int, ...]]:
     return {y for y in brute_language(env) if xs <= set(y)}
 
 
+def brute_below(env: Environment, programs) -> list[tuple[int, ...]]:
+    """The statements, in canonical order, whose programs all lie in the
+    set of vocabulary indices ``programs``."""
+    return [y for y in brute_language(env) if set(y) <= set(programs)]
+
+
+def brute_ie_extension_size(env: Environment, x) -> int:
+    """|extension(x)| by inclusion-exclusion over every nonempty subset S
+    of x's truth set: the completions whose added programs are all true
+    on S number 2^(programs outside x true on all of S)."""
+    states = sorted(brute_truth_set(env, x))
+    outside = [j for j in range(len(env.programs)) if j not in set(x)]
+    total = 0
+    for r in range(1, len(states) + 1):
+        for subset in combinations(states, r):
+            common = [j for j in outside if set(subset) <= set(env.programs[j].states())]
+            total += (-1) ** (r + 1) * 2 ** len(common)
+    return total
+
+
 def brute_extension_of_set(env: Environment, xs) -> set[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
     for x in xs:

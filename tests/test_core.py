@@ -5,6 +5,7 @@ import json
 import pytest
 
 from weakform import (
+    ExtensionSet,
     Guards,
     VocabularyReorderedWarning,
     enumerate_language,
@@ -23,6 +24,7 @@ from weakform import (
     save_environment,
     truth_set,
 )
+from weakform.core import LanguageIndex
 from weakform.errors import (
     DuplicateProgram,
     IndexOutOfRange,
@@ -36,7 +38,9 @@ from weakform.tasks import load_task
 
 from helpers import (
     all_environments,
+    brute_below,
     brute_extension,
+    brute_ie_extension_size,
     brute_language,
     brute_truth_set,
 )
@@ -170,6 +174,14 @@ def test_extension_size_guard(env2):
         extension_size(env2, [], Guards(max_truth_set=1))
 
 
+def test_extension_set_canonicalises_its_members(env2):
+    members = enumerate_language(env2)
+    got = ExtensionSet(list(reversed(members)) + [members[0]])
+    assert got.members == members
+    assert got == ExtensionSet(members)
+    assert extension_of_set(env2, [()]).members == members
+
+
 def test_extension_of_set_examples(env2):
     got = extension_of_set(env2, [(2,), (1,)])
     assert got.as_set() == {(2,), (0, 2), (1, 2), (1,)}
@@ -197,6 +209,37 @@ def test_extension_size_matches_enumeration_sweep():
     for env in all_environments(3, 3):
         for x in enumerate_language(env):
             assert extension_size(env, x) == len(extension(env, x))
+
+
+def test_extension_size_matches_the_truth_set_walk():
+    # the walk over maximal containing masks against the walk over every
+    # subset of the truth set
+    checked = 0
+    for env in all_environments(4, 4):
+        for x in enumerate_language(env):
+            assert extension_size(env, x) == brute_ie_extension_size(env, x)
+            checked += 1
+    assert checked == 23781
+
+
+def test_extension_size_of_a_large_truth_set():
+    # 26 states: the empty statement and program 2 are true in all of
+    # them, yet only two distinct containing masks are maximal, so the
+    # inclusion-exclusion has three terms, not 2^26
+    env = mk_environment(26, [[0], [1], list(range(26))])
+    guards = Guards(max_truth_set=30)
+    index = LanguageIndex.of(env)
+    for x in enumerate_language(env):
+        assert extension_size(env, x, guards) == index.extension_mask(x).bit_count()
+
+
+def test_below_matches_brute_down_sets():
+    for env in all_environments(3, 3):
+        index = LanguageIndex.of(env)
+        nv = env.vocabulary_size
+        for programs in range(1 << nv):
+            members = [j for j in range(nv) if programs >> j & 1]
+            assert list(index.statements_of(index.below(programs))) == brute_below(env, members)
 
 
 def test_language_size_matches_enumeration():

@@ -9,6 +9,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from weakform import Guards, enumerate_language, mk_environment
+from weakform.core import LanguageIndex
 from weakform.errors import (
     EmptyInputs,
     EmptyTaskSpace,
@@ -219,6 +220,21 @@ def test_correct_policies_match_brute_definition():
     assert checked > 2000
 
 
+def test_policies_of_a_large_extension_with_no_outputs():
+    # 14 programs sharing state 0 and two lone ones: |L| = 2^14 + 2.
+    # With no outputs every member of the inputs' extension (12,288
+    # statements) is a rival; the policy set checks each statement of
+    # the language against the definition, by index masks
+    env = mk_environment(17, [[0, s] for s in range(1, 15)] + [[15], [16]])
+    t = mk_task(env, [(2,), (3,)], [])
+    index = LanguageIndex.of(env)
+    e = sum(1 << index.position[y] for y in t.extension)
+    assert t.extension.size == (1 << 14) - (1 << 12)
+    expected = tuple(p for p in index.statements if e & index.extension_mask(p) == 0)
+    assert correct_policies(t).members == expected == ((0,), (1,))
+    assert is_correct_policy(t, (1,)) and not is_correct_policy(t, ())
+
+
 def test_policies_of_a_large_language_use_linear_memory():
     # 14 programs sharing state 0 make every index set a statement, so
     # |L| = 2^14.  One extension mask per statement would take |L|^2 bits
@@ -269,6 +285,16 @@ def test_infer_rejects_non_statement_policy(env2):
     t = mk_task(env2, [(2,)], [(0, 2)])
     with pytest.raises(NotAStatement):
         infer(t, (0, 1), (2,), 0)
+
+
+def test_infer_accepts_a_task_built_under_raised_guards():
+    # 25 programs exceed the default vocabulary guard; the task was
+    # admitted under a raised one, so inference and the policy test
+    # work on it
+    env = mk_environment(25, [[s] for s in range(25)])
+    t = mk_task(env, [(0,)], [], Guards(max_vocabulary=25))
+    assert infer(t, (0,), (0,), 0) == ((0,), False)
+    assert is_correct_policy(t, (1,)) and not is_correct_policy(t, (0,))
 
 
 def test_infer_deterministic(env2):
