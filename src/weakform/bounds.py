@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -24,21 +24,27 @@ from .core import (
     Guards,
     Program,
     Statement,
+    _bits,
+    _index_cached,
+    _truth_mask,
     encode_statement,
-    enumerate_language,
     env_hash,
     extension_size,
     mk_environment,
 )
 from .errors import (
     EmptyInstantiation,
+    InputsNotStrictSubset,
     InvalidVocabulary,
     NoCorrectPolicy,
+    OutputsNotStrict,
     StateSpaceTooLarge,
+    TruthSetTooLarge,
+    VocabularyTooLarge,
     WeakformError,
 )
 from .learning import generalization_table
-from .tasks import Task, correct_policies, mk_task
+from .tasks import Task, _policy_bounds, _policy_mask, _programs, correct_policies, mk_task
 
 __all__ = [
     "BoundReport",
@@ -73,11 +79,8 @@ def utility(task: Task, guards: Guards = DEFAULT_GUARDS) -> int:
 def weakest_correct_policy(task: Task, guards: Guards = DEFAULT_GUARDS) -> tuple[Statement, int]:
     """The weakest correct policy and its extension size; ties go to the
     canonically smallest statement."""
-    return _weakest(task, correct_policies(task, guards).members, guards)
-
-
-def _weakest(task: Task, policies: tuple[Statement, ...], guards: Guards) -> tuple[Statement, int]:
     # policies come in canonical order, so the first of the largest wins
+    policies = correct_policies(task).members
     if not policies:
         raise NoCorrectPolicy("the task has no correct policy")
     sizes = [extension_size(task.env, p, guards) for p in policies]
@@ -101,6 +104,10 @@ class UninstantiatedTask:
     def _position(self) -> dict[tuple[int, ...], int]:
         """Each base program's state tuple -> its base position."""
         return {states: b for b, states in enumerate(self.env.program_sets())}
+
+    @cached_property
+    def _masks(self) -> _BaseMasks:
+        return _BaseMasks(self.base)
 
     def __repr__(self) -> str:
         return f"UninstantiatedTask({self.base.encode()})"
@@ -127,7 +134,9 @@ def instantiate(
     still present, and re-validates the result as a task of the new
     environment.  A kept output still completes a kept input: the input
     it completed has a subset of its programs.  Restriction by the full
-    vocabulary is the identity.
+    vocabulary is the identity.  The vocabulary comparisons below read
+    the same restriction off the base task's masks without building it;
+    this function is their reference.
     """
     position = rho._position
     sets = []
@@ -178,8 +187,7 @@ def restriction_is_strict_child(rho: UninstantiatedTask, restricted: Task) -> bo
 def encode_vocabulary(programs: Iterable) -> str:
     parts = []
     for p in programs:
-        states = p.states() if isinstance(p, Program) else tuple(sorted(p))
-        parts.append("{%s}" % ",".join(map(str, states)))
+        parts.append(encode_statement(p.states() if isinstance(p, Program) else sorted(p)))
     return "[%s]" % ",".join(parts)
 
 
@@ -281,31 +289,121 @@ class UtilityReport:
         return head + "\n\n" + _aligned(body, cols)
 
 
+class _BaseMasks:
+    """The base task over its own language index, from which each
+    restriction to a sub-vocabulary B is read off without building it.
+
+    The restricted language is exactly the base statements whose
+    programs all lie in B, the down-set ``L_B = below(B)``.  The
+    restricted inputs, extension and outputs are the base ones ANDed
+    with ``L_B``: a statement of ``L_B`` that completes a base input
+    completes one inside ``L_B``, whose programs are a subset of its own.
+    The renumbering onto B is monotone, so base canonical order is the
+    restricted canonical order; only report strings need it.
+    """
+
+    def __init__(self, base: Task):
+        env = base.env
+        # the base task was admitted under its own guards
+        self.index = index = _index_cached(env)
+        position = index.position
+        statements = index.statements
+        self.ext = tuple(map(index.extension_mask, statements))
+        self.programs = tuple(map(_programs, statements))
+        self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in statements)
+        self.codes = tuple(map(encode_statement, env.program_sets()))
+        self.inputs = sum(1 << position[x] for x in base.inputs)
+        self.outputs = sum(1 << position[y] for y in base.outputs_correct)
+        self.extension = sum(1 << position[y] for y in base.extension)
+
+    def restrict(self, vocabulary: int, guards: Guards) -> tuple[int, int]:
+        """The restricted language and correct policies, as masks over
+        the base language, for the base program mask ``vocabulary``.
+        Raises what ``instantiate`` and ``correct_policies`` raise on a
+        valid sub-vocabulary, in the same order."""
+        language = self.index.below(vocabulary)
+        inputs = self.inputs & language
+        if not inputs:
+            raise EmptyInstantiation("no input statement survives this vocabulary")
+        if vocabulary.bit_count() > guards.max_vocabulary:
+            raise VocabularyTooLarge(
+                f"|v| = {vocabulary.bit_count()} exceeds guard {guards.max_vocabulary}"
+            )
+        if inputs == language:
+            raise InputsNotStrictSubset("inputs cover the whole language")
+        extension = self.extension & language
+        outputs = self.outputs & language
+        if outputs == extension:
+            raise OutputsNotStrict("outputs equal the whole input extension")
+        programs = self.programs.__getitem__
+        bounds = _policy_bounds(
+            map(programs, _bits(outputs)), map(programs, _bits(extension & ~outputs)), vocabulary
+        )
+        return language, _policy_mask(self.index, *bounds)
+
+    def too_wide(self, guards: Guards) -> int:
+        """The statements whose extension size the truth-set guard refuses."""
+        return sum(1 << i for i, k in enumerate(self.truth_sizes) if k > guards.max_truth_set)
+
+
+def _renumbered(vocabulary: int, statement: Statement) -> Statement:
+    """A base statement inside the base program mask ``vocabulary``, in
+    the restricted environment's indices: each program's rank in it."""
+    return tuple((vocabulary & ((1 << b) - 1)).bit_count() for b in statement)
+
+
 def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards) -> list:
-    """Instantiate each candidate once, giving its utility row, the
-    restricted task and its correct policies (empty if not found)."""
+    """Each candidate's utility row, with its base program mask and its
+    correct policies as a mask over the base language (0 if not found)."""
+    masks = rho._masks
+    position = rho._position
+    statements = masks.index.statements
+    too_wide = masks.too_wide(guards)
     out = []
     for idx, cand in enumerate(candidates):
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
-        encoded = encode_vocabulary(cand)
-        restricted, policies = None, ()
+        sets = [p.states() if isinstance(p, Program) else tuple(sorted(p)) for p in cand]
+        found = list(map(position.get, sets))
+        # a foreign or repeated program, or a state that only equals an
+        # int (True, 1.0), is for instantiate to reject
+        plain = (
+            None not in found
+            and len(set(found)) == len(found)
+            and {int}.issuperset(map(type, chain.from_iterable(sets)))
+        )
+        if plain:
+            encoded = "[%s]" % ",".join(map(masks.codes.__getitem__, found))
+        else:
+            encoded = encode_vocabulary(cand)
+        vocabulary = policies = 0
         try:
-            restricted = instantiate(rho, cand, guards)
-            policies = correct_policies(restricted, guards).members
-            pi, size = _weakest(restricted, policies, guards)
+            if not plain:
+                instantiate(rho, cand, guards)
+            vocabulary = sum(1 << b for b in found)
+            language, policies = masks.restrict(vocabulary, guards)
+            if not policies:
+                raise NoCorrectPolicy("the task has no correct policy")
+            if policies & too_wide:
+                raise TruthSetTooLarge(
+                    f"a correct policy's truth set exceeds guard {guards.max_truth_set}"
+                )
+            # policies in canonical order, so the first of the largest wins
+            members = _bits(policies)
+            sizes = [(masks.ext[p] & language).bit_count() for p in members]
+            size = max(sizes)
             row = VocabularyRow(
                 idx,
                 encoded,
-                len(enumerate_language(restricted.env, guards)),
-                size - len(restricted.outputs_correct),
-                encode_statement(pi),
+                language.bit_count(),
+                size - (masks.outputs & language).bit_count(),
+                encode_statement(_renumbered(vocabulary, statements[members[sizes.index(size)]])),
                 size,
-                restriction_is_strict_child(rho, restricted),
+                masks.inputs & language != masks.inputs,
                 None,
             )
         except WeakformError as exc:
             row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
-        out.append((row, restricted, policies))
+        out.append((row, vocabulary, policies))
     return out
 
 
@@ -402,28 +500,43 @@ def verify_upper_bound(
     probability over every instantiable (vocabulary, policy) pair."""
     outcomes = _candidate_pass(rho, candidates, guards)
     rows = tuple(row for row, _, _ in outcomes)
+    masks = rho._masks
+    programs = rho.env.programs
     pairs: list[CandidatePolicy] = []
-    for row, restricted, policies in outcomes:
+    for row, vocabulary, policies in outcomes:
         if not policies:
             continue
+        # the restricted environment keys the task count; the base
+        # programs are in canonical order, so its vocabulary is too
+        restricted = Environment(
+            rho.env.state_count, tuple(map(programs.__getitem__, _bits(vocabulary)))
+        )
         try:
-            table = generalization_table(restricted.env, guards, include_empty_outputs)
-            for pi in policies:
+            table = generalization_table(restricted, guards, include_empty_outputs)
+            for p in _bits(policies):
+                pi = _renumbered(vocabulary, masks.index.statements[p])
                 pairs.append(
                     CandidatePolicy(
                         row.index,
                         row.vocabulary,
                         encode_statement(pi),
-                        extension_size(restricted.env, pi, guards),
+                        extension_size(restricted, pi, guards),
                         table.probability(pi),
                     )
                 )
         except WeakformError:
             continue
 
+    return _select(_report_header(rho, rows, guards, seeds), rows, pairs)
+
+
+def _select(
+    header: dict, rows: tuple[VocabularyRow, ...], pairs: list[CandidatePolicy]
+) -> BoundReport:
+    """The selection recipe over the utility rows and every
+    (vocabulary, policy) pair with its probability."""
     with_pairs = {p.candidate_index for p in pairs}
     defined = [r for r in rows if r.utility is not None and r.index in with_pairs]
-    header = _report_header(rho, rows, guards, seeds)
     if not defined or not pairs:
         return BoundReport(header, "no_candidate", None, None, (), rows)
 

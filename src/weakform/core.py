@@ -142,6 +142,17 @@ class Environment:
     def program_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.states() for p in self.programs)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.state_count, self.programs))
+
+    def __hash__(self) -> int:
+        # every per-environment cache lookup hashes the environment; the
+        # programs tuple is hashed once, not per lookup.  The value is the
+        # dataclass's own field hash, of ints only, so it is the same in
+        # every process and survives a pickle
+        return self._hash
+
     def __repr__(self) -> str:
         progs = ",".join(repr(p) for p in self.programs)
         return f"Environment(states={self.state_count}, vocabulary=[{progs}])"

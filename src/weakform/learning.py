@@ -399,7 +399,7 @@ def learn(
     the tie set is the whole policy set.  The maximal policies are those
     whose row over the policy set is empty.
     """
-    pols = correct_policies(child, guards)
+    pols = correct_policies(child)
     if not pols.members:
         raise NoCorrectPolicy("the task has no correct policy")
     members = pols.members

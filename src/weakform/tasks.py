@@ -209,23 +209,39 @@ def _programs(x: Statement) -> int:
     return sum(map((1).__lshift__, x))
 
 
-def _policy_bounds(task: Task) -> tuple[int, list[int]]:
+def _policy_bounds(
+    outputs: Iterable[int], others: Iterable[int], common: int
+) -> tuple[int, list[int]]:
     # p is correct when E & ext[p] == O for the inputs' extension E and
     # the outputs O: p lies in ``common``, the programs of every output,
     # and in no rival, the programs of another member of E (within
     # common).  A p inside a rival is inside every rival above it, so
-    # the maximal rivals decide
+    # the maximal rivals decide.  Statements come as program masks, and
+    # ``common`` starts at the whole vocabulary
+    common = reduce(and_, outputs, common)
+    return common, _maximal({y & common for y in others})
+
+
+def _task_bounds(task: Task) -> tuple[int, list[int]]:
     outs = task.output_set
-    common = reduce(and_, map(_programs, outs), (1 << task.env.vocabulary_size) - 1)
-    rivals = {_programs(y) & common for y in task.extension.members if y not in outs}
-    return common, _maximal(rivals)
+    return _policy_bounds(
+        map(_programs, outs),
+        (_programs(y) for y in task.extension.members if y not in outs),
+        (1 << task.env.vocabulary_size) - 1,
+    )
+
+
+def _policy_mask(index: LanguageIndex, common: int, maximal: Iterable[int]) -> int:
+    """The statements inside ``common`` and inside no maximal rival, as
+    one mask of down-sets."""
+    return index.below(common) & ~reduce(or_, map(index.below, maximal), 0)
 
 
 def is_correct_policy(task: Task, pi: Iterable[int]) -> bool:
     """True iff completing inputs under ``pi`` lands exactly on the
     correct outputs."""
     p = _programs(require_statement(task.env, pi))
-    common, maximal = _policy_bounds(task)
+    common, maximal = _task_bounds(task)
     return not p & ~common and all(p & ~b for b in maximal)
 
 
@@ -246,13 +262,13 @@ class PolicySet:
         return item in self.members
 
 
-def correct_policies(task: Task, guards: Guards = DEFAULT_GUARDS) -> PolicySet:
+def correct_policies(task: Task) -> PolicySet:
     """The statements inside every output and inside no maximal rival
-    (see ``_policy_bounds``), as one mask of down-sets."""
-    index = LanguageIndex.of(task.env, guards)
-    common, maximal = _policy_bounds(task)
-    mask = index.below(common) & ~reduce(or_, map(index.below, maximal), 0)
-    return PolicySet(task, index.statements_of(mask))
+    (see ``_policy_bounds``)."""
+    # the task's index was admitted when the task was built, perhaps
+    # under raised guards, so it is not checked against the defaults again
+    index = _index_cached(task.env)
+    return PolicySet(task, index.statements_of(_policy_mask(index, *_task_bounds(task))))
 
 
 def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -> tuple[Statement, bool]:

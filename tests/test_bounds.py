@@ -5,8 +5,10 @@ from random import Random
 
 import pytest
 
-from weakform import full_powerset_vocabulary
+from weakform import Guards, bounds, full_powerset_vocabulary
 from weakform.bounds import (
+    CandidatePolicy,
+    VocabularyRow,
     all_vocabularies,
     compare_vocabularies,
     encode_vocabulary,
@@ -27,7 +29,9 @@ from weakform.errors import (
     StateSpaceTooLarge,
     WeakformError,
 )
-from weakform.tasks import correct_policies, enumerate_tasks, mk_task
+from weakform.core import LanguageIndex, encode_statement, enumerate_language, extension_size
+from weakform.learning import generalization_table
+from weakform.tasks import TaskSpace, correct_policies, enumerate_tasks, mk_task
 
 from helpers import brute_instantiate
 from test_acceptance import _phi3_family
@@ -328,3 +332,167 @@ def test_maximality_undefined_at_full_is_violation():
     assert rep.utility_at_full is None
     assert rep.holds is False
     assert rep.witness is not None
+
+
+# --- the mask pass against per-candidate restricted tasks ---------------------------------------
+
+def _reference_pass(rho, candidates, guards):
+    """Each candidate's utility row, restricted task and correct policies
+    by ``instantiate``, ``correct_policies`` and the weakest of them."""
+    out = []
+    for idx, cand in enumerate(candidates):
+        cand = tuple(cand)
+        encoded = encode_vocabulary(cand)
+        restricted, policies = None, ()
+        try:
+            restricted = instantiate(rho, cand, guards)
+            policies = correct_policies(restricted).members
+            pi, size = weakest_correct_policy(restricted, guards)
+            row = VocabularyRow(
+                idx,
+                encoded,
+                len(enumerate_language(restricted.env, guards)),
+                size - len(restricted.outputs_correct),
+                encode_statement(pi),
+                size,
+                restriction_is_strict_child(rho, restricted),
+                None,
+            )
+        except WeakformError as exc:
+            row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
+        out.append((row, restricted, policies))
+    return out
+
+
+def _reference_bound(rho, candidates, guards, include_empty_outputs):
+    """``verify_upper_bound`` with every pair read off its restricted task."""
+    outcomes = _reference_pass(rho, candidates, guards)
+    rows = tuple(row for row, _, _ in outcomes)
+    pairs = []
+    for row, restricted, policies in outcomes:
+        if not policies:
+            continue
+        try:
+            table = generalization_table(restricted.env, guards, include_empty_outputs)
+            for pi in policies:
+                pairs.append(CandidatePolicy(
+                    row.index,
+                    row.vocabulary,
+                    encode_statement(pi),
+                    extension_size(restricted.env, pi, guards),
+                    table.probability(pi),
+                ))
+        except WeakformError:
+            continue
+    return bounds._select(bounds._report_header(rho, rows, guards, ()), rows, pairs)
+
+
+def _malformed(rho):
+    """Candidates for instantiate to reject or, from the Program values
+    on, to accept in an unusual form; fresh on each call, since one-shot
+    iterators are among them."""
+    full = rho.env.programs
+    sets = rho.env.program_sets()
+    return [
+        [(5,)],                                  # a foreign state
+        [sets[1], (0, 0, 1)],                    # a foreign program
+        [sets[1], sets[-1], sets[1]],            # a repeated program
+        [(True,), sets[-1]],                     # a state that only equals an int
+        [(1.0,), (0, 1)],
+        [(True,), (7,)],                         # foreign beats the bool
+        [full[-1], sets[-1]],                    # a Program repeating a tuple
+        list(full[::-1]),                        # Program values, reversed
+        iter(sets[1:]),                          # a one-shot iterator
+        [sets[-1][::-1], set(sets[1])],          # unsorted and set forms
+        (p for p in full if p.size != 1),        # a one-shot generator
+        [tuple(map(_State, sets[-1]))],          # an int subclass is a state
+    ]
+
+
+class _State(int):
+    pass
+
+
+def _reference_cases(states):
+    """Base tasks: every 2-state one, or seeded 3-state ones."""
+    if states == 2:
+        return [mk_uninstantiated(t) for t in enumerate_tasks(full_powerset_vocabulary(2))]
+    return _phi3_family(6, seed=12)
+
+
+@pytest.mark.parametrize("guards", [
+    Guards(),
+    Guards(max_truth_set=1),
+    Guards(max_vocabulary=2),
+    Guards(max_task_language=3),
+], ids=["default", "truth_set_1", "vocabulary_2", "task_language_3"])
+def test_vocabulary_rows_match_per_candidate_restriction(guards):
+    for states in (2, 3):
+        bases = _reference_cases(states)
+        # the low guards change only the error rows, and malformed
+        # candidates hardly depend on the base task: strides keep it cheap
+        stride = 1 if guards == Guards() or states == 3 else 5
+        for i, rho in enumerate(bases[::stride]):
+            candidates = list(all_vocabularies(rho.env))
+            malformed = _malformed if i % 10 == 0 else lambda rho: []
+            got = compare_vocabularies(rho, candidates + malformed(rho), guards)
+            want = _reference_pass(rho, candidates + malformed(rho), guards)
+            assert got.rows == tuple(row for row, _, _ in want), rho
+
+
+@pytest.mark.parametrize("guards", [
+    Guards(),
+    Guards(max_truth_set=1),
+    Guards(max_task_language=3),
+], ids=["default", "truth_set_1", "task_language_3"])
+def test_bound_reports_match_per_candidate_restriction(guards):
+    cases = _reference_cases(2)[::40] + _reference_cases(3)[:3]
+    for rho in cases:
+        candidates = list(all_vocabularies(rho.env))
+        for include_empty in (True, False):
+            got = verify_upper_bound(rho, candidates + _malformed(rho), guards, include_empty)
+            want = _reference_bound(rho, candidates + _malformed(rho), guards, include_empty)
+            assert got.to_json() == want.to_json(), (rho, include_empty)
+
+
+def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
+    # every restriction is read off the base task's index: no candidate
+    # gets its own environment, index, task or task space, and the upper
+    # bound builds a restricted environment's table only for a
+    # candidate that has a correct policy
+    rho = _phi3_family(1, seed=5)[0]
+    candidates = list(all_vocabularies(rho.env))
+    utilities = verify_utility_maximal_at_P(rho)  # the base index exists from here on
+    built = []
+    for owner, name in (
+        (bounds, "instantiate"),
+        (bounds, "mk_environment"),
+        (bounds, "mk_task"),
+        (LanguageIndex, "__init__"),
+        (TaskSpace, "__init__"),
+    ):
+        original = getattr(owner, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+    tables = []
+
+    def table(env, *rest):
+        tables.append(env)
+        return generalization_table(env, *rest)
+
+    monkeypatch.setattr(bounds, "generalization_table", table)
+    assert verify_utility_maximal_at_P(rho).to_json() == utilities.to_json()
+    compare_vocabularies(rho, candidates)
+    assert built == []
+    report = verify_upper_bound(rho, candidates)
+    assert "instantiate" not in built and "mk_task" not in built
+    with_policy = [
+        restricted.env for row, restricted, policies in _reference_pass(rho, candidates, Guards())
+        if policies
+    ]
+    assert tables == with_policy
+    assert report.ranking

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -24,7 +25,7 @@ from weakform import (
     save_environment,
     truth_set,
 )
-from weakform.core import LanguageIndex
+from weakform.core import LanguageIndex, Program
 from weakform.errors import (
     DuplicateProgram,
     IndexOutOfRange,
@@ -294,6 +295,31 @@ def test_environment_roundtrip(tmp_path, env2):
     loaded = load_environment(path)
     assert loaded == env2
     assert env_hash(loaded) == env_hash(env2)
+
+
+def test_environment_hash_is_computed_once(monkeypatch):
+    a = mk_environment(3, [[0], [1, 2], [0, 1]])
+    b = mk_environment(3, [[1, 2], [0, 1], [0]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.state_count, a.programs))  # the dataclass field hash
+    assert a != mk_environment(3, [[0], [1, 2]])
+    calls = []
+    program_hash = Program.__hash__
+    monkeypatch.setattr(Program, "__hash__", lambda p: calls.append(p) or program_hash(p))
+    c = mk_environment(3, [[0], [1, 2], [0, 1]])
+    for _ in range(3):
+        assert hash(c) == hash(a)
+    assert len(calls) == len(c.programs)
+
+
+def test_environment_hash_survives_pickle():
+    a = mk_environment(3, [[0], [1, 2], [0, 1]])
+    unhashed = mk_environment(3, [[0], [1, 2], [0, 1]])
+    hash(a)
+    for env in (a, unhashed):
+        copy = pickle.loads(pickle.dumps(env))
+        assert copy == a and hash(copy) == hash(a)
+        assert {a: 1}[copy] == 1
 
 
 def test_load_warns_on_reorder(tmp_path):

@@ -297,6 +297,17 @@ def test_infer_accepts_a_task_built_under_raised_guards():
     assert is_correct_policy(t, (1,)) and not is_correct_policy(t, (0,))
 
 
+def test_policies_of_a_task_built_under_raised_guards():
+    # the policy set and learning read the index the task was admitted
+    # with, not one re-checked against the default vocabulary guard
+    from weakform.learning import learn, weakness_proxy
+
+    env = mk_environment(25, [[s] for s in range(25)])
+    t = mk_task(env, [(0,)], [], Guards(max_vocabulary=25))
+    assert correct_policies(t).members == tuple((s,) for s in range(1, 25))
+    assert learn(t, weakness_proxy()) == (1,)
+
+
 def test_infer_deterministic(env2):
     t = mk_task(env2, [(2,)], [(0, 2)])
     a = infer(t, (2,), (2,), 7)
