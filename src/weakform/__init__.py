@@ -58,6 +58,7 @@ from .tasks import (  # noqa: E402  (core must import first)
 from .learning import (  # noqa: E402
     GeneralizationTable,
     Proxy,
+    estimate_generalization_probabilities,
     estimate_generalization_probability,
     evaluate_generalization,
     gen_cmp,

@@ -43,7 +43,7 @@ from .errors import (
     WeakformError,
 )
 from .learning import (
-    estimate_generalization_probability,
+    estimate_generalization_probabilities,
     evaluate_generalization,
     generalization_table,
     learn,
@@ -355,16 +355,11 @@ def _run_sample_gen(config, env, factory) -> list[dict[str, str]]:
     table = generalization_table(env, config.guards, config.include_empty_outputs)
     rows = []
     for seed in config.seeds:
-        for statement in lang:
+        estimates = estimate_generalization_probabilities(
+            env, lang, config.samples, seed, config.guards, config.include_empty_outputs
+        )
+        for statement, est in zip(lang, estimates):
             exact = table.probability(statement)
-            est = estimate_generalization_probability(
-                env,
-                statement,
-                config.samples,
-                seed,
-                config.guards,
-                config.include_empty_outputs,
-            )
             rows.append(
                 factory.row(
                     language_size=len(lang),

@@ -35,8 +35,8 @@ from .core import (
     DEFAULT_GUARDS,
     Environment,
     Guards,
-    LanguageIndex,
     Statement,
+    _index_cached,
     _stmt_order,
     encode_statement,
     extension_size,
@@ -54,6 +54,7 @@ __all__ = [
     "GeneralizationEstimate",
     "GeneralizationTable",
     "Proxy",
+    "estimate_generalization_probabilities",
     "estimate_generalization_probability",
     "evaluate_generalization",
     "gen_cmp",
@@ -231,7 +232,9 @@ class GeneralizationTable:
     denominator: int
 
     def numerator(self, l: Iterable[int]) -> int:
-        return self.numerators[LanguageIndex.of(self.env).position[require_statement(self.env, l)]]
+        # the table's index was admitted when the table was built, perhaps
+        # under raised guards, so it is not checked against the defaults again
+        return self.numerators[_index_cached(self.env).position[require_statement(self.env, l)]]
 
     def probability(self, l: Iterable[int]) -> Fraction:
         if self.denominator == 0:
@@ -331,6 +334,38 @@ class GeneralizationEstimate:
         return (max(0.0, p - half), min(1.0, p + half))
 
 
+def estimate_generalization_probabilities(
+    env: Environment,
+    statements: Iterable[Iterable[int]],
+    samples: int,
+    seed: int,
+    guards: Guards = DEFAULT_GUARDS,
+    include_empty_outputs: bool = True,
+) -> list[GeneralizationEstimate]:
+    """Estimate each statement's probability by uniform task sampling.
+
+    All statements share one stream of ``samples`` draws from
+    ``Random(seed)``, each decoded once, so every estimate equals that
+    statement's own call.  A draw is a hit for ``p`` when
+    ``union & pmask == omask``: ``E ∩ ext(p) = O``, the identity that
+    ``correct_policies`` states as down-sets.  Each estimate carries its
+    sample count and seed so the binomial error is reconstructible."""
+    xs = [require_statement(env, l) for l in statements]
+    space = task_space(env, guards, include_empty_outputs)
+    if space.total_count == 0:
+        raise EmptyTaskSpace("no tasks exist, generalization is undefined")
+    position = space.index.position
+    pmasks = [space.ext_masks[position[x]] for x in xs]
+    hits = [0] * len(xs)
+    rng = Random(seed)
+    for _ in range(samples):
+        _, union, omask = space._decode(rng.randrange(space.total_count))
+        for i, pmask in enumerate(pmasks):
+            if union & pmask == omask:
+                hits[i] += 1
+    return [GeneralizationEstimate(x, h, samples, seed) for x, h in zip(xs, hits)]
+
+
 def estimate_generalization_probability(
     env: Environment,
     l: Iterable[int],
@@ -339,22 +374,12 @@ def estimate_generalization_probability(
     guards: Guards = DEFAULT_GUARDS,
     include_empty_outputs: bool = True,
 ) -> GeneralizationEstimate:
-    """Estimate by uniform task sampling; reported with its sample count
-    and seed so the binomial error is reconstructible.  A draw is a hit
-    when ``union & pmask == omask``: ``E ∩ ext(p) = O``, the identity
-    that ``correct_policies`` states as down-sets."""
-    x = require_statement(env, l)
-    space = task_space(env, guards, include_empty_outputs)
-    if space.total_count == 0:
-        raise EmptyTaskSpace("no tasks exist, generalization is undefined")
-    pmask = space.ext_masks[space.index.position[x]]
-    rng = Random(seed)
-    hits = 0
-    for _ in range(samples):
-        _, union, omask = space._decode(rng.randrange(space.total_count))
-        if union & pmask == omask:
-            hits += 1
-    return GeneralizationEstimate(x, hits, samples, seed)
+    """Estimate by uniform task sampling: the one-statement case of
+    ``estimate_generalization_probabilities``."""
+    (est,) = estimate_generalization_probabilities(
+        env, (l,), samples, seed, guards, include_empty_outputs
+    )
+    return est
 
 
 # --- sample efficiency -----------------------------------------------------------------

@@ -3,10 +3,11 @@ task space.
 
 A task pairs a set of input statements with a set of designated correct
 outputs drawn from (but never equal to) the inputs' extension.  The task
-space of an environment is every such pair; it is counted in closed form
-(one power-of-two term per input set) and enumerated explicitly, and the
-two must agree.  Sampling is exactly uniform: a single random index into
-the counted space is decoded back into a task.
+space of an environment is every such pair; it is counted from the
+statements' extensions alone (a memoised pivot recursion over the
+statement order, no table of input sets) and enumerated explicitly, and
+the two must agree.  Sampling is exactly uniform: a single random index
+into the counted space is decoded back into a task.
 """
 
 from __future__ import annotations
@@ -307,18 +308,62 @@ def is_child(alpha: Task, omega: Task) -> bool:
 
 # --- the task space -----------------------------------------------------------------
 
+def _reach(ext: tuple[int, ...], q: int) -> int:
+    """The OR of ``ext`` over the positions in ``q``."""
+    r = 0
+    while q:
+        low = q & -q
+        r |= ext[low.bit_length() - 1]
+        q ^= low
+    return r
+
+
+def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict) -> int:
+    """``F(P, C)``: the sum over every subset I of the positions in P of
+    ``2^|up(I) & C|``, where ``up(x) = ext[x]`` and ``up(I)`` is their OR.
+
+    Pivot on the lowest position x of P, which is minimal in P
+    (statements are ordered by size, so no other member of P lies below
+    x).  The subsets without x give ``F(P - x, C)``.  A subset with x
+    counts all of ``up(x) & C``, takes the other members of
+    ``P & up(x)`` freely (their extensions lie inside x's), and leaves
+    ``F(P - up(x), C - up(x))``.  Positions of C that no member of P
+    reaches are never counted, so each step drops them: C stays inside
+    the reach of P (an empty P comes with an empty C), and ``memo``
+    stays small, at most 215 states over every vocabulary of up to five
+    programs on four states with |L| <= 20, where the subsets number up
+    to 2^20.
+    """
+    if not c:
+        return 1 << p.bit_count()
+    got = memo.get((p, c))
+    if got is None:
+        low = p & -p
+        up = ext[low.bit_length() - 1]
+        rest = p ^ low
+        far = p & ~up
+        reach_far = _reach(ext, far)
+        got = _union_power_sum(ext, rest, c & (reach_far | _reach(ext, rest & up)), memo) + (
+            _union_power_sum(ext, far, c & ~up & reach_far, memo)
+            << ((p & up).bit_count() - 1 + (up & c).bit_count())
+        )
+        memo[p, c] = got
+    return got
+
+
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
     Input sets are bit masks over the canonical language, taken in one
     canonical order (``_input_masks_in_order``: by size, then positions)
     that enumeration and sampling share; the index->task mapping of
-    ``sample_index`` is a contract.  ``unions[p]`` is the union of the
-    extensions of the input set at position p, and ``total_count``
-    weighs each union by the output sets below it.  The sampler keeps
-    one more 2^|L| table, the running task count ``cum`` along that
-    order; it finds an index's position by bisection and unranks the
-    position into its input set with binomials.
+    ``sample_index`` is a contract.  ``total_count`` is counted from the
+    statements' extension masks (``_union_power_sum``), with no table.
+    The first stream or draw builds ``unions``, whose entry p is the
+    union of the extensions of the input set at position p; the sampler
+    keeps one more 2^|L| table, the running task count ``cum`` along
+    that order.  It finds an index's position by bisection and unranks
+    the position into its input set with binomials.
     ``include_empty_outputs`` keeps or drops tasks whose correct output
     set is empty (kept by default).
     """
@@ -339,24 +384,34 @@ class TaskSpace:
                 f"|L_v| = {n} exceeds guard {guards.max_task_language}"
             )
         # each statement's extension as a mask over language positions
-        ext = self.ext_masks = tuple(map(self.index.extension_mask, self.language))
+        self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
-        # every input set's union of extensions in canonical order, one
-        # size class at a time: the k-sets with first member s are s
-        # joined to the (k-1)-sets after s, the last C(n-1-s, k-1) of
-        # class k-1.  An array, not a list: the garbage collector walks
-        # a list's entries (tens of ms at |L| = 20), never an array's.
+        m = self._min_outputs = 0 if include_empty_outputs else 1
+        # output sets strictly below an extension of k statements
+        self._weights = [max((1 << k) - 1 - m, 0) for k in range(n + 1)]
+        # every input set but the empty one and the whole language (whose
+        # unions have 0 and n statements) admits 2^|union| - 1 - m output
+        # sets; a nonempty union holds its own inputs, so none is negative
+        full = (1 << n) - 1
+        power_sum = _union_power_sum(self.ext_masks, full, full, {})
+        self.total_count = power_sum - 1 - (1 << n) - (1 + m) * ((1 << n) - 2)
+
+    @cached_property
+    def unions(self) -> array:
+        """Every input set's union of extensions in canonical order, built
+        on the first stream or draw, one size class at a time: the k-sets
+        with first member s are s joined to the (k-1)-sets after s, the
+        last C(n-1-s, k-1) of class k-1.  An array, not a list: the
+        garbage collector walks a list's entries (tens of ms at |L| = 20),
+        never an array's."""
+        ext = self.ext_masks
+        n = len(ext)
         unions = array("Q", ext if n > 1 else ())
         for k in range(2, n):
             end = len(unions)
             for s in range(n - k + 1):
                 unions.extend(map(ext[s].__or__, unions[end - comb(n - 1 - s, k - 1):end]))
-        self.unions = unions
-
-        self._min_outputs = 0 if include_empty_outputs else 1
-        # output sets strictly below an extension of k statements
-        self._weights = [max((1 << k) - 1 - self._min_outputs, 0) for k in range(n + 1)]
-        self.total_count = sum(self._task_counts())
+        return unions
 
     def _task_counts(self) -> Iterator[int]:
         """The number of tasks of each input set, in canonical order."""
@@ -514,7 +569,8 @@ def count_tasks(
     guards: Guards = DEFAULT_GUARDS,
     include_empty_outputs: bool = True,
 ) -> int:
-    """Exact size of the task space (one power-of-two term per input set)."""
+    """Exact size of the task space, counted from the statements'
+    extensions without building the table of input sets."""
     return task_space(env, guards, include_empty_outputs).total_count
 
 

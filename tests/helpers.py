@@ -124,6 +124,36 @@ def brute_sample_index(env: Environment, index: int, include_empty_outputs: bool
     raise IndexError("index past the task count")
 
 
+def brute_antichain_count(env: Environment, include_empty_outputs: bool = True) -> int:
+    """The task count by a depth-first walk over the antichains of the
+    statement order (x below y when y contains x).
+
+    An input set I is fixed by its minimal members A, an antichain, and
+    any subset of the rest of A's up-closure U, and its extension is U.
+    So A stands for 2^(|U| - |A|) input sets of 2^|U| - 1 - m output sets
+    each (m = 1 when empty outputs are excluded), less the whole
+    language, which is no input set.
+    """
+    lang = brute_language(env)
+    skip = 0 if include_empty_outputs else 1
+    up = [brute_extension(env, x) for x in lang]
+    comparable = [
+        {y for y in lang if set(x) <= set(y) or set(y) <= set(x)} for x in lang
+    ]
+
+    def walk(start: int, size: int, closure: set, blocked: set) -> int:
+        total = 0
+        for i in range(start, len(lang)):
+            if lang[i] in blocked:
+                continue
+            grown = closure | up[i]
+            total += 2 ** (len(grown) - size - 1) * (2 ** len(grown) - 1 - skip)
+            total += walk(i + 1, size + 1, grown, blocked | comparable[i])
+        return total
+
+    return walk(0, 0, set(), set()) - (2 ** len(lang) - 1 - skip)
+
+
 def brute_relation(env: Environment, name: str, true_pairs=()):
     """``holds(l1, l2)`` of a built-in proxy, by its definition.
 

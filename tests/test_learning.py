@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 
@@ -12,11 +13,15 @@ from weakform.errors import (
     IndexOutOfRange,
     NoCorrectPolicy,
     NotAStatement,
+    TaskSpaceTooLarge,
     TruthSetTooLarge,
     UnknownProxy,
+    VocabularyTooLarge,
 )
 from weakform.learning import (
+    GeneralizationTable,
     Proxy,
+    estimate_generalization_probabilities,
     estimate_generalization_probability,
     evaluate_generalization,
     gen_cmp,
@@ -32,7 +37,7 @@ from weakform.learning import (
     weakness_cmp,
     weakness_proxy,
 )
-from weakform.tasks import enumerate_tasks, mk_task
+from weakform.tasks import enumerate_tasks, mk_task, task_space
 
 from helpers import (
     all_environments,
@@ -40,6 +45,7 @@ from helpers import (
     brute_language,
     brute_relation,
     brute_sample_efficiency,
+    brute_sample_index,
 )
 
 
@@ -130,6 +136,18 @@ def test_generalization_table_env2_frozen(env2):
     assert table.denominator == 2330
 
 
+def test_table_numerator_under_raised_guards():
+    # 25 disjoint programs exceed the default vocabulary guard; a table
+    # admitted under raised guards answers without checking the defaults
+    env = mk_environment(25, [[s] for s in range(25)])
+    assert GeneralizationTable(env, True, ((),), (1,), 2).numerator(()) == 1
+    with pytest.raises(VocabularyTooLarge):
+        generalization_table(env)
+    table = generalization_table(env, Guards(max_vocabulary=25, max_task_language=26))
+    assert len(table.statements) == 26
+    assert table.probability((0,)) == Fraction((1 << 26) - 2 - 1, table.denominator)
+
+
 def test_generalization_probability_examples(env2):
     assert generalization_probability(env2, ()) == 0
     assert generalization_probability(env2, (0,)) == Fraction(59, 2330)
@@ -189,6 +207,49 @@ def test_estimator_deterministic(env2):
     a = estimate_generalization_probability(env2, (0,), samples=500, seed=9)
     b = estimate_generalization_probability(env2, (0,), samples=500, seed=9)
     assert a == b
+
+
+def test_estimates_match_per_draw_definition():
+    # one stream of draws for all statements, against each statement's
+    # own call and against the set definition of every draw
+    checked = 0
+    for env in all_environments(2, 3):
+        lang = enumerate_language(env)
+        for include_empty in (True, False):
+            total = task_space(env, include_empty_outputs=include_empty).total_count
+            for seed in (0, 5, 11):
+                if total == 0:
+                    with pytest.raises(EmptyTaskSpace):
+                        estimate_generalization_probabilities(env, lang, 30, seed, Guards(), include_empty)
+                    continue
+                hits = dict.fromkeys(lang, 0)
+                rng = Random(seed)
+                for _ in range(30):
+                    inputs, outs = brute_sample_index(env, rng.randrange(total), include_empty)
+                    for l in brute_correct_policies(mk_task(env, inputs, outs)):
+                        hits[l] += 1
+                batch = estimate_generalization_probabilities(env, lang, 30, seed, Guards(), include_empty)
+                single = [
+                    estimate_generalization_probability(env, l, 30, seed, Guards(), include_empty)
+                    for l in lang
+                ]
+                assert batch == single
+                assert [(e.statement, e.successes, e.samples, e.seed) for e in batch] == [
+                    (l, hits[l], 30, seed) for l in lang
+                ], (env, include_empty, seed)
+                checked += 1
+    assert checked > 50
+
+
+def test_estimates_check_statements_then_guard_then_space(env2):
+    with pytest.raises(NotAStatement):
+        estimate_generalization_probabilities(env2, [(0,), (0, 1)], 10, 0, Guards(max_task_language=4))
+    with pytest.raises(TaskSpaceTooLarge):
+        estimate_generalization_probabilities(env2, [(0,)], 10, 0, Guards(max_task_language=4))
+    with pytest.raises(IndexOutOfRange):
+        estimate_generalization_probabilities(mk_environment(1, []), [(), (0,)], 10, 0)
+    with pytest.raises(EmptyTaskSpace):
+        estimate_generalization_probabilities(mk_environment(1, []), [()], 10, 0)
 
 
 # --- sample efficiency ----------------------------------------------------------------

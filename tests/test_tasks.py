@@ -3,12 +3,14 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import time
 import tracemalloc
+from dataclasses import replace
 from itertools import accumulate, combinations
 
 import pytest
 
-from weakform import Guards, enumerate_language, mk_environment
+from weakform import Guards, enumerate_language, full_powerset_vocabulary, mk_environment
 from weakform.core import LanguageIndex
 from weakform.errors import (
     EmptyInputs,
@@ -23,6 +25,12 @@ from weakform.errors import (
     OutputsNotStrict,
     ParseError,
     TaskSpaceTooLarge,
+)
+from weakform.learning import (
+    generalization_table,
+    sample_efficiency,
+    simplicity_proxy,
+    weakness_proxy,
 )
 from weakform.tasks import (
     TaskSpace,
@@ -43,6 +51,7 @@ from weakform.tasks import (
 
 from helpers import (
     all_environments,
+    brute_antichain_count,
     brute_correct_policies,
     brute_extension_of_set,
     brute_language,
@@ -500,12 +509,32 @@ def test_task_space_build_holds_one_table():
     tracemalloc.start()
     try:
         space = TaskSpace(env, guards)
+        space.unions
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table = 8 << 18
     assert len(space.unions) == (1 << 18) - 2
     assert peak <= 1.25 * table + (64 << 10)
+
+
+def test_counting_builds_no_table():
+    # a vocabulary guard no other test uses keys a task space and a
+    # generalization table of their own
+    env, guards = _env_18()
+    guards = replace(guards, max_vocabulary=23)
+    tracemalloc.start()
+    try:
+        total = count_tasks(env, guards)
+        table = generalization_table(env, guards)
+        sample_efficiency(env, weakness_proxy(), simplicity_proxy(), guards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    space = task_space(env, guards)
+    assert table.denominator == total == space.total_count
+    assert "unions" not in vars(space) and "cum" not in vars(space)
+    assert peak <= (8 << 18) // 16
 
 
 def test_counting_and_enumerating_build_no_sampling_tables():
@@ -538,6 +567,7 @@ def test_first_draw_retains_one_table():
     # from the union table: each input set is unranked from its position
     space = TaskSpace(*_env_18())
     table = 8 << 18
+    space.unions  # the first stream or draw builds it; counting does not
     tracemalloc.start()
     try:
         space.sample_index(0)
@@ -553,6 +583,54 @@ def _disjoint_env(size):
     # size - 1 disjoint programs: each statement holds one of them, plus
     # the empty statement
     return mk_environment(max(size - 1, 1), [{i} for i in range(size - 1)])
+
+
+def _guard_limit_env():
+    # the shape of the benchmark's guard-limit environments: four states,
+    # six programs, a 20-statement language
+    env = mk_environment(4, [[1], [2], [3], [0, 2], [1, 2], [0, 2, 3]])
+    guards = Guards(max_task_language=20)
+    assert len(enumerate_language(env, guards)) == 20
+    return env, guards
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_count_matches_table_sum(include_empty):
+    # the pivot count against the weighted sum over the union table
+    cases = [(env, Guards()) for env in all_environments(3, 3)]
+    cases += [_guard_limit_env(), (_disjoint_env(20), Guards(max_task_language=20))]
+    for env, guards in cases:
+        space = TaskSpace(env, guards, include_empty)
+        assert space.total_count == sum(space._task_counts()), env
+        assert (space.cum[-1] if space.cum else 0) == space.total_count
+    assert len(cases) == 114
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_count_of_disjoint_programs_takes_no_antichain_walk(include_empty):
+    # 19 disjoint programs: the empty statement below 19 pairwise
+    # incomparable ones, so 2^19 antichains, but a linear count.  An input
+    # set holding the empty statement covers the language; any other
+    # covers just itself.
+    env, guards = _disjoint_env(20), Guards(max_task_language=20)
+    m = 0 if include_empty else 1
+    start = time.perf_counter()
+    total = TaskSpace(env, guards, include_empty).total_count
+    elapsed = time.perf_counter() - start
+    assert total == ((1 << 19) - 1) * ((1 << 20) - 1 - m) + 3**19 - 1 - (1 + m) * ((1 << 19) - 1)
+    assert elapsed < 0.25
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_count_matches_antichain_walk_past_the_table(include_empty):
+    # |L| = 38: no 2^|L| table could be built (2 TiB), and none is; a
+    # space that built it on construction fails here first
+    assert "unions" not in vars(TaskSpace(*_guard_limit_env()))
+    env = full_powerset_vocabulary(3)
+    space = TaskSpace(env, Guards(max_task_language=38), include_empty)
+    assert len(space.language) == 38
+    assert space.total_count == brute_antichain_count(env, include_empty)
+    assert "unions" not in vars(space)
 
 
 def _union_of(space, imask):
