@@ -34,6 +34,7 @@ from .core import (
 )
 from .errors import (
     EmptyInstantiation,
+    EmptyTaskSpace,
     InputsNotStrictSubset,
     InvalidVocabulary,
     NoCorrectPolicy,
@@ -511,8 +512,12 @@ def verify_upper_bound(
         restricted = Environment(
             rho.env.state_count, tuple(map(programs.__getitem__, _bits(vocabulary)))
         )
+        # a policy's position in the restricted language is its rank in L_B
+        language = masks.index.below(vocabulary)
         try:
             table = generalization_table(restricted, guards, include_empty_outputs)
+            if table.denominator == 0:
+                raise EmptyTaskSpace("no tasks exist, generalization is undefined")
             for p in _bits(policies):
                 pi = _renumbered(vocabulary, masks.index.statements[p])
                 pairs.append(
@@ -521,7 +526,10 @@ def verify_upper_bound(
                         row.vocabulary,
                         encode_statement(pi),
                         extension_size(restricted, pi, guards),
-                        table.probability(pi),
+                        Fraction(
+                            table.numerators[(language & ((1 << p) - 1)).bit_count()],
+                            table.denominator,
+                        ),
                     )
                 )
         except WeakformError:

@@ -7,17 +7,18 @@ space of an environment is every such pair; it is counted from the
 statements' extensions alone (a memoised pivot recursion over the
 statement order, no table of input sets) and enumerated explicitly, and
 the two must agree.  Sampling is exactly uniform: a single random index
-into the counted space is decoded back into a task.
+into the counted space is decoded back into a task by the same count,
+size class first and then one member of the input set at a time, so a
+draw builds no table either.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, chain, combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import and_, itemgetter, or_
 from pathlib import Path
@@ -318,24 +319,46 @@ def _reach(ext: tuple[int, ...], q: int) -> int:
     return r
 
 
-def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict) -> int:
-    """``F(P, C)``: the sum over every subset I of the positions in P of
-    ``2^|up(I) & C|``, where ``up(x) = ext[x]`` and ``up(I)`` is their OR.
+@lru_cache(maxsize=None)
+def _ones(n: int) -> tuple[int, ...]:
+    """``(1 + z)^a`` for a = 0..n, each packed into one int with the
+    coefficient of ``z^r`` in bits ``[r w, (r + 1) w)``, ``w = 2n + 2``."""
+    width = 2 * n + 2
+    ones = [1]
+    for _ in range(n):
+        ones.append(ones[-1] + (ones[-1] << width))
+    return tuple(ones)
+
+
+def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tuple[int, ...]) -> int:
+    """``G(P, C)``, size-graded: the coefficient of ``z^r`` is the sum
+    over the r-subsets T of the positions in P of ``2^|up(T) & C|``, where
+    ``up(x) = ext[x]`` and ``up(T)`` is their OR; ``ones`` is
+    ``_ones(len(ext))``.
+
+    The polynomial is packed into one int (Kronecker substitution), with
+    fields of ``w = 2|L| + 2`` bits.  A coefficient sums at most
+    ``C(|L|, r) <= 2^|L|`` powers of at most ``2^|L|``, so it is at most
+    ``2^(2|L|) < 2^w``, and so is every coefficient of the partial sums
+    and products below: no field ever carries into the next, and adding,
+    multiplying and shifting the ints adds, multiplies and scales the
+    polynomials exactly.
 
     Pivot on the lowest position x of P, which is minimal in P
     (statements are ordered by size, so no other member of P lies below
-    x).  The subsets without x give ``F(P - x, C)``.  A subset with x
+    x).  The subsets without x give ``G(P - x, C)``.  A subset with x
     counts all of ``up(x) & C``, takes the other members of
-    ``P & up(x)`` freely (their extensions lie inside x's), and leaves
-    ``F(P - up(x), C - up(x))``.  Positions of C that no member of P
-    reaches are never counted, so each step drops them: C stays inside
-    the reach of P (an empty P comes with an empty C), and ``memo``
-    stays small, at most 215 states over every vocabulary of up to five
-    programs on four states with |L| <= 20, where the subsets number up
-    to 2^20.
+    ``P & up(x)`` freely (their extensions lie inside x's, so they add
+    to the size only, a factor ``(1 + z)`` each), and leaves
+    ``G(P - up(x), C - up(x))``: one multiply and one shift.  Positions
+    of C that no member of P reaches are never counted, so each step
+    drops them: C stays inside the reach of P (an empty P comes with an
+    empty C), and ``memo`` stays small, at most 215 states over every
+    vocabulary of up to five programs on four states with |L| <= 20,
+    where the subsets number up to 2^20.
     """
     if not c:
-        return 1 << p.bit_count()
+        return ones[p.bit_count()]
     got = memo.get((p, c))
     if got is None:
         low = p & -p
@@ -343,9 +366,9 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict) -> int:
         rest = p ^ low
         far = p & ~up
         reach_far = _reach(ext, far)
-        got = _union_power_sum(ext, rest, c & (reach_far | _reach(ext, rest & up)), memo) + (
-            _union_power_sum(ext, far, c & ~up & reach_far, memo)
-            << ((p & up).bit_count() - 1 + (up & c).bit_count())
+        with_x = _union_power_sum(ext, far, c & ~up & reach_far, memo, ones) * ones[(p & up).bit_count() - 1]
+        got = _union_power_sum(ext, rest, c & (reach_far | _reach(ext, rest & up)), memo, ones) + (
+            with_x << (2 * len(ext) + 2 + (up & c).bit_count())
         )
         memo[p, c] = got
     return got
@@ -357,15 +380,17 @@ class TaskSpace:
     Input sets are bit masks over the canonical language, taken in one
     canonical order (``_input_masks_in_order``: by size, then positions)
     that enumeration and sampling share; the index->task mapping of
-    ``sample_index`` is a contract.  ``total_count`` is counted from the
+    ``sample_index`` is a contract.  ``total_count`` and the task count
+    of each size class are read off the size-graded pivot count of the
     statements' extension masks (``_union_power_sum``), with no table.
-    The first stream or draw builds ``unions``, whose entry p is the
-    union of the extensions of the input set at position p; the sampler
-    keeps one more 2^|L| table, the running task count ``cum`` along
-    that order.  It finds an index's position by bisection and unranks
-    the position into its input set with binomials.
-    ``include_empty_outputs`` keeps or drops tasks whose correct output
-    set is empty (kept by default).
+    A draw decodes its index with the same count: the size class from
+    the class totals, then each member of the input set in turn, from the
+    task count of each block of the canonical order (the sets that share
+    a prefix of members).  The draws share one memo of the count, kept
+    on the space.  Only the first stream builds a 2^|L| table,
+    ``unions``, whose entry p is the union of the extensions of the
+    input set at position p.  ``include_empty_outputs`` keeps or drops
+    tasks whose correct output set is empty (kept by default).
     """
 
     def __init__(
@@ -387,19 +412,28 @@ class TaskSpace:
         self.ext_masks = tuple(map(self.index.extension_mask, self.language))
 
         m = self._min_outputs = 0 if include_empty_outputs else 1
-        # output sets strictly below an extension of k statements
-        self._weights = [max((1 << k) - 1 - m, 0) for k in range(n + 1)]
-        # every input set but the empty one and the whole language (whose
-        # unions have 0 and n statements) admits 2^|union| - 1 - m output
-        # sets; a nonempty union holds its own inputs, so none is negative
+        self._ones = _ones(n)
+        # an input set of k statements (0 < k < n) admits 2^|union| - 1 - m
+        # output sets; a nonempty union holds its own inputs, so none is
+        # negative, and class k sums them over its C(n, k) sets
         full = (1 << n) - 1
-        power_sum = _union_power_sum(self.ext_masks, full, full, {})
-        self.total_count = power_sum - 1 - (1 << n) - (1 + m) * ((1 << n) - 2)
+        power_sum = _union_power_sum(self.ext_masks, full, full, {}, self._ones)
+        width = 2 * n + 2
+        self._class_counts = tuple(
+            (power_sum >> width * k & ((1 << width) - 1)) - (1 + m) * comb(n, k) for k in range(1, n)
+        )
+        self.total_count = sum(self._class_counts)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The memo of ``_union_power_sum`` that every draw shares, begun
+        on the first draw, so a space that only counts keeps none."""
+        return {}
 
     @cached_property
     def unions(self) -> array:
         """Every input set's union of extensions in canonical order, built
-        on the first stream or draw, one size class at a time: the k-sets
+        on the first stream, one size class at a time: the k-sets
         with first member s are s joined to the (k-1)-sets after s, the
         last C(n-1-s, k-1) of class k-1.  An array, not a list: the
         garbage collector walks a list's entries (tens of ms at |L| = 20),
@@ -412,10 +446,6 @@ class TaskSpace:
             for s in range(n - k + 1):
                 unions.extend(map(ext[s].__or__, unions[end - comb(n - 1 - s, k - 1):end]))
         return unions
-
-    def _task_counts(self) -> Iterator[int]:
-        """The number of tasks of each input set, in canonical order."""
-        return map(self._weights.__getitem__, map(int.bit_count, self.unions))
 
     def task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``, both
@@ -471,54 +501,48 @@ class TaskSpace:
 
     # -- exact uniform sampling ----------------------------------------------
 
-    @cached_property
-    def cum(self) -> array:
-        """The running task count over ``unions``, built on the first
-        draw: entry p counts the tasks whose input set sits at position p
-        or before.  A set that admits no task repeats its predecessor's
-        count, so bisection never lands on it.  The input set at a
-        position is unranked, not stored."""
-        return array("Q", accumulate(self._task_counts()))
-
-    @cached_property
-    def _binomials(self) -> list[list[int]]:
-        n = len(self.language)
-        return [[comb(m, j) for j in range(n + 1)] for m in range(n + 1)]
-
-    def _unrank(self, pos: int) -> int:
-        """The input mask at position ``pos`` of the canonical order: the
-        size class first, then the lexicographic rank within it."""
-        n = len(self.language)
-        binom = self._binomials
-        k = 1
-        while pos >= binom[n][k]:
-            pos -= binom[n][k]
-            k += 1
-        imask = 0
-        i = 0
-        while k:
-            # the k-subsets of positions i.. whose smallest member is i
-            first = binom[n - 1 - i][k - 1]
-            if pos < first:
-                imask |= 1 << i
-                k -= 1
-            else:
-                pos -= first
-            i += 1
-        return imask
-
     def _decode(self, index: int) -> tuple[int, int, int]:
         """The input mask, its union of extensions and the output mask of
-        the task at a flat index in [0, total_count)."""
+        the task at a flat index in [0, total_count).
+
+        The tasks of one input set are consecutive, input sets come in
+        canonical order, and the index falls into the first set whose
+        running task count exceeds it.  That set is found without a
+        table: first its size class, from the class totals; then, with
+        the members chosen so far (union U) and r still to choose, the
+        sets whose next member is i form one block, holding
+        ``2^|U | up(i)| * G(after i, ~(U | up(i)))[r-1] - (1+m) C(n-1-i, r-1)``
+        tasks.  The index takes i when it falls inside that block, and
+        otherwise skips the block.  A set that admits no task adds
+        nothing to its block, so the index never lands on it."""
         if not 0 <= index < self.total_count:
             raise IndexOutOfRange(f"task index {index} outside [0, {self.total_count})")
-        cum = self.cum
-        pos = bisect_right(cum, index)
-        union = self.unions[pos]
-        offset = index - (cum[pos - 1] if pos else 0)
-        ordinal = offset + self._min_outputs  # skip the empty output set if excluded
+        ext = self.ext_masks
+        n = len(ext)
+        width = 2 * n + 2
+        field = (1 << width) - 1
+        m = self._min_outputs
+        r = 1
+        while index >= self._class_counts[r - 1]:
+            index -= self._class_counts[r - 1]
+            r += 1
+        imask = union = 0
+        i = 0
+        while r:
+            joined = union | ext[i]
+            after = ((1 << n) - 1) ^ ((2 << i) - 1)  # the positions past i
+            rest = _union_power_sum(ext, after, after & ~joined, self._memo, self._ones)
+            block = ((rest >> width * (r - 1) & field) << joined.bit_count()) - (1 + m) * comb(n - 1 - i, r - 1)
+            if index < block:
+                imask |= 1 << i
+                union = joined
+                r -= 1
+            else:
+                index -= block
+            i += 1
+        ordinal = index + m  # skip the empty output set if excluded
         omask = sum(1 << i for bit, i in enumerate(_bits(union)) if (ordinal >> bit) & 1)
-        return self._unrank(pos), union, omask
+        return imask, union, omask
 
     def sample_index(self, index: int) -> tuple[int, int]:
         """Decode a flat index in [0, total_count) into task masks."""

@@ -2,17 +2,23 @@
 
 Everything here works on plain Python sets with itertools, deliberately
 avoiding the bit-mask machinery of the package under test, so the two
-can disagree when one of them is wrong.
+can disagree when one of them is wrong.  The one exception is the table
+sampler (``table_decode``), the sampler that the counting decoder
+replaced, kept as its oracle: it reads a task space's union table and
+tabulates the running task count along it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 from weakform import Environment, Program, mk_environment, mk_task
-from weakform.errors import EmptyInstantiation, InvalidVocabulary
+from weakform.errors import EmptyInstantiation, IndexOutOfRange, InvalidVocabulary
 
 
 def brute_language(env: Environment) -> list[tuple[int, ...]]:
@@ -122,6 +128,66 @@ def brute_sample_index(env: Environment, index: int, include_empty_outputs: bool
             return inputs, tuple(y for bit, y in enumerate(ext) if ordinal >> bit & 1)
         index -= admits
     raise IndexError("index past the task count")
+
+
+def table_weight(space, size: int) -> int:
+    """The output sets strictly below an extension of ``size`` statements,
+    less the empty one when the space excludes it."""
+    return max((1 << size) - 1 - space._min_outputs, 0)
+
+
+def table_task_counts(space) -> list[int]:
+    """The number of tasks of each input set, in canonical order, read
+    off the space's union table."""
+    return [table_weight(space, union.bit_count()) for union in space.unions]
+
+
+@lru_cache(maxsize=2)
+def table_running_count(space) -> array:
+    """The running task count along the canonical order: entry p counts
+    the tasks whose input set sits at position p or before."""
+    return array("Q", accumulate(table_task_counts(space)))
+
+
+def table_unrank(space, pos: int) -> int:
+    """The input mask at position ``pos`` of the canonical order, by the
+    combinatorial number system: the size class first, then the
+    lexicographic rank within it."""
+    n = len(space.language)
+    k = 1
+    while pos >= comb(n, k):
+        pos -= comb(n, k)
+        k += 1
+    imask = 0
+    i = 0
+    while k:
+        # the k-subsets of positions i.. whose smallest member is i
+        first = comb(n - 1 - i, k - 1)
+        if pos < first:
+            imask |= 1 << i
+            k -= 1
+        else:
+            pos -= first
+        i += 1
+    return imask
+
+
+def table_decode(space, index: int) -> tuple[int, int, int]:
+    """The input mask, its union of extensions and the output mask of
+    the task at a flat index, by the table sampler: bisect the running
+    count for the position of the input set (a set that admits no task
+    repeats its predecessor's count, so bisection never lands on it),
+    read its union off the table, unrank the position, and pick the
+    output set's members by the bits of its ordinal."""
+    if not 0 <= index < space.total_count:
+        raise IndexOutOfRange(f"task index {index} outside [0, {space.total_count})")
+    cum = table_running_count(space)
+    pos = bisect_right(cum, index)
+    union = space.unions[pos]
+    ordinal = index - (cum[pos - 1] if pos else 0) + space._min_outputs
+    members = [i for i in range(union.bit_length()) if union >> i & 1]
+    omask = sum(1 << i for bit, i in enumerate(members) if ordinal >> bit & 1)
+    return table_unrank(space, pos), union, omask
 
 
 def brute_antichain_count(env: Environment, include_empty_outputs: bool = True) -> int:

@@ -7,6 +7,8 @@ import time
 import tracemalloc
 from dataclasses import replace
 from itertools import accumulate, combinations
+from math import comb
+from random import Random
 
 import pytest
 
@@ -56,6 +58,11 @@ from helpers import (
     brute_extension_of_set,
     brute_language,
     brute_sample_index,
+    table_decode,
+    table_running_count,
+    table_task_counts,
+    table_unrank,
+    table_weight,
 )
 
 
@@ -487,12 +494,11 @@ def test_hierarchy_level_guard():
 
 
 def test_task_space_tables_are_not_walked_by_gc(env2):
-    # the 2^|L| tables are flat arrays: a collection that reaches one
+    # the 2^|L| union table is a flat array: a collection that reaches it
     # visits its type, not one int object per entry
     space = task_space(env2)
-    for table in (space.unions, space.cum):
-        assert len(table) > 1
-        assert gc.get_referents(table) == [type(table)]
+    assert len(space.unions) > 1
+    assert gc.get_referents(space.unions) == [type(space.unions)]
 
 
 def _env_18():
@@ -533,7 +539,7 @@ def test_counting_builds_no_table():
         tracemalloc.stop()
     space = task_space(env, guards)
     assert table.denominator == total == space.total_count
-    assert "unions" not in vars(space) and "cum" not in vars(space)
+    assert "unions" not in vars(space) and "_memo" not in vars(space)
     assert peak <= (8 << 18) // 16
 
 
@@ -542,10 +548,10 @@ def test_counting_and_enumerating_build_no_sampling_tables():
     env = mk_environment(2, [{0}, {1}, {0, 1}])
     guards = Guards(max_task_language=13)
     space = task_space(env, guards)
-    assert count_tasks(env, guards) == sum(1 for _ in enumerate_tasks(env, guards)) == 2330
-    assert "cum" not in vars(space)
+    assert count_tasks(env, guards) == 2330
     space.sample(0)
-    assert "cum" in vars(space)
+    assert "unions" not in vars(space)
+    assert sum(1 for _ in enumerate_tasks(env, guards)) == 2330
 
 
 def test_sample_index_matches_brute_definition():
@@ -562,21 +568,28 @@ def test_sample_index_matches_brute_definition():
     assert checked == 5738
 
 
-def test_first_draw_retains_one_table():
-    # the sampler keeps only the running count, accumulated straight
-    # from the union table: each input set is unranked from its position
+def test_first_draw_builds_no_table():
+    # a draw counts its way to the task: it builds neither the union
+    # table nor a running count, and keeps only the count's memo
     space = TaskSpace(*_env_18())
     table = 8 << 18
-    space.unions  # the first stream or draw builds it; counting does not
+    rng = Random(18)
     tracemalloc.start()
     try:
         space.sample_index(0)
-        retained, peak = tracemalloc.get_traced_memory()
+        for _ in range(100):
+            space.sample_index(rng.randrange(space.total_count))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(space.cum) == (1 << 18) - 2
-    assert retained <= 1.1 * table
-    assert peak <= 1.1 * table + (64 << 10)
+    assert "unions" not in vars(space) and "cum" not in vars(space)
+    assert peak <= table // 16
+    # at the guard-limit shape the two tables took about 0.25 s to build;
+    # the first draw now takes about a millisecond
+    space = TaskSpace(*_guard_limit_env())
+    start = time.perf_counter()
+    space.sample_index(space.total_count // 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def _disjoint_env(size):
@@ -601,8 +614,9 @@ def test_count_matches_table_sum(include_empty):
     cases += [_guard_limit_env(), (_disjoint_env(20), Guards(max_task_language=20))]
     for env, guards in cases:
         space = TaskSpace(env, guards, include_empty)
-        assert space.total_count == sum(space._task_counts()), env
-        assert (space.cum[-1] if space.cum else 0) == space.total_count
+        assert space.total_count == sum(table_task_counts(space)), env
+        cum = table_running_count(space)
+        assert (cum[-1] if cum else 0) == space.total_count
     assert len(cases) == 114
 
 
@@ -648,15 +662,94 @@ def test_unrank_matches_canonical_order():
         assert len(space.language) == size
         order = list(space._input_masks_in_order())
         assert len(order) == max((1 << size) - 2, 0)
-        assert list(map(space._unrank, range(len(order)))) == order, size
+        assert [table_unrank(space, pos) for pos in range(len(order))] == order, size
 
 
 @pytest.mark.parametrize("include_empty", [True, False])
 def test_running_count_matches_canonical_walk(include_empty):
     space = TaskSpace(*_env_18(), include_empty_outputs=include_empty)
-    weights = (space._weights[_union_of(space, m).bit_count()] for m in space._input_masks_in_order())
-    assert list(space.cum) == list(accumulate(weights))
-    assert space.cum[-1] == space.total_count
+    weights = (table_weight(space, _union_of(space, m).bit_count()) for m in space._input_masks_in_order())
+    cum = table_running_count(space)
+    assert list(cum) == list(accumulate(weights))
+    assert cum[-1] == space.total_count
+
+
+def _class_boundaries(space):
+    """The first and last index of every size class that holds a task,
+    read off the table sampler's running count."""
+    cum = table_running_count(space)
+    n = len(space.language)
+    out = []
+    start = 0
+    for k in range(1, n):
+        end = start + comb(n, k)
+        first = cum[start - 1] if start else 0
+        if cum[end - 1] > first:
+            out += [first, cum[end - 1] - 1]
+        start = end
+    return out
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_draws_match_the_running_count_oracle(include_empty):
+    # the counting decoder against the table sampler it replaced: every
+    # size-class boundary, 2,000 seeded indices on each |L| >= 18 space,
+    # and a stride over every environment of up to three programs on
+    # three states
+    def check(space, indices):
+        for i in indices:
+            expected = table_decode(space, i)
+            assert space._decode(i) == expected, (space.env, i)
+            assert space.sample_index(i) == expected[::2]
+
+    large = [_env_18(), _guard_limit_env(), (_disjoint_env(20), Guards(max_task_language=20))]
+    for env, guards in large:
+        space = TaskSpace(env, guards, include_empty)
+        rng = Random(len(space.language))
+        check(space, _class_boundaries(space))
+        check(space, [rng.randrange(space.total_count) for _ in range(2000)])
+    checked = 0
+    for env in all_environments(3, 3):
+        space = TaskSpace(env, Guards(), include_empty)
+        check(space, _class_boundaries(space))
+        check(space, range(0, space.total_count, 11))
+        checked += 1
+    assert checked == 112
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_draws_past_the_table(include_empty):
+    # |L| = 38: a table sampler would need 2 TiB; the counting decoder
+    # draws valid tasks, in canonical order, with no table at all
+    env = full_powerset_vocabulary(3)
+    guards = Guards(max_task_language=38)
+    space = TaskSpace(env, guards, include_empty)
+    n = len(space.language)
+    for task in space.sample_many(38, 50):
+        again = mk_task(env, task.inputs, task.outputs_correct, guards)
+        assert again == task and again.extension.members == task.extension.members
+        assert task.outputs_correct or include_empty
+    # the first task: the first statement alone, with the first output set
+    first = space.ext_masks[0]
+    assert space.sample_index(0) == (1, 0 if include_empty else first & -first)
+    # the last: every statement but the first, with every member of the
+    # extension but its lowest
+    last = (1 << n) - 2
+    union = _union_of(space, last)
+    assert space.sample_index(space.total_count - 1) == (last, union ^ (union & -union))
+    # sorted indices decode in canonical order: size, positions, then
+    # the output set's ordinal among the extension's members
+    rng = Random(n)
+    keys = []
+    for i in sorted({rng.randrange(space.total_count) for _ in range(200)}):
+        imask, union, omask = space._decode(i)
+        assert union == _union_of(space, imask)
+        positions = [j for j in range(n) if imask >> j & 1]
+        members = [j for j in range(n) if union >> j & 1]
+        ordinal = sum(1 << bit for bit, j in enumerate(members) if omask >> j & 1)
+        keys.append((len(positions), positions, ordinal))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert "unions" not in vars(space)
 
 
 def test_unions_match_their_definition():
