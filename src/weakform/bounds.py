@@ -355,7 +355,8 @@ def _renumbered(vocabulary: int, statement: Statement) -> Statement:
 
 def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards) -> list:
     """Each candidate's utility row, with its base program mask and its
-    correct policies as a mask over the base language (0 if not found)."""
+    correct policies as a mask over the base language (0 if the row has
+    an error)."""
     masks = rho._masks
     position = rho._position
     statements = masks.index.statements
@@ -404,6 +405,7 @@ def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], gua
             )
         except WeakformError as exc:
             row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
+            policies = 0  # a row with an error ranks none of its pairs
         out.append((row, vocabulary, policies))
     return out
 

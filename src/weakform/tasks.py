@@ -9,7 +9,8 @@ statement order, no table of input sets) and enumerated explicitly, and
 the two must agree.  Sampling is exactly uniform: a single random index
 into the counted space is decoded back into a task by the same count,
 size class first and then one member of the input set at a time, so a
-draw builds no table either.
+draw builds no table either.  The stream decodes one extension per run
+of equal consecutive unions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 from operator import and_, itemgetter, or_
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_GUARDS,
@@ -80,8 +81,9 @@ class Task(tuple):
     """Inputs, correct outputs, and the cached input extension.
 
     A slotted tuple ``(env, inputs, outputs_correct, extension)`` with
-    read-only fields: the task space streams millions of tasks, and a
-    tuple is built in C, with no Python ``__init__``.  Two tasks are equal
+    read-only fields, built from one iterable as a tuple is: the task
+    space streams millions of tasks, and the type call builds each in C
+    (``mk_task`` is the validated constructor).  Two tasks are equal
     when their environment, inputs and correct outputs are (the extension
     follows from the inputs), and the hash agrees.  A task equals only
     another ``Task``: never a plain tuple of the same fields.
@@ -89,22 +91,10 @@ class Task(tuple):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        env: Environment,
-        inputs: tuple[Statement, ...],
-        outputs_correct: tuple[Statement, ...],
-        extension: ExtensionSet,
-    ) -> Task:
-        return tuple.__new__(cls, (env, inputs, outputs_correct, extension))
-
     env = property(itemgetter(0))
     inputs = property(itemgetter(1))
     outputs_correct = property(itemgetter(2))
     extension = property(itemgetter(3))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -166,7 +156,7 @@ def mk_task(
             )
     if len(outs) == ext.size:
         raise OutputsNotStrict("outputs equal the whole input extension")
-    return Task(env, ins, outs, ext)
+    return Task((env, ins, outs, ext))
 
 
 def outputs(task: Task) -> ExtensionSet:
@@ -309,6 +299,12 @@ def is_child(alpha: Task, omega: Task) -> bool:
 
 # --- the task space -----------------------------------------------------------------
 
+def _subsets_in_order(items: Sequence) -> Iterator[tuple]:
+    """The canonical order of input sets over ``items``: the k-subsets for
+    k = 1..n-1, by size, then positions."""
+    return chain.from_iterable(combinations(items, k) for k in range(1, len(items)))
+
+
 def _reach(ext: tuple[int, ...], q: int) -> int:
     """The OR of ``ext`` over the positions in ``q``."""
     r = 0
@@ -377,20 +373,21 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
-    Input sets are bit masks over the canonical language, taken in one
-    canonical order (``_input_masks_in_order``: by size, then positions)
-    that enumeration and sampling share; the index->task mapping of
-    ``sample_index`` is a contract.  ``total_count`` and the task count
-    of each size class are read off the size-graded pivot count of the
-    statements' extension masks (``_union_power_sum``), with no table.
-    A draw decodes its index with the same count: the size class from
-    the class totals, then each member of the input set in turn, from the
-    task count of each block of the canonical order (the sets that share
-    a prefix of members).  The draws share one memo of the count, kept
-    on the space.  Only the first stream builds a 2^|L| table,
-    ``unions``, whose entry p is the union of the extensions of the
-    input set at position p.  ``include_empty_outputs`` keeps or drops
-    tasks whose correct output set is empty (kept by default).
+    Input sets come in one canonical order (``_subsets_in_order``: by
+    size, then positions) that enumeration and sampling share; the
+    index->task mapping of ``sample_index`` is a contract.
+    ``total_count`` and the task count of each size class are read off
+    the size-graded pivot count of the statements' extension masks
+    (``_union_power_sum``), with no table.  A draw decodes its index
+    with the same count: the size class from the class totals, then
+    each member of the input set in turn, from the task count of each
+    block of the canonical order (the sets that share a prefix of
+    members).  The draws share one memo of the count, kept on the
+    space.  Only the first stream builds a 2^|L| table, ``unions``,
+    whose entry p is the union of the extensions of the input set at
+    position p; a run of equal unions shares one decoded extension.
+    ``include_empty_outputs`` keeps or drops tasks whose correct output
+    set is empty (kept by default).
     """
 
     def __init__(
@@ -463,38 +460,38 @@ class TaskSpace:
         if omask == ext:
             raise OutputsNotStrict("outputs equal the whole input extension")
         statements_of = self.index.statements_of
-        return Task(
+        return Task((
             self.env,
             statements_of(imask),
             statements_of(omask),
             ExtensionSet._of_canonical(statements_of(ext)),
-        )
+        ))
 
     # -- enumeration -------------------------------------------------------
 
     def _input_masks_in_order(self) -> Iterator[int]:
-        """The canonical order of input sets: by size, then positions."""
-        bits = [1 << i for i in range(len(self.language))]
-        return chain.from_iterable(map(sum, combinations(bits, k)) for k in range(1, len(bits)))
+        """The canonical order of input sets, as masks."""
+        return map(sum, _subsets_in_order([1 << i for i in range(len(self.language))]))
 
     def tasks(self) -> Iterator[Task]:
         """Every task exactly once: input sets by size then encoding,
         output sets likewise within each input set."""
         env = self.env
-        statements_of = self.index.statements_of
-        for imask, union in zip(self._input_masks_in_order(), self.unions):
-            # everything but the output set is shared across one input set
-            inputs = statements_of(imask)
-            ext_statements = statements_of(union)
-            ext = ExtensionSet._of_canonical(ext_statements)
+        statements = self.language
+        last = None
+        for inputs, union in zip(_subsets_in_order(statements), self.unions):
+            # everything but the output set is shared across a run of
+            # input sets with one union
+            if union != last:
+                last = union
+                ext_statements = tuple(map(statements.__getitem__, _bits(union)))
+                ext = ExtensionSet._of_canonical(ext_statements)
+                sizes = range(self._min_outputs, len(ext_statements))
             # output sets by size, then positions, short of the whole extension
-            outs = chain.from_iterable(
-                combinations(ext_statements, r) for r in range(self._min_outputs, len(ext_statements))
-            )
-            # C iterators build the tasks: no Python frame runs per task
-            # but this generator's own
-            fields = zip(repeat(env), repeat(inputs), outs, repeat(ext))
-            yield from map(tuple.__new__, repeat(Task), fields)
+            outs = chain.from_iterable(map(combinations, repeat(ext_statements), sizes))
+            # C iterators and the type call build the tasks: no Python
+            # frame runs per task but this generator's own
+            yield from map(Task, zip(repeat(env), repeat(inputs), outs, repeat(ext)))
 
     def __iter__(self) -> Iterator[Task]:
         return self.tasks()

@@ -2,10 +2,11 @@
 
 Everything here works on plain Python sets with itertools, deliberately
 avoiding the bit-mask machinery of the package under test, so the two
-can disagree when one of them is wrong.  The one exception is the table
-sampler (``table_decode``), the sampler that the counting decoder
-replaced, kept as its oracle: it reads a task space's union table and
-tabulates the running task count along it.
+can disagree when one of them is wrong.  The two exceptions are former
+fast paths, kept as oracles of the ones that replaced them: the table
+sampler (``table_decode``), which reads a task space's union table and
+tabulates the running task count along it, and the mask stream
+(``mask_stream``), which decodes every input set's masks afresh.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import hashlib
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
 from weakform import Environment, Program, mk_environment, mk_task
+from weakform.core import ExtensionSet
 from weakform.errors import EmptyInstantiation, IndexOutOfRange, InvalidVocabulary
+from weakform.tasks import Task
 
 
 def brute_language(env: Environment) -> list[tuple[int, ...]]:
@@ -188,6 +191,27 @@ def table_decode(space, index: int) -> tuple[int, int, int]:
     members = [i for i in range(union.bit_length()) if union >> i & 1]
     omask = sum(1 << i for bit, i in enumerate(members) if ordinal >> bit & 1)
     return table_unrank(space, pos), union, omask
+
+
+def mask_stream(space):
+    """Every task of a space, as the stream built them before it took
+    input tuples from ``combinations`` and one extension per run of
+    equal unions: each input set's input and union masks are decoded
+    through ``statements_of``, each gets a fresh ``ExtensionSet``, and
+    ``tuple.__new__`` builds the tasks."""
+    env = space.env
+    statements_of = space.index.statements_of
+    bits = [1 << i for i in range(len(space.language))]
+    masks = chain.from_iterable(map(sum, combinations(bits, k)) for k in range(1, len(bits)))
+    for imask, union in zip(masks, space.unions):
+        inputs = statements_of(imask)
+        ext_statements = statements_of(union)
+        ext = ExtensionSet._of_canonical(ext_statements)
+        outs = chain.from_iterable(
+            combinations(ext_statements, r) for r in range(space._min_outputs, len(ext_statements))
+        )
+        fields = zip(repeat(env), repeat(inputs), outs, repeat(ext))
+        yield from map(tuple.__new__, repeat(Task), fields)
 
 
 def brute_antichain_count(env: Environment, include_empty_outputs: bool = True) -> int:

@@ -360,6 +360,7 @@ def _reference_pass(rho, candidates, guards):
             )
         except WeakformError as exc:
             row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
+            policies = ()  # a row with an error ranks none of its pairs
         out.append((row, restricted, policies))
     return out
 
@@ -453,6 +454,20 @@ def test_bound_reports_match_per_candidate_restriction(guards):
             got = verify_upper_bound(rho, candidates + _malformed(rho), guards, include_empty)
             want = _reference_bound(rho, candidates + _malformed(rho), guards, include_empty)
             assert got.to_json() == want.to_json(), (rho, include_empty)
+
+
+def test_rows_with_an_error_rank_no_pair():
+    # a candidate with a policy too wide for the truth-set guard ranks
+    # none of its pairs, not those before the too-wide one
+    guards = Guards(max_truth_set=1)
+    erred = 0
+    for rho in _reference_cases(2) + _reference_cases(3):
+        for include_empty in (True, False):
+            report = verify_upper_bound(rho, list(all_vocabularies(rho.env)), guards, include_empty)
+            errors = {r.index for r in report.utility_rows if r.error}
+            assert not errors & {p.candidate_index for p in report.ranking}, (rho, include_empty)
+            erred += "TruthSetTooLarge" in {r.error for r in report.utility_rows}
+    assert erred
 
 
 def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):

@@ -6,8 +6,9 @@ import pickle
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress, islice
 from math import comb
+from operator import attrgetter, is_not, itemgetter
 from random import Random
 
 import pytest
@@ -35,6 +36,7 @@ from weakform.learning import (
     weakness_proxy,
 )
 from weakform.tasks import (
+    Task,
     TaskSpace,
     correct_policies,
     count_tasks,
@@ -58,6 +60,7 @@ from helpers import (
     brute_extension_of_set,
     brute_language,
     brute_sample_index,
+    mask_stream,
     table_decode,
     table_running_count,
     table_task_counts,
@@ -165,6 +168,17 @@ def test_task_pickles_and_copies(env2):
             assert again.extension.members == task.extension.members
             assert again.env == task.env
             assert repr(again) == repr(task)
+
+
+def test_task_is_built_from_one_iterable(env2):
+    built = mk_task(env2, [(2,), (1,)], [(0, 2)])
+    fields = (built.env, built.inputs, built.outputs_correct, built.extension)
+    for task in (Task(fields), Task(iter(fields))):
+        assert type(task) is Task
+        assert task == built and hash(task) == hash(built)
+        assert task.extension.members == built.extension.members
+    with pytest.raises(TypeError):
+        Task(*fields)
 
 
 def test_mk_task_empty_inputs(env2):
@@ -759,6 +773,42 @@ def test_unions_match_their_definition():
         assert len(space.unions) == max((1 << len(space.language)) - 2, 0)
         reference = [_union_of(space, m) for m in space._input_masks_in_order()]
         assert list(space.unions) == reference, space.env
+
+
+_compared = itemgetter(0, 1, 2)  # env, inputs, outputs_correct
+_members = attrgetter("extension.members")
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_stream_matches_the_mask_stream(include_empty):
+    envs = list(all_environments(3, 3)) + [_disjoint_env(size) for size in range(1, 11)]
+    gc.disable()  # the chunks below hold thousands of young tuples
+    try:
+        for env in envs:
+            space = TaskSpace(env, include_empty_outputs=include_empty)
+            got, want = space.tasks(), mask_stream(space)
+            streamed = 0
+            previous = None
+            # compared a chunk at a time, with C iterators, since the
+            # streams run to millions of tasks
+            while chunk := list(islice(got, 1 << 12)):
+                expected = list(islice(want, len(chunk)))
+                assert set(map(type, chunk)) == {Task}, env
+                assert list(map(_compared, chunk)) == list(map(_compared, expected)), env
+                assert list(map(_members, chunk)) == list(map(_members, expected)), env
+                # every input set admits a task when empty outputs count,
+                # so consecutive tasks come from one or consecutive input
+                # sets, and a new extension object means a new union
+                exts = [previous, *map(itemgetter(3), chunk)]
+                if include_empty:
+                    for before, after in compress(zip(exts, exts[1:]), map(is_not, exts, exts[1:])):
+                        assert before is None or before.members != after.members, env
+                previous = exts[-1]
+                streamed += len(chunk)
+            assert next(want, None) is None, env
+            assert streamed == space.total_count, env
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("index", [-1, -2330, 2330, 2331, 1 << 70])
