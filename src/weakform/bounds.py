@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -34,7 +35,6 @@ from .core import (
 )
 from .errors import (
     EmptyInstantiation,
-    EmptyTaskSpace,
     InputsNotStrictSubset,
     InvalidVocabulary,
     NoCorrectPolicy,
@@ -44,8 +44,16 @@ from .errors import (
     VocabularyTooLarge,
     WeakformError,
 )
-from .learning import generalization_table
-from .tasks import Task, _policy_bounds, _policy_mask, _programs, correct_policies, mk_task
+from .tasks import (
+    Task,
+    _class_counts,
+    _ones,
+    _policy_bounds,
+    _policy_mask,
+    _programs,
+    correct_policies,
+    mk_task,
+)
 
 __all__ = [
     "BoundReport",
@@ -301,6 +309,11 @@ class _BaseMasks:
     completes one inside ``L_B``, whose programs are a subset of its own.
     The renumbering onto B is monotone, so base canonical order is the
     restricted canonical order; only report strings need it.
+
+    The restricted task space is counted off the same masks: its task
+    counts are ``tasks._class_counts`` over ``L_B`` with the base
+    extensions, and a policy's numerator needs only the sizes of its
+    extension and of its incompatible statements inside ``L_B``.
     """
 
     def __init__(self, base: Task):
@@ -314,6 +327,7 @@ class _BaseMasks:
         self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in statements)
         self.codes = tuple(map(encode_statement, env.program_sets()))
         self.inputs = sum(1 << position[x] for x in base.inputs)
+        self.input_programs = tuple(map(_programs, base.inputs))
         self.outputs = sum(1 << position[y] for y in base.outputs_correct)
         self.extension = sum(1 << position[y] for y in base.extension)
 
@@ -322,10 +336,13 @@ class _BaseMasks:
         the base language, for the base program mask ``vocabulary``.
         Raises what ``instantiate`` and ``correct_policies`` raise on a
         valid sub-vocabulary, in the same order."""
+        # an input survives when its programs lie in the vocabulary; most
+        # candidates of a sweep keep none, so this is tested before the
+        # down-set is built
+        if all(q & ~vocabulary for q in self.input_programs):
+            raise EmptyInstantiation("no input statement survives this vocabulary")
         language = self.index.below(vocabulary)
         inputs = self.inputs & language
-        if not inputs:
-            raise EmptyInstantiation("no input statement survives this vocabulary")
         if vocabulary.bit_count() > guards.max_vocabulary:
             raise VocabularyTooLarge(
                 f"|v| = {vocabulary.bit_count()} exceeds guard {guards.max_vocabulary}"
@@ -342,6 +359,34 @@ class _BaseMasks:
         )
         return language, _policy_mask(self.index, *bounds)
 
+    @cached_property
+    def incompatible(self) -> tuple[int, ...]:
+        """Each statement's incompatible statements, those whose
+        extensions miss its own.  Inside ``L_B`` these are the restricted
+        ones too: two statements of ``L_B`` with a common completion have
+        their union of programs as one, and it lies in ``L_B``."""
+        ext = self.ext
+        return tuple(sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext)
+
+    def task_count(self, language: int, memo: dict, m: int) -> int:
+        """The size of the task space restricted to ``language = L_B``
+        (``m`` is 1 when empty outputs are excluded); ``memo`` is keyed by
+        base masks, so one serves every restriction of this base task."""
+        return sum(_class_counts(self.ext, language, memo, _ones(len(self.ext)), m))
+
+    def numerator(self, p: int, language: int, m: int) -> int:
+        """In how many tasks of the restriction to ``language = L_B`` the
+        statement at base position p is a correct policy: the
+        generalization table's ``2^n - 2^|E| - 1 + [E = L_B]`` for
+        ``E = ext[p] & L_B``, less ``2^|D| - 1`` when ``m`` is 1 (empty
+        outputs excluded), for D the statements of ``L_B`` incompatible
+        with p."""
+        extension = self.ext[p] & language
+        count = (1 << language.bit_count()) - (1 << extension.bit_count()) - 1 + (extension == language)
+        if m:
+            count -= (1 << (self.incompatible[p] & language).bit_count()) - 1
+        return count
+
     def too_wide(self, guards: Guards) -> int:
         """The statements whose extension size the truth-set guard refuses."""
         return sum(1 << i for i, k in enumerate(self.truth_sizes) if k > guards.max_truth_set)
@@ -353,16 +398,14 @@ def _renumbered(vocabulary: int, statement: Statement) -> Statement:
     return tuple((vocabulary & ((1 << b) - 1)).bit_count() for b in statement)
 
 
-def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards) -> list:
-    """Each candidate's utility row, with its base program mask and its
-    correct policies as a mask over the base language (0 if the row has
-    an error)."""
+def _parsed(
+    rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards
+) -> Iterator[tuple[str, int | WeakformError]]:
+    """Each caller-supplied candidate's report string, with its base
+    program mask or the error ``instantiate`` raises on it."""
     masks = rho._masks
     position = rho._position
-    statements = masks.index.statements
-    too_wide = masks.too_wide(guards)
-    out = []
-    for idx, cand in enumerate(candidates):
+    for cand in candidates:
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
         sets = [p.states() if isinstance(p, Program) else tuple(sorted(p)) for p in cand]
         found = list(map(position.get, sets))
@@ -377,11 +420,38 @@ def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], gua
             encoded = "[%s]" % ",".join(map(masks.codes.__getitem__, found))
         else:
             encoded = encode_vocabulary(cand)
-        vocabulary = policies = 0
-        try:
-            if not plain:
+            try:
                 instantiate(rho, cand, guards)
-            vocabulary = sum(1 << b for b in found)
+            except WeakformError as exc:
+                yield encoded, exc
+                continue
+        yield encoded, sum(1 << b for b in found)
+
+
+def _swept(rho: UninstantiatedTask) -> Iterator[tuple[str, int]]:
+    """Every sub-vocabulary's report string and base program mask, in
+    ``all_vocabularies`` order."""
+    codes = rho._masks.codes
+    positions = range(len(codes))
+    for size in range(len(codes) + 1):
+        for combo in combinations(positions, size):
+            yield "[%s]" % ",".join(map(codes.__getitem__, combo)), sum(map((1).__lshift__, combo))
+
+
+def _vocabulary_rows(
+    rho: UninstantiatedTask, vocabularies: Iterable[tuple[str, int | WeakformError]], guards: Guards
+) -> list[tuple[VocabularyRow, int, int, int]]:
+    """Each candidate's utility row, with its base program mask, its
+    restricted language and its correct policies as masks over the base
+    language (policies 0 if the row has an error)."""
+    masks = rho._masks
+    statements = masks.index.statements
+    too_wide = masks.too_wide(guards)
+    out = []
+    for idx, (encoded, vocabulary) in enumerate(vocabularies):
+        try:
+            if isinstance(vocabulary, WeakformError):
+                raise vocabulary  # the parse step's error is the row's
             language, policies = masks.restrict(vocabulary, guards)
             if not policies:
                 raise NoCorrectPolicy("the task has no correct policy")
@@ -405,8 +475,8 @@ def _candidate_pass(rho: UninstantiatedTask, candidates: Sequence[Iterable], gua
             )
         except WeakformError as exc:
             row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
-            policies = 0  # a row with an error ranks none of its pairs
-        out.append((row, vocabulary, policies))
+            vocabulary = language = policies = 0  # a row with an error ranks none of its pairs
+        out.append((row, vocabulary, language, policies))
     return out
 
 
@@ -418,7 +488,8 @@ def compare_vocabularies(
 ) -> UtilityReport:
     """One row per candidate vocabulary; per-row failures are recorded,
     never raised."""
-    rows = tuple(row for row, _, _ in _candidate_pass(rho, candidates, guards))
+    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates, guards), guards)
+    rows = tuple(row for row, _, _, _ in outcomes)
     header = _report_header(rho, rows, guards, seeds)
     return UtilityReport(header, rows)
 
@@ -500,42 +571,42 @@ def verify_upper_bound(
 ) -> BoundReport:
     """Select the candidate maximising utility, then its weakest correct
     policy, and check that pair attains the best generalization
-    probability over every instantiable (vocabulary, policy) pair."""
-    outcomes = _candidate_pass(rho, candidates, guards)
-    rows = tuple(row for row, _, _ in outcomes)
+    probability over every instantiable (vocabulary, policy) pair.
+
+    Every pair is read off the base task's masks, with nothing built per
+    candidate: the probability of policy p over a candidate B is the
+    restricted generalization table's, ``_BaseMasks.numerator`` over
+    ``_BaseMasks.task_count`` for ``L_B``, under one count memo for the
+    whole call, and the pair's extension size is ``|ext[p] & L_B|``.
+    """
+    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates, guards), guards)
+    rows = tuple(row for row, _, _, _ in outcomes)
     masks = rho._masks
-    programs = rho.env.programs
+    statements = masks.index.statements
+    memo: dict = {}
+    m = 0 if include_empty_outputs else 1
     pairs: list[CandidatePolicy] = []
-    for row, vocabulary, policies in outcomes:
+    for row, vocabulary, language, policies in outcomes:
         if not policies:
             continue
-        # the restricted environment keys the task count; the base
-        # programs are in canonical order, so its vocabulary is too
-        restricted = Environment(
-            rho.env.state_count, tuple(map(programs.__getitem__, _bits(vocabulary)))
-        )
-        # a policy's position in the restricted language is its rank in L_B
-        language = masks.index.below(vocabulary)
-        try:
-            table = generalization_table(restricted, guards, include_empty_outputs)
-            if table.denominator == 0:
-                raise EmptyTaskSpace("no tasks exist, generalization is undefined")
-            for p in _bits(policies):
-                pi = _renumbered(vocabulary, masks.index.statements[p])
-                pairs.append(
-                    CandidatePolicy(
-                        row.index,
-                        row.vocabulary,
-                        encode_statement(pi),
-                        extension_size(restricted, pi, guards),
-                        Fraction(
-                            table.numerators[(language & ((1 << p) - 1)).bit_count()],
-                            table.denominator,
-                        ),
-                    )
-                )
-        except WeakformError:
+        # a candidate whose restricted task space exceeds the task-language
+        # guard, or is empty, ranks no pair; whether the guard should raise
+        # here instead is an open decision
+        if language.bit_count() > guards.max_task_language:
             continue
+        denominator = masks.task_count(language, memo, m)
+        if not denominator:
+            continue
+        for p in _bits(policies):
+            pairs.append(
+                CandidatePolicy(
+                    row.index,
+                    row.vocabulary,
+                    encode_statement(_renumbered(vocabulary, statements[p])),
+                    (masks.ext[p] & language).bit_count(),
+                    Fraction(masks.numerator(p, language, m), denominator),
+                )
+            )
 
     return _select(_report_header(rho, rows, guards, seeds), rows, pairs)
 
@@ -557,15 +628,14 @@ def _select(
         for p in pairs
         if p.candidate_index == chosen.index and p.policy == chosen.witness_policy
     )
-    ranking = tuple(
-        sorted(
-            pairs,
-            key=lambda p: (-p.probability, p.candidate_index, (len(p.policy), p.policy)),
-        )
-    )
+    # highest probability first, ties by candidate, then policy code: a
+    # stable sort on the tie-breaks, then a stable reverse sort on the
+    # probability, which keeps tied pairs in tie-break order
+    ranking = sorted(pairs, key=lambda p: (p.candidate_index, len(p.policy), p.policy))
+    ranking.sort(key=attrgetter("probability"), reverse=True)
     best = ranking[0]
     outcome = "attained" if selected.probability == best.probability else "not_attained"
-    return BoundReport(header, outcome, selected, best, ranking, rows)
+    return BoundReport(header, outcome, selected, best, tuple(ranking), rows)
 
 
 @dataclass(frozen=True)
@@ -628,17 +698,18 @@ def verify_utility_maximal_at_P(
             f"sweeping all vocabularies needs 2^(2^{n}) candidates; refuse beyond "
             f"{MAX_SWEEP_STATES} states"
         )
-    candidates = list(all_vocabularies(rho.env))
-    report = compare_vocabularies(rho, candidates, guards, seeds)
-    full_row = report.rows[-1]  # the full vocabulary is the last subset
-    defined = [r for r in report.rows if r.utility is not None]
+    # the sweep's candidates are base program masks, none parsed
+    rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, _swept(rho), guards))
+    header = _report_header(rho, rows, guards, seeds)
+    full_row = rows[-1]  # the full vocabulary is the last subset
+    defined = [r for r in rows if r.utility is not None]
     if full_row.utility is None:
         if defined:
             worst = max(defined, key=lambda r: (r.utility, -r.index))
-            return MaximalityReport(report.header, False, None, worst, report.rows)
-        return MaximalityReport(report.header, True, None, None, report.rows)
+            return MaximalityReport(header, False, None, worst, rows)
+        return MaximalityReport(header, True, None, None, rows)
     violators = [r for r in defined if r.utility > full_row.utility]
     if violators:
         worst = max(violators, key=lambda r: (r.utility, -r.index))
-        return MaximalityReport(report.header, False, full_row.utility, worst, report.rows)
-    return MaximalityReport(report.header, True, full_row.utility, None, report.rows)
+        return MaximalityReport(header, False, full_row.utility, worst, rows)
+    return MaximalityReport(header, True, full_row.utility, None, rows)

@@ -370,6 +370,30 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
     return got
 
 
+def _class_counts(
+    ext: tuple[int, ...], language: int, memo: dict, ones: tuple[int, ...], m: int
+) -> tuple[int, ...]:
+    """The task count of each size class k = 1..n-1 of the task space
+    over the positions in ``language`` (n of them), each statement's
+    extension taken inside ``language``; ``m`` is 1 when empty outputs are
+    excluded, and ``memo`` and ``ones`` are ``_union_power_sum``'s.
+
+    An input set of k statements admits ``2^|union| - 1 - m`` output
+    sets; a nonempty union holds its own inputs, so none is negative,
+    and class k sums them over its C(n, k) sets.  With ``language`` the
+    down-set ``below(B)`` of a program mask B, these are the counts of
+    the task space restricted to the sub-vocabulary B, read off the base
+    extension masks: its statements are ``L_B`` and their extensions
+    ``ext & L_B``.
+    """
+    n = language.bit_count()
+    width = 2 * len(ext) + 2
+    power_sum = _union_power_sum(ext, language, language, memo, ones)
+    return tuple(
+        (power_sum >> width * k & ((1 << width) - 1)) - (1 + m) * comb(n, k) for k in range(1, n)
+    )
+
+
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
@@ -410,15 +434,7 @@ class TaskSpace:
 
         m = self._min_outputs = 0 if include_empty_outputs else 1
         self._ones = _ones(n)
-        # an input set of k statements (0 < k < n) admits 2^|union| - 1 - m
-        # output sets; a nonempty union holds its own inputs, so none is
-        # negative, and class k sums them over its C(n, k) sets
-        full = (1 << n) - 1
-        power_sum = _union_power_sum(self.ext_masks, full, full, {}, self._ones)
-        width = 2 * n + 2
-        self._class_counts = tuple(
-            (power_sum >> width * k & ((1 << width) - 1)) - (1 + m) * comb(n, k) for k in range(1, n)
-        )
+        self._class_counts = _class_counts(self.ext_masks, (1 << n) - 1, {}, self._ones, m)
         self.total_count = sum(self._class_counts)
 
     @cached_property

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from weakform import Guards, bounds, full_powerset_vocabulary
+from weakform import Guards, bounds, core, full_powerset_vocabulary, learning
 from weakform.bounds import (
     CandidatePolicy,
     VocabularyRow,
@@ -29,7 +29,14 @@ from weakform.errors import (
     StateSpaceTooLarge,
     WeakformError,
 )
-from weakform.core import LanguageIndex, encode_statement, enumerate_language, extension_size
+from weakform.core import (
+    LanguageIndex,
+    _bits,
+    encode_statement,
+    enumerate_language,
+    extension_size,
+    mk_environment,
+)
 from weakform.learning import generalization_table
 from weakform.tasks import TaskSpace, correct_policies, enumerate_tasks, mk_task
 
@@ -471,18 +478,22 @@ def test_rows_with_an_error_rank_no_pair():
 
 
 def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
-    # every restriction is read off the base task's index: no candidate
-    # gets its own environment, index, task or task space, and the upper
-    # bound builds a restricted environment's table only for a
-    # candidate that has a correct policy
+    # every restriction and every (vocabulary, policy) pair is read off
+    # the base task's index: no candidate gets its own environment,
+    # index, task, task space, generalization table or extension size
     rho = _phi3_family(1, seed=5)[0]
     candidates = list(all_vocabularies(rho.env))
     utilities = verify_utility_maximal_at_P(rho)  # the base index exists from here on
+    bound_reports = [verify_upper_bound(rho, candidates, Guards(), mode) for mode in (True, False)]
     built = []
     for owner, name in (
         (bounds, "instantiate"),
         (bounds, "mk_environment"),
         (bounds, "mk_task"),
+        (bounds, "extension_size"),
+        (core, "extension_size"),
+        (learning, "generalization_table"),
+        (learning, "_table_cached"),
         (LanguageIndex, "__init__"),
         (TaskSpace, "__init__"),
     ):
@@ -493,21 +504,72 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, record)
-    tables = []
-
-    def table(env, *rest):
-        tables.append(env)
-        return generalization_table(env, *rest)
-
-    monkeypatch.setattr(bounds, "generalization_table", table)
     assert verify_utility_maximal_at_P(rho).to_json() == utilities.to_json()
     compare_vocabularies(rho, candidates)
+    for mode, want in zip((True, False), bound_reports):
+        assert verify_upper_bound(rho, candidates, Guards(), mode).to_json() == want.to_json()
     assert built == []
-    report = verify_upper_bound(rho, candidates)
-    assert "instantiate" not in built and "mk_task" not in built
-    with_policy = [
-        restricted.env for row, restricted, policies in _reference_pass(rho, candidates, Guards())
-        if policies
-    ]
-    assert tables == with_policy
-    assert report.ranking
+    assert not hasattr(bounds, "generalization_table")
+    assert bound_reports[0].ranking and bound_reports[1].ranking
+
+
+def test_base_mask_counts_match_restricted_tables():
+    # the denominator and numerators of every restriction, read off the
+    # base masks, against the restricted environment's own task space and
+    # generalization table, with one memo shared across the sweep and
+    # with a fresh memo per count
+    guards = Guards(max_task_language=38)
+    for states, base_input in ((2, (3,)), (3, (7,))):
+        env = full_powerset_vocabulary(states)
+        masks = mk_uninstantiated(mk_task(env, [base_input], []))._masks
+        sets = env.program_sets()
+        shared: dict = {}
+        for vocabulary in range(1 << len(sets)):
+            language = masks.index.below(vocabulary)
+            restricted = mk_environment(states, [sets[b] for b in _bits(vocabulary)])
+            for include_empty in (True, False):
+                m = 0 if include_empty else 1
+                want = TaskSpace(restricted, guards, include_empty).total_count
+                assert masks.task_count(language, shared, m) == want, (vocabulary, include_empty)
+                assert masks.task_count(language, {}, m) == want, (vocabulary, include_empty)
+                table = generalization_table(restricted, guards, include_empty)
+                got = tuple(masks.numerator(p, language, m) for p in _bits(language))
+                assert got == table.numerators, (vocabulary, include_empty)
+
+
+@pytest.mark.parametrize("guards", [
+    Guards(),
+    Guards(max_truth_set=1),
+    Guards(max_vocabulary=2),
+    Guards(max_task_language=3),
+], ids=["default", "truth_set_1", "vocabulary_2", "task_language_3"])
+def test_maximality_sweep_matches_compared_vocabularies(guards):
+    # the sweep reads its candidates as base program masks, past the
+    # parse step: the same header and rows, in the same order, as the
+    # comparison of every vocabulary supplied as state tuples
+    for rho in _reference_cases(2) + _reference_cases(3):
+        got = verify_utility_maximal_at_P(rho, guards)
+        want = compare_vocabularies(rho, list(all_vocabularies(rho.env)), guards)
+        assert got.header == want.header, rho
+        assert got.rows == want.rows, rho
+
+
+def test_ranking_matches_the_sort_definition():
+    # ties in probability are broken by candidate, then by policy code;
+    # the pairs reach the selection shuffled, so their arrival order
+    # cannot stand in for the tie-break
+    def key(p):
+        return (-p.probability, p.candidate_index, (len(p.policy), p.policy))
+
+    ties = 0
+    for rho in _reference_cases(2)[::7] + _reference_cases(3):
+        for include_empty in (True, False):
+            report = verify_upper_bound(rho, list(all_vocabularies(rho.env)), Guards(), include_empty)
+            pairs = list(report.ranking)
+            Random(repr(rho)).shuffle(pairs)
+            got = bounds._select(report.header, report.utility_rows, pairs)
+            assert got.ranking == tuple(sorted(pairs, key=key)), (rho, include_empty)
+            assert got.to_json() == report.to_json(), (rho, include_empty)
+            probabilities = [p.probability for p in pairs]
+            ties += len(probabilities) - len(set(probabilities))
+    assert ties
