@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import (
     DEFAULT_GUARDS,
     Environment,
+    ExtensionSet,
     Guards,
     Program,
     Statement,
@@ -49,10 +50,10 @@ from .tasks import (
     _class_counts,
     _ones,
     _policy_bounds,
+    _policy_count,
     _policy_mask,
     _programs,
     correct_policies,
-    mk_task,
 )
 
 __all__ = [
@@ -72,7 +73,8 @@ __all__ = [
     "weakest_correct_policy",
 ]
 
-#: Sweeping every sub-vocabulary costs 2^(2^states) instantiations.
+#: Sweeping every sub-vocabulary reads 2^(2^states) restrictions, one per
+#: subset of the 2^states programs of the full powerset vocabulary.
 MAX_SWEEP_STATES = 3
 
 
@@ -131,6 +133,29 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
     return UninstantiatedTask(base)
 
 
+def _positions(rho: UninstantiatedTask, candidate: Iterable) -> list[int]:
+    """The base positions of a candidate's programs, in its order: state-set
+    iterables or Program values, each drawn from the base vocabulary.
+
+    A foreign program raises ``InvalidVocabulary``.  A candidate with a
+    repeated program, or with a state that is no plain int (True, 1.0),
+    is built by ``mk_environment``, which raises that vocabulary's own
+    error; every other candidate skips the build."""
+    position = rho._position
+    sets = []
+    for p in candidate:
+        states = p.states() if isinstance(p, Program) else tuple(sorted(p))
+        if states not in position:
+            raise InvalidVocabulary(
+                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
+            )
+        sets.append(states)
+    found = list(map(position.__getitem__, sets))
+    if len(set(found)) < len(found) or not {int}.issuperset(map(type, chain.from_iterable(sets))):
+        mk_environment(rho.env.state_count, sets)
+    return found
+
+
 def instantiate(
     rho: UninstantiatedTask,
     v_prime: Iterable,
@@ -140,39 +165,25 @@ def instantiate(
     or Program values, each drawn from the base vocabulary.
 
     Keeps exactly the inputs and correct outputs whose programs are all
-    still present, and re-validates the result as a task of the new
-    environment.  A kept output still completes a kept input: the input
-    it completed has a subset of its programs.  Restriction by the full
-    vocabulary is the identity.  The vocabulary comparisons below read
-    the same restriction off the base task's masks without building it;
-    this function is their reference.
+    still present, and raises what building that task in the new
+    environment would raise.  A kept output still completes a kept
+    input: the input it completed has a subset of its programs.
+    Restriction by the full vocabulary is the identity.  The task is read
+    off the base task's masks (``_BaseMasks.restrict``), as the
+    vocabulary comparisons below read every restriction; the tests check
+    it against a restriction by the programs' state tuples.
     """
-    position = rho._position
-    sets = []
-    for p in v_prime:
-        states = tuple(sorted(p.states() if isinstance(p, Program) else p))
-        if states not in position:
-            raise InvalidVocabulary(
-                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
-            )
-        sets.append(states)
-    env2 = mk_environment(rho.env.state_count, sets)
-    # both vocabularies are in canonical order, so the kept programs keep
-    # their base order: the renumbering is monotone and a renumbered
-    # canonical statement stays canonical
-    renumber = {b: j for j, b in enumerate(sorted(map(position.__getitem__, sets)))}
-
-    def restrict(statements: Sequence[Statement]) -> list[Statement]:
-        return [
-            tuple(map(renumber.__getitem__, s))
-            for s in statements
-            if all(map(renumber.__contains__, s))
-        ]
-
-    inputs = restrict(rho.base.inputs)
-    if not inputs:
-        raise EmptyInstantiation("no input statement survives this vocabulary")
-    return mk_task(env2, inputs, restrict(rho.base.outputs_correct), guards)
+    vocabulary = sum(1 << b for b in _positions(rho, v_prime))
+    sets = rho.env.program_sets()
+    env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
+    masks = rho._masks
+    statements = masks.index.statements
+    # the restricted language is dropped: the new environment has its own
+    inputs, extension, outputs = (
+        tuple(_renumbered(vocabulary, statements[i]) for i in _bits(mask))
+        for mask in masks.restrict(vocabulary, guards)[1:]
+    )
+    return Task((env2, inputs, outputs, ExtensionSet._of_canonical(extension)))
 
 
 def restriction_is_strict_child(rho: UninstantiatedTask, restricted: Task) -> bool:
@@ -210,12 +221,6 @@ def all_vocabularies(env: Environment) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 # --- reports ---------------------------------------------------------------------------
 
-def _fraction_str(f: Fraction | None) -> str:
-    if f is None:
-        return ""
-    return f"{f.numerator}/{f.denominator}"
-
-
 @dataclass(frozen=True)
 class VocabularyRow:
     """One candidate vocabulary's outcome in a utility comparison."""
@@ -230,16 +235,7 @@ class VocabularyRow:
     error: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "vocabulary": self.vocabulary,
-            "language_size": self.language_size,
-            "utility": self.utility,
-            "witness_policy": self.witness_policy,
-            "witness_extension_size": self.witness_extension_size,
-            "strict_child": self.strict_child,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def _report_header(
@@ -258,17 +254,6 @@ def _report_header(
     }
 
 
-def _aligned(rows: list[tuple], header: tuple) -> str:
-    table = [tuple(str(c) for c in header)] + [tuple(str(c) for c in r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for r, row in enumerate(table):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if r == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class UtilityReport:
     header: dict
@@ -278,24 +263,6 @@ class UtilityReport:
         doc = dict(self.header)
         doc["rows"] = [r.to_dict() for r in self.rows]
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        cols = ("index", "vocabulary", "|L|", "utility", "witness", "|E|", "strict_child", "error")
-        body = [
-            (
-                r.index,
-                r.vocabulary,
-                "" if r.language_size is None else r.language_size,
-                "" if r.utility is None else r.utility,
-                r.witness_policy or "",
-                "" if r.witness_extension_size is None else r.witness_extension_size,
-                "" if r.strict_child is None else r.strict_child,
-                r.error or "",
-            )
-            for r in self.rows
-        ]
-        head = "\n".join(f"{k}: {v}" for k, v in sorted(self.header.items()))
-        return head + "\n\n" + _aligned(body, cols)
 
 
 class _BaseMasks:
@@ -308,12 +275,13 @@ class _BaseMasks:
     with ``L_B``: a statement of ``L_B`` that completes a base input
     completes one inside ``L_B``, whose programs are a subset of its own.
     The renumbering onto B is monotone, so base canonical order is the
-    restricted canonical order; only report strings need it.
+    restricted canonical order; only ``instantiate`` and report strings
+    need it.
 
     The restricted task space is counted off the same masks: its task
     counts are ``tasks._class_counts`` over ``L_B`` with the base
-    extensions, and a policy's numerator needs only the sizes of its
-    extension and of its incompatible statements inside ``L_B``.
+    extensions, and a policy's numerator is ``tasks._policy_count`` over
+    ``L_B``.
     """
 
     def __init__(self, base: Task):
@@ -322,7 +290,7 @@ class _BaseMasks:
         self.index = index = _index_cached(env)
         position = index.position
         statements = index.statements
-        self.ext = tuple(map(index.extension_mask, statements))
+        self.ext = index.ext_masks
         self.programs = tuple(map(_programs, statements))
         self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in statements)
         self.codes = tuple(map(encode_statement, env.program_sets()))
@@ -331,11 +299,11 @@ class _BaseMasks:
         self.outputs = sum(1 << position[y] for y in base.outputs_correct)
         self.extension = sum(1 << position[y] for y in base.extension)
 
-    def restrict(self, vocabulary: int, guards: Guards) -> tuple[int, int]:
-        """The restricted language and correct policies, as masks over
-        the base language, for the base program mask ``vocabulary``.
-        Raises what ``instantiate`` and ``correct_policies`` raise on a
-        valid sub-vocabulary, in the same order."""
+    def restrict(self, vocabulary: int, guards: Guards) -> tuple[int, int, int, int]:
+        """The restricted language, inputs, extension and outputs, as masks
+        over the base language, for the base program mask ``vocabulary``.
+        Raises ``EmptyInstantiation`` when no input survives, then what
+        ``mk_task`` raises on the restricted task, in its order."""
         # an input survives when its programs lie in the vocabulary; most
         # candidates of a sweep keep none, so this is tested before the
         # down-set is built
@@ -353,39 +321,22 @@ class _BaseMasks:
         outputs = self.outputs & language
         if outputs == extension:
             raise OutputsNotStrict("outputs equal the whole input extension")
+        return language, inputs, extension, outputs
+
+    def policies(self, vocabulary: int, extension: int, outputs: int) -> int:
+        """The restriction's correct policies, as a mask over the base
+        language, from its extension and outputs."""
         programs = self.programs.__getitem__
         bounds = _policy_bounds(
             map(programs, _bits(outputs)), map(programs, _bits(extension & ~outputs)), vocabulary
         )
-        return language, _policy_mask(self.index, *bounds)
-
-    @cached_property
-    def incompatible(self) -> tuple[int, ...]:
-        """Each statement's incompatible statements, those whose
-        extensions miss its own.  Inside ``L_B`` these are the restricted
-        ones too: two statements of ``L_B`` with a common completion have
-        their union of programs as one, and it lies in ``L_B``."""
-        ext = self.ext
-        return tuple(sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext)
+        return _policy_mask(self.index, *bounds)
 
     def task_count(self, language: int, memo: dict, m: int) -> int:
         """The size of the task space restricted to ``language = L_B``
         (``m`` is 1 when empty outputs are excluded); ``memo`` is keyed by
         base masks, so one serves every restriction of this base task."""
         return sum(_class_counts(self.ext, language, memo, _ones(len(self.ext)), m))
-
-    def numerator(self, p: int, language: int, m: int) -> int:
-        """In how many tasks of the restriction to ``language = L_B`` the
-        statement at base position p is a correct policy: the
-        generalization table's ``2^n - 2^|E| - 1 + [E = L_B]`` for
-        ``E = ext[p] & L_B``, less ``2^|D| - 1`` when ``m`` is 1 (empty
-        outputs excluded), for D the statements of ``L_B`` incompatible
-        with p."""
-        extension = self.ext[p] & language
-        count = (1 << language.bit_count()) - (1 << extension.bit_count()) - 1 + (extension == language)
-        if m:
-            count -= (1 << (self.incompatible[p] & language).bit_count()) - 1
-        return count
 
     def too_wide(self, guards: Guards) -> int:
         """The statements whose extension size the truth-set guard refuses."""
@@ -399,33 +350,19 @@ def _renumbered(vocabulary: int, statement: Statement) -> Statement:
 
 
 def _parsed(
-    rho: UninstantiatedTask, candidates: Sequence[Iterable], guards: Guards
+    rho: UninstantiatedTask, candidates: Sequence[Iterable]
 ) -> Iterator[tuple[str, int | WeakformError]]:
     """Each caller-supplied candidate's report string, with its base
-    program mask or the error ``instantiate`` raises on it."""
-    masks = rho._masks
-    position = rho._position
+    program mask or the error ``_positions`` raises on it."""
+    codes = rho._masks.codes
     for cand in candidates:
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
-        sets = [p.states() if isinstance(p, Program) else tuple(sorted(p)) for p in cand]
-        found = list(map(position.get, sets))
-        # a foreign or repeated program, or a state that only equals an
-        # int (True, 1.0), is for instantiate to reject
-        plain = (
-            None not in found
-            and len(set(found)) == len(found)
-            and {int}.issuperset(map(type, chain.from_iterable(sets)))
-        )
-        if plain:
-            encoded = "[%s]" % ",".join(map(masks.codes.__getitem__, found))
-        else:
-            encoded = encode_vocabulary(cand)
-            try:
-                instantiate(rho, cand, guards)
-            except WeakformError as exc:
-                yield encoded, exc
-                continue
-        yield encoded, sum(1 << b for b in found)
+        try:
+            found = _positions(rho, cand)
+        except WeakformError as exc:
+            yield encode_vocabulary(cand), exc
+            continue
+        yield "[%s]" % ",".join(map(codes.__getitem__, found)), sum(1 << b for b in found)
 
 
 def _swept(rho: UninstantiatedTask) -> Iterator[tuple[str, int]]:
@@ -452,7 +389,8 @@ def _vocabulary_rows(
         try:
             if isinstance(vocabulary, WeakformError):
                 raise vocabulary  # the parse step's error is the row's
-            language, policies = masks.restrict(vocabulary, guards)
+            language, inputs, extension, outputs = masks.restrict(vocabulary, guards)
+            policies = masks.policies(vocabulary, extension, outputs)
             if not policies:
                 raise NoCorrectPolicy("the task has no correct policy")
             if policies & too_wide:
@@ -467,10 +405,10 @@ def _vocabulary_rows(
                 idx,
                 encoded,
                 language.bit_count(),
-                size - (masks.outputs & language).bit_count(),
+                size - outputs.bit_count(),
                 encode_statement(_renumbered(vocabulary, statements[members[sizes.index(size)]])),
                 size,
-                masks.inputs & language != masks.inputs,
+                inputs != masks.inputs,
                 None,
             )
         except WeakformError as exc:
@@ -488,7 +426,7 @@ def compare_vocabularies(
 ) -> UtilityReport:
     """One row per candidate vocabulary; per-row failures are recorded,
     never raised."""
-    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates, guards), guards)
+    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
     rows = tuple(row for row, _, _, _ in outcomes)
     header = _report_header(rho, rows, guards, seeds)
     return UtilityReport(header, rows)
@@ -510,7 +448,7 @@ class CandidatePolicy:
             "vocabulary": self.vocabulary,
             "policy": self.policy,
             "extension_size": self.extension_size,
-            "probability": _fraction_str(self.probability),
+            "probability": f"{self.probability.numerator}/{self.probability.denominator}",
         }
 
 
@@ -540,27 +478,6 @@ class BoundReport:
         doc["utility_rows"] = [r.to_dict() for r in self.utility_rows]
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    def to_text(self) -> str:
-        head = "\n".join(f"{k}: {v}" for k, v in sorted(self.header.items()))
-        parts = [head, "", f"outcome: {self.outcome}"]
-        if self.selected:
-            parts.append(
-                f"selected: {self.selected.vocabulary} {self.selected.policy} "
-                f"p={_fraction_str(self.selected.probability)}"
-            )
-        if self.best:
-            parts.append(
-                f"best:     {self.best.vocabulary} {self.best.policy} "
-                f"p={_fraction_str(self.best.probability)}"
-            )
-        body = [
-            (c.candidate_index, c.vocabulary, c.policy, c.extension_size, _fraction_str(c.probability))
-            for c in self.ranking
-        ]
-        parts.append("")
-        parts.append(_aligned(body, ("index", "vocabulary", "policy", "|E|", "probability")))
-        return "\n".join(parts)
-
 
 def verify_upper_bound(
     rho: UninstantiatedTask,
@@ -575,11 +492,11 @@ def verify_upper_bound(
 
     Every pair is read off the base task's masks, with nothing built per
     candidate: the probability of policy p over a candidate B is the
-    restricted generalization table's, ``_BaseMasks.numerator`` over
+    restricted generalization table's, ``tasks._policy_count`` over
     ``_BaseMasks.task_count`` for ``L_B``, under one count memo for the
     whole call, and the pair's extension size is ``|ext[p] & L_B|``.
     """
-    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates, guards), guards)
+    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
     rows = tuple(row for row, _, _, _ in outcomes)
     masks = rho._masks
     statements = masks.index.statements
@@ -604,7 +521,7 @@ def verify_upper_bound(
                     row.vocabulary,
                     encode_statement(_renumbered(vocabulary, statements[p])),
                     (masks.ext[p] & language).bit_count(),
-                    Fraction(masks.numerator(p, language, m), denominator),
+                    Fraction(_policy_count(masks.index, p, language, m), denominator),
                 )
             )
 
@@ -655,31 +572,6 @@ class MaximalityReport:
         doc["witness"] = self.witness.to_dict() if self.witness else None
         doc["rows"] = [r.to_dict() for r in self.rows]
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        head = "\n".join(f"{k}: {v}" for k, v in sorted(self.header.items()))
-        parts = [
-            head,
-            "",
-            f"holds: {self.holds}",
-            f"utility_at_full: {self.utility_at_full}",
-        ]
-        if self.witness:
-            parts.append(
-                f"beaten_by: {self.witness.vocabulary} utility={self.witness.utility}"
-            )
-        body = [
-            (
-                r.index,
-                r.vocabulary,
-                "" if r.utility is None else r.utility,
-                r.error or "",
-            )
-            for r in self.rows
-        ]
-        parts.append("")
-        parts.append(_aligned(body, ("index", "vocabulary", "utility", "error")))
-        return "\n".join(parts)
 
 
 def verify_utility_maximal_at_P(

@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: BaseException) -> Path:
+def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: BaseException) -> Path | None:
+    """Write the repro bundle beside the report, else in the cwd; None
+    when neither write succeeds."""
     bundle = {
         "argv": sys.argv[1:],
         "config": config_text,
@@ -62,7 +64,10 @@ def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: B
         path.write_text(json.dumps(bundle, indent=2), encoding="utf-8")
     except OSError:
         path = Path.cwd() / "weakform-repro.json"
-        path.write_text(json.dumps(bundle, indent=2), encoding="utf-8")
+        try:
+            path.write_text(json.dumps(bundle, indent=2), encoding="utf-8")
+        except OSError:
+            return None
     return path
 
 
@@ -104,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_GUARD
     except Exception as exc:  # noqa: BLE001 - dump a bundle, report code 4
         path = _dump_repro_bundle(args, config_text, exc)
-        print(f"internal error: {exc}\nrepro bundle: {path}", file=sys.stderr)
+        written = path if path else "none written (the write failed)"
+        print(f"internal error: {exc}\nrepro bundle: {written}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

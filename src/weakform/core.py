@@ -384,6 +384,21 @@ class LanguageIndex:
             mask &= program_masks[j]
         return mask
 
+    @cached_property
+    def ext_masks(self) -> tuple[int, ...]:
+        """Each statement's extension mask, in canonical order."""
+        return tuple(map(self.extension_mask, self.statements))
+
+    @cached_property
+    def incompatible(self) -> tuple[int, ...]:
+        """Each statement's incompatible statements, those whose
+        extensions miss its own.  Inside a down-set ``below(B)`` these are
+        the incompatible statements of the restricted language too: two
+        statements of it with a common completion have their union of
+        programs as one, and it lies in ``below(B)``."""
+        ext = self.ext_masks
+        return tuple(sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext)
+
     def below(self, programs: int) -> int:
         """The statements whose programs all lie in the program mask
         ``programs``: ``full & ~OR_{j not in programs} P_j``."""

@@ -13,10 +13,10 @@ match that order over all ordered statement pairs, a popcount of the
 XOR of the two orders' rows.  Learning keeps the correct policies whose
 row over the policy set is empty.
 
-Each of those counts has a closed form in the statement's extension E:
-``2^|L| - 2^|E| - 1`` tasks, plus one when E is the whole language L,
-less ``2^|D| - 1`` when empty outputs are excluded (D: the statements
-incompatible with it).  The tests check it against enumerating tasks.
+Each of those counts is closed-form in the statement's extension and
+its incompatible statements: ``tasks._policy_count`` over the whole
+language, which the vocabulary sweeps of ``bounds`` share.  The tests
+check it against enumerating tasks.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     NoCorrectPolicy,
     UnknownProxy,
 )
-from .tasks import Task, correct_policies, is_correct_policy, task_space
+from .tasks import Task, _policy_count, correct_policies, is_correct_policy, task_space
 
 __all__ = [
     "GeneralizationEstimate",
@@ -241,41 +241,14 @@ class GeneralizationTable:
             raise EmptyTaskSpace("no tasks exist, generalization is undefined")
         return Fraction(self.numerator(l), self.denominator)
 
-    def csv_rows(self) -> list[tuple[str, int, int]]:
-        return [
-            (encode_statement(s), n, self.denominator)
-            for s, n in zip(self.statements, self.numerators)
-        ]
-
-    def to_csv(self) -> str:
-        lines = ["statement,numerator,denominator"]
-        for statement, numerator, denominator in self.csv_rows():
-            lines.append(f'"{statement}",{numerator},{denominator}')
-        return "\n".join(lines) + "\n"
-
 
 @lru_cache(maxsize=None)
 def _table_cached(env: Environment, guards: Guards, include_empty_outputs: bool) -> GeneralizationTable:
     space = task_space(env, guards, include_empty_outputs)
-    ext_masks = space.ext_masks
-    n = len(ext_masks)
-    numerators = []
-    # l is a correct policy for exactly one output set per input set I,
-    # namely E_I & E_l.  It is inadmissible when it is all of E_I, that
-    # is when I lies inside E_l (2^|E_l| - 1 sets, one fewer when E_l is
-    # the whole language, since I = L is no input set), and, with empty
-    # outputs excluded, when it is empty, that is when I holds only
-    # statements incompatible with l (their extensions miss E_l)
-    for e in ext_masks:
-        k = e.bit_count()
-        count = (1 << n) - (1 << k) - 1 + (k == n)
-        if not include_empty_outputs:
-            disjoint = sum(1 for f in ext_masks if not f & e)
-            count -= (1 << disjoint) - 1
-        numerators.append(count)
-    return GeneralizationTable(
-        env, include_empty_outputs, space.language, tuple(numerators), space.total_count
-    )
+    language = (1 << len(space.language)) - 1
+    m = 0 if include_empty_outputs else 1
+    numerators = tuple(_policy_count(space.index, p, language, m) for p in range(len(space.language)))
+    return GeneralizationTable(env, include_empty_outputs, space.language, numerators, space.total_count)
 
 
 def generalization_table(

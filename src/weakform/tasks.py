@@ -394,6 +394,29 @@ def _class_counts(
     )
 
 
+def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
+    """In how many tasks over the positions in ``language`` the statement
+    at position p (one of them) is a correct policy, each extension taken
+    inside ``language``; ``m`` is 1 when empty outputs are excluded.
+
+    p is a correct policy for exactly one output set per input set I,
+    namely ``E_I & E`` for p's extension E.  That output set is
+    inadmissible when it is all of E_I, that is when I lies inside E (``2^|E| - 1`` sets, one
+    fewer when E is the whole language, since I = L is no input set),
+    and, with empty outputs excluded, when it is empty, that is when I
+    holds only statements incompatible with p (D of them, ``2^|D| - 1``
+    sets).  Of the ``2^n - 2`` input sets that leaves
+    ``2^n - 2^|E| - 1 + [E = L]``, less ``2^|D| - 1`` when m is 1.  As
+    with ``_class_counts``, ``language = below(B)`` gives the count of
+    the restriction to the sub-vocabulary B.
+    """
+    extension = index.ext_masks[p] & language
+    count = (1 << language.bit_count()) - (1 << extension.bit_count()) - 1 + (extension == language)
+    if m:
+        count -= (1 << (index.incompatible[p] & language).bit_count()) - 1
+    return count
+
+
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
@@ -430,7 +453,7 @@ class TaskSpace:
                 f"|L_v| = {n} exceeds guard {guards.max_task_language}"
             )
         # each statement's extension as a mask over language positions
-        self.ext_masks = tuple(map(self.index.extension_mask, self.language))
+        self.ext_masks = self.index.ext_masks
 
         m = self._min_outputs = 0 if include_empty_outputs else 1
         self._ones = _ones(n)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
-from weakform import Environment, Program, mk_environment, mk_task
+from weakform import DEFAULT_GUARDS, Environment, Program, mk_environment, mk_task
 from weakform.core import ExtensionSet
 from weakform.errors import EmptyInstantiation, IndexOutOfRange, InvalidVocabulary
 from weakform.tasks import Task
@@ -290,7 +290,7 @@ def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
     return total
 
 
-def brute_instantiate(rho, v_prime):
+def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     """``bounds.instantiate`` by its state-tuple definition.
 
     Every candidate program must be a base program; the restricted
@@ -323,4 +323,4 @@ def brute_instantiate(rho, v_prime):
     if not inputs:
         raise EmptyInstantiation("no input statement survives this vocabulary")
     outs = [o for o in remap(rho.base.outputs_correct) if any(set(i) <= set(o) for i in inputs)]
-    return mk_task(env2, inputs, outs)
+    return mk_task(env2, inputs, outs, guards)

@@ -38,7 +38,7 @@ from weakform.core import (
     mk_environment,
 )
 from weakform.learning import generalization_table
-from weakform.tasks import TaskSpace, correct_policies, enumerate_tasks, mk_task
+from weakform.tasks import TaskSpace, _policy_count, correct_policies, enumerate_tasks, mk_task
 
 from helpers import brute_instantiate
 from test_acceptance import _phi3_family
@@ -237,8 +237,6 @@ def test_report_header_and_serialisation(rho2):
     assert doc["version"]
     assert doc["seeds"] == [3]
     assert doc["guards"]["max_vocabulary"] == 24
-    text = rep.to_text()
-    assert "utility" in text and "vocabulary" in text
 
 
 # --- the selection recipe -------------------------------------------------------------------
@@ -345,14 +343,14 @@ def test_maximality_undefined_at_full_is_violation():
 
 def _reference_pass(rho, candidates, guards):
     """Each candidate's utility row, restricted task and correct policies
-    by ``instantiate``, ``correct_policies`` and the weakest of them."""
+    by ``brute_instantiate``, ``correct_policies`` and the weakest of them."""
     out = []
     for idx, cand in enumerate(candidates):
         cand = tuple(cand)
         encoded = encode_vocabulary(cand)
         restricted, policies = None, ()
         try:
-            restricted = instantiate(rho, cand, guards)
+            restricted = brute_instantiate(rho, cand, guards)
             policies = correct_policies(restricted).members
             pi, size = weakest_correct_policy(restricted, guards)
             row = VocabularyRow(
@@ -489,7 +487,6 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     for owner, name in (
         (bounds, "instantiate"),
         (bounds, "mk_environment"),
-        (bounds, "mk_task"),
         (bounds, "extension_size"),
         (core, "extension_size"),
         (learning, "generalization_table"),
@@ -510,6 +507,7 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
         assert verify_upper_bound(rho, candidates, Guards(), mode).to_json() == want.to_json()
     assert built == []
     assert not hasattr(bounds, "generalization_table")
+    assert not hasattr(bounds, "mk_task")
     assert bound_reports[0].ranking and bound_reports[1].ranking
 
 
@@ -533,7 +531,7 @@ def test_base_mask_counts_match_restricted_tables():
                 assert masks.task_count(language, shared, m) == want, (vocabulary, include_empty)
                 assert masks.task_count(language, {}, m) == want, (vocabulary, include_empty)
                 table = generalization_table(restricted, guards, include_empty)
-                got = tuple(masks.numerator(p, language, m) for p in _bits(language))
+                got = tuple(_policy_count(masks.index, p, language, m) for p in _bits(language))
                 assert got == table.numerators, (vocabulary, include_empty)
 
 

@@ -101,6 +101,27 @@ def test_internal_error_dumps_repro_bundle(tmp_path, capsys, monkeypatch):
     assert bundle["config"]
 
 
+def test_internal_error_without_a_writable_bundle_exits_4(tmp_path, capsys, monkeypatch):
+    # the bundle write fails beside the report and again in the cwd: the
+    # exit code stays 4 and stderr says that no bundle was written
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    def unwritable(*args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(Path, "write_text", unwritable)
+    out = tmp_path / "r.csv"
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "compare-env2.json")
+    code = cli.main(["compare-proxies", "--config", config, "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "synthetic failure" in err
+    assert "repro bundle: none written" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_seed_override_changes_hash(tmp_path):
     config = write_config(tmp_path, {
         "experiment": "learn",

@@ -241,6 +241,13 @@ def test_below_matches_brute_down_sets():
         for programs in range(1 << nv):
             members = [j for j in range(nv) if programs >> j & 1]
             assert list(index.statements_of(index.below(programs))) == brute_below(env, members)
+        # each statement's extension and incompatible statements
+        for x, e, d in zip(index.statements, index.ext_masks, index.incompatible):
+            ext = brute_extension(env, x)
+            assert set(index.statements_of(e)) == ext
+            assert set(index.statements_of(d)) == {
+                y for y in brute_language(env) if not ext & brute_extension(env, y)
+            }
 
 
 def test_language_size_matches_enumeration():
