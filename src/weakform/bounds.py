@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from operator import attrgetter
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -28,7 +28,7 @@ from .core import (
     Statement,
     _bits,
     _index_cached,
-    _truth_mask,
+    _Vocabularies,
     encode_statement,
     env_hash,
     extension_size,
@@ -112,11 +112,6 @@ class UninstantiatedTask:
         return self.base.env
 
     @cached_property
-    def _position(self) -> dict[tuple[int, ...], int]:
-        """Each base program's state tuple -> its base position."""
-        return {states: b for b, states in enumerate(self.env.program_sets())}
-
-    @cached_property
     def _masks(self) -> _BaseMasks:
         return _BaseMasks(self.base)
 
@@ -133,18 +128,28 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
     return UninstantiatedTask(base)
 
 
-def _positions(rho: UninstantiatedTask, candidate: Iterable) -> list[int]:
+def _positions(vocabularies: _Vocabularies, candidate: Iterable) -> list[int]:
     """The base positions of a candidate's programs, in its order: state-set
     iterables or Program values, each drawn from the base vocabulary.
 
-    A foreign program raises ``InvalidVocabulary``.  A candidate with a
-    repeated program, or with a state that is no plain int (True, 1.0),
-    is built by ``mk_environment``, which raises that vocabulary's own
-    error; every other candidate skips the build."""
-    position = rho._position
+    A program with a state that is no int (``"a"``, 1.0) is built by
+    ``mk_environment`` before it is sorted, and raises its
+    ``StateOutOfRange``.  Then a foreign program raises
+    ``InvalidVocabulary``.  A candidate with a repeated program, or with
+    an int state that is no plain int (True, an int subclass), is built
+    by ``mk_environment`` too, which raises that vocabulary's own error;
+    every other candidate skips the build."""
+    position = vocabularies.position
+    n = vocabularies.state_count
     sets = []
     for p in candidate:
-        states = p.states() if isinstance(p, Program) else tuple(sorted(p))
+        if isinstance(p, Program):
+            states = p.states()
+        else:
+            states = tuple(p)
+            if not all(isinstance(s, int) for s in states):
+                mk_environment(n, [states])
+            states = tuple(sorted(states))
         if states not in position:
             raise InvalidVocabulary(
                 f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
@@ -152,7 +157,7 @@ def _positions(rho: UninstantiatedTask, candidate: Iterable) -> list[int]:
         sets.append(states)
     found = list(map(position.__getitem__, sets))
     if len(set(found)) < len(found) or not {int}.issuperset(map(type, chain.from_iterable(sets))):
-        mk_environment(rho.env.state_count, sets)
+        mk_environment(n, sets)
     return found
 
 
@@ -173,10 +178,10 @@ def instantiate(
     vocabulary comparisons below read every restriction; the tests check
     it against a restriction by the programs' state tuples.
     """
-    vocabulary = sum(1 << b for b in _positions(rho, v_prime))
-    sets = rho.env.program_sets()
-    env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
     masks = rho._masks
+    vocabulary = sum(1 << b for b in _positions(masks.vocabularies, v_prime))
+    sets = masks.vocabularies.sets
+    env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
     statements = masks.index.statements
     # the restricted language is dropped: the new environment has its own
     inputs, extension, outputs = (
@@ -207,7 +212,12 @@ def restriction_is_strict_child(rho: UninstantiatedTask, restricted: Task) -> bo
 def encode_vocabulary(programs: Iterable) -> str:
     parts = []
     for p in programs:
-        parts.append(encode_statement(p.states() if isinstance(p, Program) else sorted(p)))
+        p = p.states() if isinstance(p, Program) else tuple(p)
+        try:
+            p = sorted(p)
+        except TypeError:  # a state that is no int may not sort: kept as given
+            pass
+        parts.append(encode_statement(p))
     return "[%s]" % ",".join(parts)
 
 
@@ -281,19 +291,16 @@ class _BaseMasks:
     The restricted task space is counted off the same masks: its task
     counts are ``tasks._class_counts`` over ``L_B`` with the base
     extensions, and a policy's numerator is ``tasks._policy_count`` over
-    ``L_B``.
+    ``L_B``.  Only the base task's own masks live here; what depends on
+    the environment alone is its index's ``_Vocabularies``.
     """
 
     def __init__(self, base: Task):
-        env = base.env
         # the base task was admitted under its own guards
-        self.index = index = _index_cached(env)
+        self.index = index = _index_cached(base.env)
+        self.vocabularies = index.vocabularies
         position = index.position
-        statements = index.statements
         self.ext = index.ext_masks
-        self.programs = tuple(map(_programs, statements))
-        self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in statements)
-        self.codes = tuple(map(encode_statement, env.program_sets()))
         self.inputs = sum(1 << position[x] for x in base.inputs)
         self.input_programs = tuple(map(_programs, base.inputs))
         self.outputs = sum(1 << position[y] for y in base.outputs_correct)
@@ -326,7 +333,7 @@ class _BaseMasks:
     def policies(self, vocabulary: int, extension: int, outputs: int) -> int:
         """The restriction's correct policies, as a mask over the base
         language, from its extension and outputs."""
-        programs = self.programs.__getitem__
+        programs = self.vocabularies.programs.__getitem__
         bounds = _policy_bounds(
             map(programs, _bits(outputs)), map(programs, _bits(extension & ~outputs)), vocabulary
         )
@@ -335,12 +342,8 @@ class _BaseMasks:
     def task_count(self, language: int, memo: dict, m: int) -> int:
         """The size of the task space restricted to ``language = L_B``
         (``m`` is 1 when empty outputs are excluded); ``memo`` is keyed by
-        base masks, so one serves every restriction of this base task."""
+        base masks, so one serves every restriction of this environment."""
         return sum(_class_counts(self.ext, language, memo, _ones(len(self.ext)), m))
-
-    def too_wide(self, guards: Guards) -> int:
-        """The statements whose extension size the truth-set guard refuses."""
-        return sum(1 << i for i, k in enumerate(self.truth_sizes) if k > guards.max_truth_set)
 
 
 def _renumbered(vocabulary: int, statement: Statement) -> Statement:
@@ -353,26 +356,30 @@ def _parsed(
     rho: UninstantiatedTask, candidates: Sequence[Iterable]
 ) -> Iterator[tuple[str, int | WeakformError]]:
     """Each caller-supplied candidate's report string, with its base
-    program mask or the error ``_positions`` raises on it."""
-    codes = rho._masks.codes
+    program mask or the error ``_positions`` raises on it.  A candidate
+    in canonical form is parsed once per environment, into the memo of
+    ``_Vocabularies.parsed``; every other one is parsed here."""
+    vocabularies = rho._masks.vocabularies
+    parsed, codes, sets = vocabularies.parsed, vocabularies.codes, vocabularies.sets
     for cand in candidates:
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
+        # only tuples of exact ints may look an entry up: True and 1.0 equal 1
+        plain = all(type(p) is tuple for p in cand) and {int}.issuperset(
+            map(type, chain.from_iterable(cand))
+        )
+        got = parsed.get(cand) if plain else None
+        if got is not None:
+            yield got
+            continue
         try:
-            found = _positions(rho, cand)
+            found = _positions(vocabularies, cand)
         except WeakformError as exc:
             yield encode_vocabulary(cand), exc
             continue
-        yield "[%s]" % ",".join(map(codes.__getitem__, found)), sum(1 << b for b in found)
-
-
-def _swept(rho: UninstantiatedTask) -> Iterator[tuple[str, int]]:
-    """Every sub-vocabulary's report string and base program mask, in
-    ``all_vocabularies`` order."""
-    codes = rho._masks.codes
-    positions = range(len(codes))
-    for size in range(len(codes) + 1):
-        for combo in combinations(positions, size):
-            yield "[%s]" % ",".join(map(codes.__getitem__, combo)), sum(map((1).__lshift__, combo))
+        got = "[%s]" % ",".join(map(codes.__getitem__, found)), sum(1 << b for b in found)
+        if plain and cand == tuple(map(sets.__getitem__, _bits(got[1]))):
+            parsed[cand] = got
+        yield got
 
 
 def _vocabulary_rows(
@@ -383,7 +390,7 @@ def _vocabulary_rows(
     language (policies 0 if the row has an error)."""
     masks = rho._masks
     statements = masks.index.statements
-    too_wide = masks.too_wide(guards)
+    too_wide = masks.vocabularies.too_wide(guards)
     out = []
     for idx, (encoded, vocabulary) in enumerate(vocabularies):
         try:
@@ -493,13 +500,17 @@ def verify_upper_bound(
     Every pair is read off the base task's masks, with nothing built per
     candidate: the probability of policy p over a candidate B is the
     restricted generalization table's, ``tasks._policy_count`` over
-    ``_BaseMasks.task_count`` for ``L_B``, under one count memo for the
-    whole call, and the pair's extension size is ``|ext[p] & L_B|``.
+    ``_BaseMasks.task_count`` for ``L_B``, and the pair's extension size
+    is ``|ext[p] & L_B|``.  The environment's ``_Vocabularies`` keeps each
+    ``(L_B, m)`` count and each canonical candidate's parse, so a later
+    base task over the same environment redoes neither; the pivot
+    count's memo serves one call.
     """
     outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
     rows = tuple(row for row, _, _, _ in outcomes)
     masks = rho._masks
     statements = masks.index.statements
+    counts = masks.vocabularies.counts
     memo: dict = {}
     m = 0 if include_empty_outputs else 1
     pairs: list[CandidatePolicy] = []
@@ -511,7 +522,9 @@ def verify_upper_bound(
         # here instead is an open decision
         if language.bit_count() > guards.max_task_language:
             continue
-        denominator = masks.task_count(language, memo, m)
+        denominator = counts.get((language, m))
+        if denominator is None:
+            denominator = counts[language, m] = masks.task_count(language, memo, m)
         if not denominator:
             continue
         for p in _bits(policies):
@@ -547,9 +560,16 @@ def _select(
     )
     # highest probability first, ties by candidate, then policy code: a
     # stable sort on the tie-breaks, then a stable reverse sort on the
-    # probability, which keeps tied pairs in tie-break order
+    # probability, which keeps tied pairs in tie-break order.  A
+    # probability ranks as its numerator over the lcm of the call's
+    # denominators, an exact int that compares faster than a Fraction
+    denominators = {p.probability.denominator for p in pairs}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
     ranking = sorted(pairs, key=lambda p: (p.candidate_index, len(p.policy), p.policy))
-    ranking.sort(key=attrgetter("probability"), reverse=True)
+    ranking.sort(
+        key=lambda p: p.probability.numerator * factor[p.probability.denominator], reverse=True
+    )
     best = ranking[0]
     outcome = "attained" if selected.probability == best.probability else "not_attained"
     return BoundReport(header, outcome, selected, best, tuple(ranking), rows)
@@ -591,7 +611,8 @@ def verify_utility_maximal_at_P(
             f"{MAX_SWEEP_STATES} states"
         )
     # the sweep's candidates are base program masks, none parsed
-    rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, _swept(rho), guards))
+    swept = rho._masks.vocabularies.swept
+    rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, swept, guards))
     header = _report_header(rho, rows, guards, seeds)
     full_row = rows[-1]  # the full vocabulary is the last subset
     defined = [r for r in rows if r.utility is not None]

@@ -22,6 +22,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -348,8 +349,8 @@ class LanguageIndex:
     """
 
     def __init__(self, env: Environment):
+        self.env = env
         self.statements = _enumerate_statements(env)
-        self._vocabulary_size = env.vocabulary_size
 
     @staticmethod
     def of(env: Environment, guards: Guards = DEFAULT_GUARDS) -> LanguageIndex:
@@ -370,7 +371,7 @@ class LanguageIndex:
         # one '0'/'1' digit per position, then int(digits, 2): OR-ing one
         # bit at a time into a wide mask copies it per bit
         width = len(self.statements)
-        digits = [bytearray(b"0") * width for _ in range(self._vocabulary_size)]
+        digits = [bytearray(b"0") * width for _ in range(self.env.vocabulary_size)]
         for pos, s in zip(range(width - 1, -1, -1), self.statements):
             for j in s:
                 digits[j][pos] = 49  # ord("1")
@@ -408,6 +409,12 @@ class LanguageIndex:
                 outside |= mask
         return ((1 << len(self.statements)) - 1) & ~outside
 
+    @cached_property
+    def vocabularies(self) -> _Vocabularies:
+        """The environment-only part of the vocabulary sweeps, built on
+        first use."""
+        return _Vocabularies(self)
+
     def extension_of_set(self, xs: Iterable[Statement]) -> ExtensionSet:
         """The union of the extensions of the canonical statements ``xs``."""
         mask = 0
@@ -417,6 +424,53 @@ class LanguageIndex:
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         return tuple(self.statements[i] for i in _bits(mask))
+
+
+class _Vocabularies:
+    """The environment-only part of the vocabulary sweeps, built once per
+    environment as its ``LanguageIndex.vocabularies`` and shared by every
+    base task over it: each base program's position and report code, each
+    statement's program mask and truth-set size, and three memos.
+
+    - ``parsed``: a candidate's report string and base program mask
+      (``bounds._parsed``), stored only for a candidate in canonical form, a
+      tuple of base state tuples in base order whose states are exact
+      ints.  So a sub-vocabulary has at most one entry, 2^|v| in all, and
+      ``True``, ``1.0`` or an int subclass, which hash and compare like
+      an int, never reach one.
+    - ``swept``: every sub-vocabulary's report string and base program
+      mask, 2^|v| of them.
+    - ``counts``: the size of the task space restricted to ``L_B``, per
+      ``(L_B, m)``, at most 2 * 2^|v| ints.  The pivot count's own memo,
+      whose values are |L| + 1 fields wide, lives for one call only.
+    """
+
+    def __init__(self, index: LanguageIndex):
+        env = index.env
+        self.state_count = env.state_count
+        self.sets = env.program_sets()
+        self.position = {states: b for b, states in enumerate(self.sets)}
+        self.codes = tuple(map(encode_statement, self.sets))
+        self.programs = tuple(sum(map((1).__lshift__, s)) for s in index.statements)
+        self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in index.statements)
+        self.parsed: dict[tuple, tuple[str, int]] = {}
+        self.counts: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def swept(self) -> tuple[tuple[str, int], ...]:
+        """Every sub-vocabulary's report string and base program mask, in
+        ``all_vocabularies`` order."""
+        codes = self.codes
+        positions = range(len(codes))
+        return tuple(
+            ("[%s]" % ",".join(map(codes.__getitem__, combo)), sum(map((1).__lshift__, combo)))
+            for size in range(len(codes) + 1)
+            for combo in combinations(positions, size)
+        )
+
+    def too_wide(self, guards: Guards) -> int:
+        """The statements whose extension size the truth-set guard refuses."""
+        return sum(1 << i for i, k in enumerate(self.truth_sizes) if k > guards.max_truth_set)
 
 
 @lru_cache(maxsize=None)

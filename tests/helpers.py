@@ -293,7 +293,8 @@ def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
 def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     """``bounds.instantiate`` by its state-tuple definition.
 
-    Every candidate program must be a base program; the restricted
+    Every candidate program must be a base program, and a state that is
+    no int raises what ``mk_environment`` raises on it; the restricted
     environment is built from the candidate, and each base statement is
     carried over program by program, through the programs' state tuples,
     when all of its programs survive.  Outputs that complete no
@@ -302,7 +303,10 @@ def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     base_sets = rho.env.program_sets()
     sets = []
     for p in v_prime:
-        states = tuple(sorted(p.states() if isinstance(p, Program) else p))
+        states = p.states() if isinstance(p, Program) else tuple(p)
+        if not all(isinstance(s, int) for s in states):
+            mk_environment(rho.env.state_count, [states])  # names the state that is no int
+        states = tuple(sorted(states))
         if states not in base_sets:
             raise InvalidVocabulary(
                 f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"

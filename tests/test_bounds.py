@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from random import Random
 
@@ -136,6 +137,20 @@ def test_instantiate_rejects_foreign_programs():
     rho = mk_uninstantiated(mk_task(env_p, [(1,)], []))
     with pytest.raises(InvalidVocabulary):
         instantiate(rho, [(0, 1)])
+
+
+def test_instantiate_names_a_state_that_is_no_int(rho2):
+    # the program is built before its states are sorted, so the error is
+    # the one building the environment raises, not a TypeError
+    with pytest.raises(StateOutOfRange) as want:
+        mk_environment(2, [(0, "a")])
+    with pytest.raises(StateOutOfRange) as got:
+        instantiate(rho2, [(0, "a")])
+    assert str(got.value) == str(want.value)
+    assert compare_vocabularies(rho2, [[(0, "a")]]).rows[0].error == "StateOutOfRange"
+    report = verify_upper_bound(rho2, [[(0, "a")], [(0,), (0, 1)]])
+    assert [r.error for r in report.utility_rows] == ["StateOutOfRange", None]
+    assert report.header["candidates"][0] == "[{0,a}]"
 
 
 def _restriction(restrict, rho, vocabulary):
@@ -412,6 +427,7 @@ def _malformed(rho):
         [sets[-1][::-1], set(sets[1])],          # unsorted and set forms
         (p for p in full if p.size != 1),        # a one-shot generator
         [tuple(map(_State, sets[-1]))],          # an int subclass is a state
+        [(0, "a")],                              # a state that is no int and does not sort
     ]
 
 
@@ -509,6 +525,107 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     assert not hasattr(bounds, "generalization_table")
     assert not hasattr(bounds, "mk_task")
     assert bound_reports[0].ranking and bound_reports[1].ranking
+
+
+def _sweep_reports(rho, candidates, guards):
+    """Every sweep report of one base task, as JSON."""
+    reports = [compare_vocabularies(rho, candidates, guards)]
+    reports += [verify_upper_bound(rho, candidates, guards, mode) for mode in (True, False)]
+    reports.append(verify_utility_maximal_at_P(rho, guards))
+    return [r.to_json() for r in reports]
+
+
+@pytest.mark.parametrize("guards", [
+    Guards(),
+    Guards(max_truth_set=1),
+    Guards(max_task_language=3),
+], ids=["default", "truth_set_1", "task_language_3"])
+def test_warm_sweeps_equal_cold_ones(guards):
+    # the environment's parse and count memos give every base task what
+    # a fresh index gives it.  The canonical (1,) is parsed first, so a
+    # True, a 1.0 or an int subclass, which hash and compare like 1,
+    # would find its entry if the memo were keyed by equality alone
+    conflated = [
+        ((1,), (0, 1)),
+        ((True,), (0, 1)),
+        ((1.0,), (0, 1)),
+        ((_State(1),), (_State(0), _State(1))),
+        ((_State(1),), (0, 1)),
+    ]
+    for bases in (_reference_cases(2)[::40], _reference_cases(3)[:4]):
+        env = bases[0].env
+        # each vocabulary in canonical order, then reversed, which may not
+        # take a second memo entry
+        vocabularies = list(all_vocabularies(env))
+        candidates = conflated + vocabularies + [v[::-1] for v in vocabularies]
+
+        def reports(rho):
+            # a fresh UninstantiatedTask, since each caches its index's memos
+            return _sweep_reports(mk_uninstantiated(rho.base), candidates + _malformed(rho), guards)
+
+        cold = []
+        for rho in bases:
+            core._index_cached.cache_clear()
+            cold.append(reports(rho))
+        core._index_cached.cache_clear()
+        warm = [reports(rho) for rho in bases[::-1]]
+        assert warm[::-1] == cold, env
+        memos = LanguageIndex.of(env).vocabularies
+        assert len(memos.parsed) <= 1 << env.vocabulary_size
+        assert len(memos.counts) <= 2 << env.vocabulary_size
+        assert {type(s) for key in memos.parsed for p in key for s in p} == {int}
+        assert {type(p) for key in memos.parsed for p in key} == {tuple}
+
+
+def test_a_second_base_task_reuses_the_environment_work(monkeypatch):
+    # once a base task has swept a candidate list, another base task over
+    # the same environment neither counts a restricted task space nor
+    # parses a candidate again: both come from the environment's memos
+    env = full_powerset_vocabulary(3)
+    first = mk_task(env, [(1,), (1, 4, 7)], [(1, 4, 5)])
+    second = mk_task(env, [(1, 5), (1, 4, 5, 7)], [(1, 4, 5)])
+    candidates = list(all_vocabularies(env))
+    core._index_cached.cache_clear()
+    want = [
+        verify_upper_bound(mk_uninstantiated(second), candidates, Guards(), mode).to_json()
+        for mode in (True, False)
+    ]
+    core._index_cached.cache_clear()
+    for mode in (True, False):
+        verify_upper_bound(mk_uninstantiated(first), candidates, Guards(), mode)
+    calls = []
+    for name in ("_class_counts", "_positions"):
+        original = getattr(bounds, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, record)
+    rho = mk_uninstantiated(second)
+    got = [verify_upper_bound(rho, candidates, Guards(), mode).to_json() for mode in (True, False)]
+    assert calls == []
+    assert got == want
+    assert all(json.loads(report)["ranking"] for report in got)
+
+
+#: sha256 over the verify_upper_bound JSON (empty outputs included, then
+#: excluded) and the verify_utility_maximal_at_P JSON of every 40th
+#: 2-state reference case and every 3-state one, over all sub-vocabularies
+BOUND_REPORTS_SHA256 = "bf515758db56481e850f5e58a0334266667d48a7a05f49ffe5958101ad75cb90"
+
+
+def test_bound_reports_are_pinned():
+    """The sweep reports are byte-identical from one change to the next;
+    the digest changes only with an intended report change, recorded in a
+    CHANGES.md line."""
+    digest = hashlib.sha256()
+    for rho in _reference_cases(2)[::40] + _reference_cases(3):
+        candidates = list(all_vocabularies(rho.env))
+        for mode in (True, False):
+            digest.update(verify_upper_bound(rho, candidates, Guards(), mode).to_json().encode())
+        digest.update(verify_utility_maximal_at_P(rho).to_json().encode())
+    assert digest.hexdigest() == BOUND_REPORTS_SHA256
 
 
 def test_base_mask_counts_match_restricted_tables():
