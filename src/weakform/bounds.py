@@ -371,6 +371,8 @@ def _parsed(
         if got is not None:
             yield got
             continue
+        if not plain:  # each program is read twice as well, so it is frozen here once
+            cand = tuple(p if isinstance(p, Program) else tuple(p) for p in cand)
         try:
             found = _positions(vocabularies, cand)
         except WeakformError as exc:

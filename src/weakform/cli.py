@@ -14,7 +14,7 @@ import traceback
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config
-from .errors import ConfigError, GuardExceeded
+from .errors import ConfigError, GuardExceeded, IoError
 from .harness import render_report, run_experiment, write_report
 
 EXIT_OK = 0
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(render_report(rows, config.output_format))
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, IoError) as exc:  # an unwritable report path is the caller's
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardExceeded as exc:

@@ -330,6 +330,7 @@ def config_from_dict(
     _expect(isinstance(output, dict), "output must be an object")
     _expect(set(output) <= {"path", "format"}, "output allows only 'path' and 'format'")
     output_path = output.get("path")
+    _expect(output_path is None or isinstance(output_path, str), "output path must be a string")
     output_format = output.get("format", "csv")
     _expect(output_format in ("csv", "json"), "output format must be csv or json")
 

@@ -371,11 +371,11 @@ class LanguageIndex:
         # one '0'/'1' digit per position, then int(digits, 2): OR-ing one
         # bit at a time into a wide mask copies it per bit
         width = len(self.statements)
-        digits = [bytearray(b"0") * width for _ in range(self.env.vocabulary_size)]
+        digits = [["0"] * width for _ in range(self.env.vocabulary_size)]
         for pos, s in zip(range(width - 1, -1, -1), self.statements):
             for j in s:
-                digits[j][pos] = 49  # ord("1")
-        return tuple(int(d or b"0", 2) for d in digits)
+                digits[j][pos] = "1"
+        return tuple(int("".join(d) or "0", 2) for d in digits)
 
     def extension_mask(self, x: Statement) -> int:
         """The statements that contain ``x``; 0 when ``x`` is no statement."""

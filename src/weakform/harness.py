@@ -4,7 +4,7 @@ Every experiment turns into a list of flat string-valued rows under one
 fixed header.  Rows are fully determined by the configuration and its
 seeds; the wall-clock column stays empty unless timing is explicitly
 requested, so that a rerun is byte-identical.  Reports are written
-atomically (temp file, then rename) as CSV or as a JSON array of
+atomically (temp file, then rename) as CSV or as a JSON list of
 objects with the same field names and values.
 """
 

@@ -208,8 +208,15 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
             path = Path(base_dir) / path
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            return table_proxy(name, doc["true_pairs"])
+                pairs = json.load(fh)["true_pairs"]
+            # True and 1.0 equal 1, so a pair is two lists of plain ints
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(side, list) and {int}.issuperset(map(type, side)) for side in pair)
+                for pair in pairs
+            ):
+                raise ValueError("each true pair must be two lists of ints")
+            return table_proxy(name, pairs)
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UnknownProxy(f"cannot load proxy table {path}: {exc}") from None
     raise UnknownProxy(f"unknown proxy {name!r}")

@@ -5,18 +5,18 @@ A task pairs a set of input statements with a set of designated correct
 outputs drawn from (but never equal to) the inputs' extension.  The task
 space of an environment is every such pair; it is counted from the
 statements' extensions alone (a memoised pivot recursion over the
-statement order, no table of input sets) and enumerated explicitly, and
-the two must agree.  Sampling is exactly uniform: a single random index
-into the counted space is decoded back into a task by the same count,
-size class first and then one member of the input set at a time, so a
-draw builds no table either.  The stream decodes one extension per run
-of equal consecutive unions.
+statement order) and enumerated explicitly, and the two must agree.
+Sampling is exactly uniform: a single random index into the counted
+space is decoded back into a task by the same count, size class first
+and then one member of the input set at a time.  The stream ORs each
+input set's extension masks as it walks the input sets, and decodes one
+extension per run of equal consecutive unions.  Nothing here keeps a
+table of input sets.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat
@@ -425,14 +425,13 @@ class TaskSpace:
     index->task mapping of ``sample_index`` is a contract.
     ``total_count`` and the task count of each size class are read off
     the size-graded pivot count of the statements' extension masks
-    (``_union_power_sum``), with no table.  A draw decodes its index
+    (``_union_power_sum``).  A draw decodes its index
     with the same count: the size class from the class totals, then
     each member of the input set in turn, from the task count of each
     block of the canonical order (the sets that share a prefix of
     members).  The draws share one memo of the count, kept on the
-    space.  Only the first stream builds a 2^|L| table, ``unions``,
-    whose entry p is the union of the extensions of the input set at
-    position p; a run of equal unions shares one decoded extension.
+    space.  The stream ORs each input set's extension masks in turn,
+    and a run of equal unions shares one decoded extension.
     ``include_empty_outputs`` keeps or drops tasks whose correct output
     set is empty (kept by default).
     """
@@ -466,23 +465,6 @@ class TaskSpace:
         on the first draw, so a space that only counts keeps none."""
         return {}
 
-    @cached_property
-    def unions(self) -> array:
-        """Every input set's union of extensions in canonical order, built
-        on the first stream, one size class at a time: the k-sets
-        with first member s are s joined to the (k-1)-sets after s, the
-        last C(n-1-s, k-1) of class k-1.  An array, not a list: the
-        garbage collector walks a list's entries (tens of ms at |L| = 20),
-        never an array's."""
-        ext = self.ext_masks
-        n = len(ext)
-        unions = array("Q", ext if n > 1 else ())
-        for k in range(2, n):
-            end = len(unions)
-            for s in range(n - k + 1):
-                unions.extend(map(ext[s].__or__, unions[end - comb(n - 1 - s, k - 1):end]))
-        return unions
-
     def task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``, both
         masks over canonical language positions (as ``sample_index``
@@ -508,17 +490,15 @@ class TaskSpace:
 
     # -- enumeration -------------------------------------------------------
 
-    def _input_masks_in_order(self) -> Iterator[int]:
-        """The canonical order of input sets, as masks."""
-        return map(sum, _subsets_in_order([1 << i for i in range(len(self.language))]))
-
     def tasks(self) -> Iterator[Task]:
         """Every task exactly once: input sets by size then encoding,
         output sets likewise within each input set."""
         env = self.env
         statements = self.language
         last = None
-        for inputs, union in zip(_subsets_in_order(statements), self.unions):
+        # each input set's union of extensions, ORed in the same order
+        unions = map(reduce, repeat(or_), _subsets_in_order(self.ext_masks))
+        for inputs, union in zip(_subsets_in_order(statements), unions):
             # everything but the output set is shared across a run of
             # input sets with one union
             if union != last:
@@ -543,8 +523,8 @@ class TaskSpace:
 
         The tasks of one input set are consecutive, input sets come in
         canonical order, and the index falls into the first set whose
-        running task count exceeds it.  That set is found without a
-        table: first its size class, from the class totals; then, with
+        running task count exceeds it.  That set is found by
+        counting: first its size class, from the class totals; then, with
         the members chosen so far (union U) and r still to choose, the
         sets whose next member is i form one block, holding
         ``2^|U | up(i)| * G(after i, ~(U | up(i)))[r-1] - (1+m) C(n-1-i, r-1)``
@@ -630,7 +610,7 @@ def count_tasks(
     include_empty_outputs: bool = True,
 ) -> int:
     """Exact size of the task space, counted from the statements'
-    extensions without building the table of input sets."""
+    extensions."""
     return task_space(env, guards, include_empty_outputs).total_count
 
 

@@ -2,11 +2,12 @@
 
 Everything here works on plain Python sets with itertools, deliberately
 avoiding the bit-mask machinery of the package under test, so the two
-can disagree when one of them is wrong.  The two exceptions are former
-fast paths, kept as oracles of the ones that replaced them: the table
-sampler (``table_decode``), which reads a task space's union table and
-tabulates the running task count along it, and the mask stream
-(``mask_stream``), which decodes every input set's masks afresh.
+can disagree when one of them is wrong.  The exceptions are former fast
+paths, kept as oracles of the ones that replaced them: the union table
+(``table_unions``), built forward in canonical order; the table sampler
+(``table_decode``), which tabulates the running task count along that
+table; and the mask stream (``mask_stream``), which decodes every input
+set's masks afresh.
 """
 
 from __future__ import annotations
@@ -139,10 +140,31 @@ def table_weight(space, size: int) -> int:
     return max((1 << size) - 1 - space._min_outputs, 0)
 
 
+def input_masks(space):
+    """The canonical order of a space's input sets, as masks."""
+    bits = [1 << i for i in range(len(space.language))]
+    return chain.from_iterable(map(sum, combinations(bits, k)) for k in range(1, len(bits)))
+
+
+@lru_cache(maxsize=2)
+def table_unions(space) -> array:
+    """Every input set's union of extensions in canonical order, one size
+    class at a time: the k-sets with first member s are s joined to the
+    (k-1)-sets after s, the last C(n-1-s, k-1) of class k-1."""
+    ext = space.ext_masks
+    n = len(ext)
+    unions = array("Q", ext if n > 1 else ())
+    for k in range(2, n):
+        end = len(unions)
+        for s in range(n - k + 1):
+            unions.extend(map(ext[s].__or__, unions[end - comb(n - 1 - s, k - 1):end]))
+    return unions
+
+
 def table_task_counts(space) -> list[int]:
     """The number of tasks of each input set, in canonical order, read
-    off the space's union table."""
-    return [table_weight(space, union.bit_count()) for union in space.unions]
+    off the union table."""
+    return [table_weight(space, union.bit_count()) for union in table_unions(space)]
 
 
 @lru_cache(maxsize=2)
@@ -186,7 +208,7 @@ def table_decode(space, index: int) -> tuple[int, int, int]:
         raise IndexOutOfRange(f"task index {index} outside [0, {space.total_count})")
     cum = table_running_count(space)
     pos = bisect_right(cum, index)
-    union = space.unions[pos]
+    union = table_unions(space)[pos]
     ordinal = index - (cum[pos - 1] if pos else 0) + space._min_outputs
     members = [i for i in range(union.bit_length()) if union >> i & 1]
     omask = sum(1 << i for bit, i in enumerate(members) if ordinal >> bit & 1)
@@ -201,9 +223,7 @@ def mask_stream(space):
     ``tuple.__new__`` builds the tasks."""
     env = space.env
     statements_of = space.index.statements_of
-    bits = [1 << i for i in range(len(space.language))]
-    masks = chain.from_iterable(map(sum, combinations(bits, k)) for k in range(1, len(bits)))
-    for imask, union in zip(masks, space.unions):
+    for imask, union in zip(input_masks(space), table_unions(space)):
         inputs = statements_of(imask)
         ext_statements = statements_of(union)
         ext = ExtensionSet._of_canonical(ext_statements)

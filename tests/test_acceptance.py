@@ -52,7 +52,7 @@ from weakform.tasks import (
     task_space,
 )
 
-from helpers import all_environments
+from helpers import all_environments, input_masks, table_unions
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "test-artifacts"
 
@@ -387,7 +387,7 @@ def test_criterion_8_guaranteed_correctness():
         space = task_space(env)
         n = len(space.language)
         ext = space.ext_masks
-        for imask, emask in zip(space._input_masks_in_order(), space.unions):
+        for imask, emask in zip(input_masks(space), table_unions(space)):
             input_bits = [i for i in range(n) if (imask >> i) & 1]
             for j in range(n):
                 inter = emask & ext[j]

@@ -209,6 +209,14 @@ def test_one_shot_candidates_are_read_once(rho2):
     streamed = verify_upper_bound(rho2, [iter(cand)])
     assert streamed.to_json() == listed.to_json()
     assert compare_vocabularies(rho2, [iter(cand)]).rows[0].utility == 1
+    # each program is read once as well: a rejected candidate records the
+    # row of its tuple form, and an accepted one gives the report of cand
+    rejected = [(0,), (5,)]
+    report = compare_vocabularies(rho2, [[iter(p) for p in rejected]])
+    assert report.to_json() == compare_vocabularies(rho2, [rejected]).to_json()
+    assert report.rows[0].vocabulary == "[{0},{5}]"
+    report = compare_vocabularies(rho2, [map(iter, cand)])
+    assert report.to_json() == compare_vocabularies(rho2, [cand]).to_json()
 
 
 def test_strict_child_flag(rho2):

@@ -209,6 +209,9 @@ def test_rerun_byte_identical(tmp_path):
     # exceeds a max_truth_set of 1
     ({"experiment": "compare-proxies", "environment": ENV2_DOC,
       "proxies": ["weakness", "simplicity"], "guards": {"max_truth_set": 1}}, 3),
+] + [
+    # a report path must be a string
+    ({"experiment": "enumerate", "environment": ENV2_DOC, "output": {"path": 5}}, 2),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)
@@ -238,6 +241,42 @@ def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
     (tmp_path / "env.json").write_text(env_text)
     config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
     assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert not (tmp_path / "weakform-repro.json").exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.csv", "."])
+def test_unwritable_report_path_exit_code(tmp_path, capsys, where):
+    # a report path in a missing directory, or a directory itself, is a
+    # configuration error: exit 2 with the path on stderr, and no bundle
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "compare-env2.json")
+    out = tmp_path / where
+    assert cli.main(["compare-proxies", "--config", config, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pairs", [
+    [[[0], ["a", 1]]],
+    [[[0], [None]]],
+    [[[0], ["a"]]],
+    [["01", "2"]],
+    # true and 1.0 equal 1 to Python, but name no program
+    [[[0], [True]]],
+    [[[0], [1.0]]],
+])
+def test_malformed_table_file_exit_code(tmp_path, capsys, pairs):
+    # every true pair must be two lists of ints, whether or not sorting
+    # the bad one would fail
+    (tmp_path / "rel.json").write_text(json.dumps({"true_pairs": pairs}))
+    config = write_config(tmp_path, {
+        "experiment": "compare-proxies",
+        "environment": ENV2_DOC,
+        "proxies": ["table:rel.json", "weakness"],
+    })
+    out = tmp_path / "r.csv"
+    assert cli.main(["compare-proxies", "--config", str(config), "--out", str(out)]) == 2
+    assert "rel.json" in capsys.readouterr().err
+    assert not out.exists()
     assert not (tmp_path / "weakform-repro.json").exists()
 
 

@@ -60,10 +60,12 @@ from helpers import (
     brute_extension_of_set,
     brute_language,
     brute_sample_index,
+    input_masks,
     mask_stream,
     table_decode,
     table_running_count,
     table_task_counts,
+    table_unions,
     table_unrank,
     table_weight,
 )
@@ -507,14 +509,6 @@ def test_hierarchy_level_guard():
     assert hierarchy_level(t, space) == 14
 
 
-def test_task_space_tables_are_not_walked_by_gc(env2):
-    # the 2^|L| union table is a flat array: a collection that reaches it
-    # visits its type, not one int object per entry
-    space = task_space(env2)
-    assert len(space.unions) > 1
-    assert gc.get_referents(space.unions) == [type(space.unions)]
-
-
 def _env_18():
     env = mk_environment(4, [[0], [1], [2], [3], [0, 1], [2, 3], [0, 2]])
     guards = Guards(max_task_language=18)
@@ -522,20 +516,22 @@ def _env_18():
     return env, guards
 
 
-def test_task_space_build_holds_one_table():
-    # the union table grows forward in place: the build's peak is the
-    # 2^|L| words of the table, not that plus a copy of it
-    env, guards = _env_18()
+def test_stream_holds_no_table():
+    # the stream ORs each input set's extension masks as it walks them:
+    # its first tasks cost neither the memory nor the time of a 2^|L| table
+    space = TaskSpace(*_env_18())
     tracemalloc.start()
     try:
-        space = TaskSpace(env, guards)
-        space.unions
+        for _ in islice(space.tasks(), 1000):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 8 << 18
-    assert len(space.unions) == (1 << 18) - 2
-    assert peak <= 1.25 * table + (64 << 10)
+    assert peak <= (8 << 18) // 16
+    space = TaskSpace(*_guard_limit_env())
+    start = time.perf_counter()
+    next(space.tasks())
+    assert time.perf_counter() - start < 0.1
 
 
 def test_counting_builds_no_table():
@@ -553,19 +549,21 @@ def test_counting_builds_no_table():
         tracemalloc.stop()
     space = task_space(env, guards)
     assert table.denominator == total == space.total_count
-    assert "unions" not in vars(space) and "_memo" not in vars(space)
+    assert "_memo" not in vars(space)
     assert peak <= (8 << 18) // 16
 
 
 def test_counting_and_enumerating_build_no_sampling_tables():
-    # a guard value no other test uses keys a task space of its own
+    # a guard value no other test uses keys a task space of its own; the
+    # draw begins the count's memo, and the stream keeps nothing on the space
     env = mk_environment(2, [{0}, {1}, {0, 1}])
     guards = Guards(max_task_language=13)
     space = task_space(env, guards)
     assert count_tasks(env, guards) == 2330
     space.sample(0)
-    assert "unions" not in vars(space)
+    held = set(vars(space))
     assert sum(1 for _ in enumerate_tasks(env, guards)) == 2330
+    assert set(vars(space)) == held
 
 
 def test_sample_index_matches_brute_definition():
@@ -596,7 +594,7 @@ def test_first_draw_builds_no_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "unions" not in vars(space) and "cum" not in vars(space)
+    assert "cum" not in vars(space)
     assert peak <= table // 16
     # at the guard-limit shape the two tables took about 0.25 s to build;
     # the first draw now takes about a millisecond
@@ -651,14 +649,11 @@ def test_count_of_disjoint_programs_takes_no_antichain_walk(include_empty):
 
 @pytest.mark.parametrize("include_empty", [True, False])
 def test_count_matches_antichain_walk_past_the_table(include_empty):
-    # |L| = 38: no 2^|L| table could be built (2 TiB), and none is; a
-    # space that built it on construction fails here first
-    assert "unions" not in vars(TaskSpace(*_guard_limit_env()))
+    # |L| = 38: no 2^|L| table could be built (2 TiB), and none is
     env = full_powerset_vocabulary(3)
     space = TaskSpace(env, Guards(max_task_language=38), include_empty)
     assert len(space.language) == 38
     assert space.total_count == brute_antichain_count(env, include_empty)
-    assert "unions" not in vars(space)
 
 
 def _union_of(space, imask):
@@ -674,7 +669,7 @@ def test_unrank_matches_canonical_order():
     for size in range(1, 15):
         space = TaskSpace(_disjoint_env(size))
         assert len(space.language) == size
-        order = list(space._input_masks_in_order())
+        order = list(input_masks(space))
         assert len(order) == max((1 << size) - 2, 0)
         assert [table_unrank(space, pos) for pos in range(len(order))] == order, size
 
@@ -682,7 +677,7 @@ def test_unrank_matches_canonical_order():
 @pytest.mark.parametrize("include_empty", [True, False])
 def test_running_count_matches_canonical_walk(include_empty):
     space = TaskSpace(*_env_18(), include_empty_outputs=include_empty)
-    weights = (table_weight(space, _union_of(space, m).bit_count()) for m in space._input_masks_in_order())
+    weights = (table_weight(space, _union_of(space, m).bit_count()) for m in input_masks(space))
     cum = table_running_count(space)
     assert list(cum) == list(accumulate(weights))
     assert cum[-1] == space.total_count
@@ -763,16 +758,17 @@ def test_draws_past_the_table(include_empty):
         ordinal = sum(1 << bit for bit, j in enumerate(members) if omask >> j & 1)
         keys.append((len(positions), positions, ordinal))
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert "unions" not in vars(space)
 
 
 def test_unions_match_their_definition():
+    # the oracle's union table against the OR of each input set's extensions
     spaces = [task_space(env) for env in all_environments(3, 3)]
     spaces += [TaskSpace(_disjoint_env(size)) for size in range(1, 15)]
     for space in spaces:
-        assert len(space.unions) == max((1 << len(space.language)) - 2, 0)
-        reference = [_union_of(space, m) for m in space._input_masks_in_order()]
-        assert list(space.unions) == reference, space.env
+        unions = table_unions(space)
+        assert len(unions) == max((1 << len(space.language)) - 2, 0)
+        reference = [_union_of(space, m) for m in input_masks(space)]
+        assert list(unions) == reference, space.env
 
 
 _compared = itemgetter(0, 1, 2)  # env, inputs, outputs_correct
