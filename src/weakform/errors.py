@@ -90,6 +90,10 @@ class EmptyTaskSpace(WeakformError):
     """The environment admits no task at all."""
 
 
+class InvalidSampleCount(WeakformError):
+    """A Monte Carlo estimate was asked for a sample count that is no int >= 1."""
+
+
 # --- learning ----------------------------------------------------------------
 
 class NoCorrectPolicy(WeakformError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -45,6 +46,7 @@ from .core import (
 from .errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
+    InvalidSampleCount,
     NoCorrectPolicy,
     UnknownProxy,
 )
@@ -328,21 +330,24 @@ def estimate_generalization_probabilities(
     ``Random(seed)``, each decoded once, so every estimate equals that
     statement's own call.  A draw is a hit for ``p`` when
     ``union & pmask == omask``: ``E ∩ ext(p) = O``, the identity that
-    ``correct_policies`` states as down-sets.  Each estimate carries its
+    ``correct_policies`` states as down-sets.  The drawn output masks
+    are counted per union, so ``p``'s hits are the sum over the drawn
+    unions of the count of ``union & pmask``.  Each estimate carries its
     sample count and seed so the binomial error is reconstructible."""
+    if type(samples) is not int or samples < 1:
+        raise InvalidSampleCount(f"samples must be an int >= 1, not {samples!r}")
     xs = [require_statement(env, l) for l in statements]
     space = task_space(env, guards, include_empty_outputs)
     if space.total_count == 0:
         raise EmptyTaskSpace("no tasks exist, generalization is undefined")
     position = space.index.position
     pmasks = [space.ext_masks[position[x]] for x in xs]
-    hits = [0] * len(xs)
+    drawn: defaultdict[int, Counter] = defaultdict(Counter)
     rng = Random(seed)
     for _ in range(samples):
         _, union, omask = space._decode(rng.randrange(space.total_count))
-        for i, pmask in enumerate(pmasks):
-            if union & pmask == omask:
-                hits[i] += 1
+        drawn[union][omask] += 1
+    hits = [sum(omasks.get(union & pmask, 0) for union, omasks in drawn.items()) for pmask in pmasks]
     return [GeneralizationEstimate(x, h, samples, seed) for x, h in zip(xs, hits)]
 
 

@@ -370,6 +370,13 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
     return got
 
 
+def _fields(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tuple[int, ...]) -> tuple[int, ...]:
+    """``G(P, C)`` unpacked: one coefficient per subset size 0..|P|."""
+    width = 2 * len(ext) + 2
+    g = _union_power_sum(ext, p, c, memo, ones)
+    return tuple(g >> width * r & (1 << width) - 1 for r in range(p.bit_count() + 1))
+
+
 def _class_counts(
     ext: tuple[int, ...], language: int, memo: dict, ones: tuple[int, ...], m: int
 ) -> tuple[int, ...]:
@@ -387,11 +394,8 @@ def _class_counts(
     ``ext & L_B``.
     """
     n = language.bit_count()
-    width = 2 * len(ext) + 2
-    power_sum = _union_power_sum(ext, language, language, memo, ones)
-    return tuple(
-        (power_sum >> width * k & ((1 << width) - 1)) - (1 + m) * comb(n, k) for k in range(1, n)
-    )
+    fields = _fields(ext, language, language, memo, ones)
+    return tuple(fields[k] - (1 + m) * comb(n, k) for k in range(1, n))
 
 
 def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
@@ -429,9 +433,8 @@ class TaskSpace:
     with the same count: the size class from the class totals, then
     each member of the input set in turn, from the task count of each
     block of the canonical order (the sets that share a prefix of
-    members).  The draws share one memo of the count, kept on the
-    space.  The stream ORs each input set's extension masks in turn,
-    and a run of equal unions shares one decoded extension.
+    members).  The draws share one row per position (``_rows``) and
+    the memo of the count behind them, kept on the space.
     ``include_empty_outputs`` keeps or drops tasks whose correct output
     set is empty (kept by default).
     """
@@ -465,6 +468,18 @@ class TaskSpace:
         on the first draw, so a space that only counts keeps none."""
         return {}
 
+    @cached_property
+    def _rows(self) -> list[tuple]:
+        """Per position i: its bit and extension, the positions after it,
+        ``(1+m) C(n-1-i, k)`` for each k, and ``G(after, c)`` unpacked for
+        each c the draws reach."""
+        n = len(self.ext_masks)
+        return [
+            (1 << i, up, ((1 << n) - 1) ^ ((2 << i) - 1),
+             tuple((1 + self._min_outputs) * comb(n - 1 - i, k) for k in range(n - i)), {})
+            for i, up in enumerate(self.ext_masks)
+        ]
+
     def task_from_masks(self, imask: int, omask: int) -> Task:
         """The task with input set ``imask`` and output set ``omask``, both
         masks over canonical language positions (as ``sample_index``
@@ -475,7 +490,7 @@ class TaskSpace:
             raise EmptyInputs("a task needs at least one input statement")
         if imask < 0 or imask >= (1 << len(self.language)) - 1:
             raise InputsNotStrictSubset(f"input mask {imask:#x} is no proper subset of the language")
-        ext = reduce(or_, map(self.ext_masks.__getitem__, _bits(imask)), 0)
+        ext = _reach(self.ext_masks, imask)
         if omask & ~ext:
             raise OutputsNotInExtension(f"output mask {omask:#x} leaves the extension {ext:#x}")
         if omask == ext:
@@ -521,43 +536,48 @@ class TaskSpace:
         """The input mask, its union of extensions and the output mask of
         the task at a flat index in [0, total_count).
 
-        The tasks of one input set are consecutive, input sets come in
-        canonical order, and the index falls into the first set whose
-        running task count exceeds it.  That set is found by
-        counting: first its size class, from the class totals; then, with
-        the members chosen so far (union U) and r still to choose, the
-        sets whose next member is i form one block, holding
-        ``2^|U | up(i)| * G(after i, ~(U | up(i)))[r-1] - (1+m) C(n-1-i, r-1)``
-        tasks.  The index takes i when it falls inside that block, and
-        otherwise skips the block.  A set that admits no task adds
-        nothing to its block, so the index never lands on it."""
+        Input sets come in canonical order, each with its tasks in a
+        run, and the index falls into the first set whose running task
+        count exceeds it.  Counting finds it: the size class from the
+        class totals; then, with union U of the members chosen and k
+        more after the next, the sets whose next member is i hold
+        ``2^|U | up(i)| * G(after i, ~(U | up(i)))[k] - (1+m) C(n-1-i, k)``
+        tasks (read off ``_rows``), which the index enters or skips.  A set
+        that admits no task adds nothing, so no index lands on it.  The
+        remainder's bits pick the output set among U's members."""
+        if type(index) is not int:
+            raise IndexOutOfRange(f"task index {index!r} is no int")
         if not 0 <= index < self.total_count:
             raise IndexOutOfRange(f"task index {index} outside [0, {self.total_count})")
-        ext = self.ext_masks
-        n = len(ext)
-        width = 2 * n + 2
-        field = (1 << width) - 1
-        m = self._min_outputs
-        r = 1
-        while index >= self._class_counts[r - 1]:
-            index -= self._class_counts[r - 1]
-            r += 1
+        k = 0  # the members still to choose after the next one
+        while index >= self._class_counts[k]:
+            index -= self._class_counts[k]
+            k += 1
         imask = union = 0
-        i = 0
-        while r:
-            joined = union | ext[i]
-            after = ((1 << n) - 1) ^ ((2 << i) - 1)  # the positions past i
-            rest = _union_power_sum(ext, after, after & ~joined, self._memo, self._ones)
-            block = ((rest >> width * (r - 1) & field) << joined.bit_count()) - (1 + m) * comb(n - 1 - i, r - 1)
+        for bit, up, after, losses, fields_of in self._rows:
+            joined = union | up
+            c = after & ~joined
+            fields = fields_of.get(c)
+            if fields is None:
+                fields = fields_of[c] = _fields(self.ext_masks, after, c, self._memo, self._ones)
+            block = (fields[k] << joined.bit_count()) - losses[k]
             if index < block:
-                imask |= 1 << i
+                imask |= bit
                 union = joined
-                r -= 1
+                if not k:
+                    break
+                k -= 1
             else:
                 index -= block
-            i += 1
-        ordinal = index + m  # skip the empty output set if excluded
-        omask = sum(1 << i for bit, i in enumerate(_bits(union)) if (ordinal >> bit) & 1)
+        ordinal = index + self._min_outputs  # skip the empty output set if excluded
+        omask = 0  # the ordinal's bits, one run of consecutive members at a time
+        members = union
+        while ordinal:
+            low = members & -members
+            run = members & ~(members + low)
+            omask |= (ordinal & run // low) * low
+            ordinal >>= run.bit_count()
+            members ^= run
         return imask, union, omask
 
     def sample_index(self, index: int) -> tuple[int, int]:

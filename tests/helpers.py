@@ -6,8 +6,9 @@ can disagree when one of them is wrong.  The exceptions are former fast
 paths, kept as oracles of the ones that replaced them: the union table
 (``table_unions``), built forward in canonical order; the table sampler
 (``table_decode``), which tabulates the running task count along that
-table; and the mask stream (``mask_stream``), which decodes every input
-set's masks afresh.
+table; the mask stream (``mask_stream``), which decodes every input
+set's masks afresh; and the per-draw hit count of the Monte Carlo
+estimator (``per_draw_estimates``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from math import comb
+from random import Random
 
 from weakform import DEFAULT_GUARDS, Environment, Program, mk_environment, mk_task
 from weakform.core import ExtensionSet
@@ -213,6 +215,21 @@ def table_decode(space, index: int) -> tuple[int, int, int]:
     members = [i for i in range(union.bit_length()) if union >> i & 1]
     omask = sum(1 << i for bit, i in enumerate(members) if ordinal >> bit & 1)
     return table_unrank(space, pos), union, omask
+
+
+def per_draw_estimates(space, pmasks, samples: int, seed: int) -> list[int]:
+    """The hits of each statement (given by its extension mask) over
+    ``samples`` seeded draws, as the estimator counted them before it
+    counted output masks per union: every draw is tested against every
+    statement, a hit when ``union & pmask == omask``."""
+    hits = [0] * len(pmasks)
+    rng = Random(seed)
+    for _ in range(samples):
+        _, union, omask = space._decode(rng.randrange(space.total_count))
+        for i, pmask in enumerate(pmasks):
+            if union & pmask == omask:
+                hits[i] += 1
+    return hits
 
 
 def mask_stream(space):

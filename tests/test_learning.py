@@ -11,6 +11,7 @@ from weakform.errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
     IndexOutOfRange,
+    InvalidSampleCount,
     NoCorrectPolicy,
     NotAStatement,
     TaskSpaceTooLarge,
@@ -37,7 +38,7 @@ from weakform.learning import (
     weakness_cmp,
     weakness_proxy,
 )
-from weakform.tasks import enumerate_tasks, mk_task, task_space
+from weakform.tasks import TaskSpace, enumerate_tasks, mk_task, task_space
 
 from helpers import (
     all_environments,
@@ -247,6 +248,20 @@ def test_estimates_check_statements_then_guard_then_space(env2):
         estimate_generalization_probabilities(mk_environment(1, []), [(), (0,)], 10, 0)
     with pytest.raises(EmptyTaskSpace):
         estimate_generalization_probabilities(mk_environment(1, []), [()], 10, 0)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+def test_estimates_refuse_a_sample_count_below_one(env2, monkeypatch, samples):
+    # refused before any draw: a count of 0 would divide by zero in the
+    # estimate, -3 would be reported as is, and 2.5 would fail in range()
+    def draw(space, index):
+        raise AssertionError("drew a task")
+
+    monkeypatch.setattr(TaskSpace, "_decode", draw)
+    with pytest.raises(InvalidSampleCount):
+        estimate_generalization_probabilities(env2, [(0,)], samples, 1)
+    with pytest.raises(InvalidSampleCount):
+        estimate_generalization_probability(env2, (0,), samples, 1)
 
 
 # --- sample efficiency ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from weakform import Guards, enumerate_language, full_powerset_vocabulary, mk_environment
+from weakform import tasks as tasks_module
 from weakform.core import LanguageIndex
 from weakform.errors import (
     EmptyInputs,
@@ -30,6 +31,7 @@ from weakform.errors import (
     TaskSpaceTooLarge,
 )
 from weakform.learning import (
+    estimate_generalization_probabilities,
     generalization_table,
     sample_efficiency,
     simplicity_proxy,
@@ -62,6 +64,7 @@ from helpers import (
     brute_sample_index,
     input_masks,
     mask_stream,
+    per_draw_estimates,
     table_decode,
     table_running_count,
     table_task_counts,
@@ -760,6 +763,46 @@ def test_draws_past_the_table(include_empty):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_warm_draw_reenters_no_pivot_count(monkeypatch, include_empty):
+    # each step of a draw reads its position's row: once 200 seeded draws
+    # have filled the rows, decoding them again never calls the count
+    cases = [_guard_limit_env(), _env_18(), (_disjoint_env(20), Guards(max_task_language=20))]
+    for env, guards in cases:
+        space = TaskSpace(env, guards, include_empty)
+        rng = Random(200)
+        indices = [rng.randrange(space.total_count) for _ in range(200)]
+        first = list(map(space._decode, indices))
+        calls = []
+        count = tasks_module._union_power_sum
+        monkeypatch.setattr(tasks_module, "_union_power_sum", lambda *args: calls.append(args) or count(*args))
+        assert list(map(space._decode, indices)) == first
+        assert calls == [], env
+        # a cold space does call it, so the count above is live
+        TaskSpace(env, guards, include_empty)._decode(indices[0])
+        assert calls, env
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_estimates_match_the_per_draw_oracle_at_the_guard_limit(include_empty):
+    # the hits counted per union against testing every draw against
+    # every statement, for every statement over 1,000 draws: all 20 at
+    # the guard-limit shape, where nearly every draw's union is the whole
+    # language and hits are rare, and all 6 of a small space
+    cases = [_guard_limit_env(), (mk_environment(2, [{0}, {1}, {0, 1}]), Guards())]
+    for env, guards in cases:
+        space = TaskSpace(env, guards, include_empty)
+        statements = enumerate_language(env, guards)
+        for seed in (1, 7):
+            got = estimate_generalization_probabilities(env, statements, 1000, seed, guards, include_empty)
+            hits = per_draw_estimates(space, space.ext_masks, 1000, seed)
+            assert [(e.statement, e.successes, e.samples, e.seed) for e in got] == [
+                (x, h, 1000, seed) for x, h in zip(statements, hits)
+            ], (env, seed)
+    assert any(hits) and not all(hits)
+
+
 def test_unions_match_their_definition():
     # the oracle's union table against the OR of each input set's extensions
     spaces = [task_space(env) for env in all_environments(3, 3)]
@@ -813,6 +856,13 @@ def test_sample_index_out_of_range(env2, index):
     assert space.total_count == 2330
     with pytest.raises(IndexOutOfRange):
         space.sample_index(index)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_sample_index_refuses_an_index_that_is_no_int(env2, index):
+    # True equals 1 and 1.0 equals 1, but neither names a task
+    with pytest.raises(IndexOutOfRange):
+        task_space(env2).sample_index(index)
 
 
 # env2's language is ((), (0,), (1,), (2,), (0, 2), (1, 2)); the input
