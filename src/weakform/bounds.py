@@ -91,7 +91,7 @@ def weakest_correct_policy(task: Task, guards: Guards = DEFAULT_GUARDS) -> tuple
     """The weakest correct policy and its extension size; ties go to the
     canonically smallest statement."""
     # policies come in canonical order, so the first of the largest wins
-    policies = correct_policies(task).members
+    policies = correct_policies(task)
     if not policies:
         raise NoCorrectPolicy("the task has no correct policy")
     sizes = [extension_size(task.env, p, guards) for p in policies]

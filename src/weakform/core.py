@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateProgram,
@@ -494,58 +494,48 @@ def language_size(env: Environment, guards: Guards = DEFAULT_GUARDS) -> int:
 
 # --- extensions ----------------------------------------------------------------
 
-class ExtensionSet:
-    """An immutable set of statements in canonical order."""
+class ExtensionSet(tuple):
+    """An immutable set of statements, held once as a tuple in canonical
+    order.
 
-    __slots__ = ("members", "_as_set")
+    ``ExtensionSet(iterable)`` sorts and deduplicates its input.  Being
+    canonical, two sets of the same statements are equal tuples; a set
+    also equals a ``set`` or ``frozenset`` of its statements and hashes
+    like that frozenset, but it equals no plain tuple.
+    """
 
-    def __init__(self, members: Iterable[Statement]):
-        object.__setattr__(self, "members", tuple(sorted(set(members), key=_stmt_order)))
-        object.__setattr__(self, "_as_set", frozenset(self.members))
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[Statement]):
+        return tuple.__new__(cls, sorted(set(members), key=_stmt_order))
 
     @classmethod
-    def _of_canonical(cls, members: tuple[Statement, ...]) -> ExtensionSet:
+    def _of_canonical(cls, members: Iterable[Statement]) -> ExtensionSet:
         """The set of ``members`` that are already in canonical order and
         free of duplicates, as ``LanguageIndex.statements_of`` yields them."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_as_set", frozenset(members))
-        return self
+        return tuple.__new__(cls, members)
 
-    def __setattr__(self, name, value):  # immutability, mirrors the frozen dataclasses
-        raise AttributeError("ExtensionSet is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, past the guard
-        return (ExtensionSet, (self.members,))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Statement]:
-        return iter(self.members)
-
-    def __contains__(self, item) -> bool:
-        return item in self._as_set
+    members = property(tuple, doc="The statements as a plain tuple.")
+    size = property(tuple.__len__)
 
     def as_set(self) -> frozenset[Statement]:
-        return self._as_set
+        return frozenset(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExtensionSet):
-            return self._as_set == other._as_set
+            return tuple.__eq__(self, other)
         if isinstance(other, (set, frozenset)):
-            return self._as_set == other
-        return NotImplemented
+            return other == frozenset(self)
+        # a plain tuple would otherwise answer with tuple equality
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # inverts __eq__: tuple's own finds an equal plain tuple equal
 
     def __hash__(self) -> int:
-        return hash(self._as_set)
+        return hash(frozenset(self))
 
     def __repr__(self) -> str:
-        return f"ExtensionSet({encode_statement_set(self.members)})"
+        return f"ExtensionSet({encode_statement_set(self)})"
 
 
 def extension(env: Environment, x: Iterable[int]) -> ExtensionSet:

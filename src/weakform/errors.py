@@ -91,7 +91,8 @@ class EmptyTaskSpace(WeakformError):
 
 
 class InvalidSampleCount(WeakformError):
-    """A Monte Carlo estimate was asked for a sample count that is no int >= 1."""
+    """A sample count is no int in range: >= 1 for a Monte Carlo
+    estimate, >= 0 for a batch of drawn tasks."""
 
 
 # --- learning ----------------------------------------------------------------

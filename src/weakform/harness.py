@@ -137,9 +137,9 @@ def _derive_child(task: Task, rng: Random, child_input_count: int | None) -> Tas
     k = max(1, min(k, len(task.inputs) - 1))
     kept = sorted(rng.sample(range(len(task.inputs)), k))
     inputs = [task.inputs[i] for i in kept]
-    ext = extension_of_set(task.env, inputs)
+    ext = extension_of_set(task.env, inputs).as_set()
     outs = [o for o in task.outputs_correct if o in ext]
-    if len(outs) == ext.size:
+    if len(outs) == len(ext):
         outs = outs[:-1]
     return mk_task(task.env, inputs, outs)
 

@@ -78,19 +78,19 @@ __all__ = [
 
 def weakness_cmp(env: Environment, l1: Iterable[int], l2: Iterable[int],
                  guards: Guards = DEFAULT_GUARDS) -> bool:
-    """True iff ``l1`` has the strictly smaller extension."""
-    a = extension_size(env, require_statement(env, l1), guards)
-    b = extension_size(env, require_statement(env, l2), guards)
-    return a < b
+    """True iff ``l1`` has the strictly smaller extension: the weakness
+    proxy's relation."""
+    return weakness_proxy().holds(env, l1, l2, guards)
 
 
 def simplicity_cmp(l1: Iterable[int], l2: Iterable[int]) -> bool:
     """True iff ``l1`` has strictly more member programs than ``l2``.
 
     Fewer constraints count as simpler, so maximising this relation
-    selects the shortest statement.  A form-based baseline, nothing more.
+    selects the shortest statement.  A form-based baseline, nothing more:
+    the simplicity proxy's relation.
     """
-    return len(tuple(l1)) > len(tuple(l2))
+    return simplicity_proxy().holds(None, l1, l2)
 
 
 def _key_rows(keys: Sequence) -> list[int]:
@@ -410,12 +410,11 @@ def learn(
     whose row over the policy set is empty.
     """
     pols = correct_policies(child)
-    if not pols.members:
+    if not pols:
         raise NoCorrectPolicy("the task has no correct policy")
-    members = pols.members
-    maximal = [p for p, row in zip(members, proxy.rows(child.env, members, guards)) if not row]
+    maximal = [p for p, row in zip(pols, proxy.rows(child.env, pols, guards)) if not row]
     if not maximal:
-        maximal = list(members)
+        maximal = list(pols)
     if len(maximal) > 1 and not tie_break:
         raise AmbiguousMaximum(
             f"{len(maximal)} policies are proxy-maximal under {proxy.name}"

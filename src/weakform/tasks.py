@@ -17,9 +17,8 @@ table of input sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, starmap
 from math import comb
 from operator import and_, itemgetter, or_
 from pathlib import Path
@@ -51,6 +50,7 @@ from .errors import (
     IndexOutOfRange,
     InputNotInTask,
     InputsNotStrictSubset,
+    InvalidSampleCount,
     NoOutput,
     OutputsNotInExtension,
     OutputsNotStrict,
@@ -149,8 +149,9 @@ def mk_task(
     if len(ins) >= len(index.statements):
         raise InputsNotStrictSubset("inputs cover the whole language")
     ext = index.extension_of_set(ins)
+    members = ext.as_set()  # one set per call: membership on the tuple is a scan
     for o in outs:
-        if o not in ext:
+        if o not in members:
             raise OutputsNotInExtension(
                 f"{encode_statement(o)} completes none of the inputs"
             )
@@ -218,7 +219,7 @@ def _task_bounds(task: Task) -> tuple[int, list[int]]:
     outs = task.output_set
     return _policy_bounds(
         map(_programs, outs),
-        (_programs(y) for y in task.extension.members if y not in outs),
+        (_programs(y) for y in task.extension if y not in outs),
         (1 << task.env.vocabulary_size) - 1,
     )
 
@@ -237,21 +238,13 @@ def is_correct_policy(task: Task, pi: Iterable[int]) -> bool:
     return not p & ~common and all(p & ~b for b in maximal)
 
 
-@dataclass(frozen=True)
-class PolicySet:
-    """All correct policies of one task, in canonical order."""
+class PolicySet(tuple):
+    """All correct policies of one task, held once as a tuple in
+    canonical order."""
 
-    task: Task
-    members: tuple[Statement, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Statement]:
-        return iter(self.members)
-
-    def __contains__(self, item) -> bool:
-        return item in self.members
+    members = property(tuple, doc="The policies as a plain tuple.")
 
 
 def correct_policies(task: Task) -> PolicySet:
@@ -260,7 +253,7 @@ def correct_policies(task: Task) -> PolicySet:
     # the task's index was admitted when the task was built, perhaps
     # under raised guards, so it is not checked against the defaults again
     index = _index_cached(task.env)
-    return PolicySet(task, index.statements_of(_policy_mask(index, *_task_bounds(task))))
+    return PolicySet(index.statements_of(_policy_mask(index, *_task_bounds(task))))
 
 
 def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -> tuple[Statement, bool]:
@@ -485,11 +478,16 @@ class TaskSpace:
         masks over canonical language positions (as ``sample_index``
         returns them).  The masks are checked as ``mk_task`` checks a
         task: nonempty inputs short of the whole language, and outputs
-        strictly inside their extension."""
+        strictly inside their extension.  A mask must be an ``int``: ``True``
+        or ``1.0`` names no set, though each equals 1."""
+        if type(imask) is not int:
+            raise InputsNotStrictSubset(f"input mask {imask!r} is no int")
         if not imask:
             raise EmptyInputs("a task needs at least one input statement")
         if imask < 0 or imask >= (1 << len(self.language)) - 1:
             raise InputsNotStrictSubset(f"input mask {imask:#x} is no proper subset of the language")
+        if type(omask) is not int:
+            raise OutputsNotInExtension(f"output mask {omask!r} is no int")
         ext = _reach(self.ext_masks, imask)
         if omask & ~ext:
             raise OutputsNotInExtension(f"output mask {omask:#x} leaves the extension {ext:#x}")
@@ -518,11 +516,10 @@ class TaskSpace:
             # input sets with one union
             if union != last:
                 last = union
-                ext_statements = tuple(map(statements.__getitem__, _bits(union)))
-                ext = ExtensionSet._of_canonical(ext_statements)
-                sizes = range(self._min_outputs, len(ext_statements))
+                ext = ExtensionSet._of_canonical(map(statements.__getitem__, _bits(union)))
+                sizes = range(self._min_outputs, len(ext))
             # output sets by size, then positions, short of the whole extension
-            outs = chain.from_iterable(map(combinations, repeat(ext_statements), sizes))
+            outs = chain.from_iterable(map(combinations, repeat(ext), sizes))
             # C iterators and the type call build the tasks: no Python
             # frame runs per task but this generator's own
             yield from map(Task, zip(repeat(env), repeat(inputs), outs, repeat(ext)))
@@ -589,12 +586,14 @@ class TaskSpace:
         return next(self.sample_many(seed, 1))
 
     def sample_many(self, seed: int, count: int) -> Iterator[Task]:
+        """``count`` tasks drawn from one ``Random(seed)``, lazily; the
+        count and the space are checked on the call, before any draw."""
+        if type(count) is not int or count < 0:
+            raise InvalidSampleCount(f"count must be an int >= 0, not {count!r}")
         if self.total_count == 0:
             raise EmptyTaskSpace("this environment admits no task")
-        rng = Random(seed)
-        for _ in range(count):
-            imask, omask = self.sample_index(rng.randrange(self.total_count))
-            yield self.task_from_masks(imask, omask)
+        indices = map(Random(seed).randrange, repeat(self.total_count, count))
+        return starmap(self.task_from_masks, map(self.sample_index, indices))
 
     # -- hierarchy levels --------------------------------------------------------
 

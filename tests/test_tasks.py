@@ -15,7 +15,7 @@ import pytest
 
 from weakform import Guards, enumerate_language, full_powerset_vocabulary, mk_environment
 from weakform import tasks as tasks_module
-from weakform.core import LanguageIndex
+from weakform.core import ExtensionSet, LanguageIndex, _stmt_order
 from weakform.errors import (
     EmptyInputs,
     EmptyTaskSpace,
@@ -23,6 +23,7 @@ from weakform.errors import (
     IndexOutOfRange,
     InputNotInTask,
     InputsNotStrictSubset,
+    InvalidSampleCount,
     NoOutput,
     NotAStatement,
     OutputsNotInExtension,
@@ -38,6 +39,7 @@ from weakform.learning import (
     weakness_proxy,
 )
 from weakform.tasks import (
+    PolicySet,
     Task,
     TaskSpace,
     correct_policies,
@@ -72,10 +74,6 @@ from helpers import (
     table_unrank,
     table_weight,
 )
-
-
-def _stmt_order(x):
-    return (len(x), x)
 
 
 def brute_task_keys(env, include_empty_outputs=True):
@@ -173,6 +171,38 @@ def test_task_pickles_and_copies(env2):
             assert again.extension.members == task.extension.members
             assert again.env == task.env
             assert repr(again) == repr(task)
+
+
+def test_statement_sets_are_canonical_tuples(env2):
+    # an ExtensionSet or PolicySet holds its statements once, as a slotted
+    # tuple in canonical order
+    lang = enumerate_language(env2)
+    ext = ExtensionSet(list(reversed(lang)) + [lang[0]])
+    pols = correct_policies(mk_task(env2, [(2,)], [(0, 2)]))
+    assert type(pols) is PolicySet and pols.members == ((0,), (0, 2))
+    for got, members in ((ext, lang), (pols, ((0,), (0, 2)))):
+        assert isinstance(got, tuple) and type(got).__slots__ == ()
+        assert not hasattr(got, "__dict__")
+        with pytest.raises(AttributeError):
+            got.extra = 1
+        with pytest.raises(AttributeError):
+            got.members = members
+        assert type(got.members) is tuple and got.members == members
+        assert len(got) == len(members) and list(got) == list(members)
+        assert all(x in got for x in members) and (9,) not in got
+        for again in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+            assert type(again) is type(got) and again.members == members
+    # _of_canonical takes its members as they come
+    assert ExtensionSet._of_canonical(iter(lang)).members == lang
+    assert ext.size == len(lang) and ext.as_set() == frozenset(lang)
+    # a set of the same statements is equal and hashes alike; a tuple is not
+    for other in (ExtensionSet(lang), frozenset(lang), set(lang)):
+        assert ext == other and other == ext and not ext != other
+    assert hash(ext) == hash(frozenset(lang)) == hash(ExtensionSet(lang))
+    for other in (lang, tuple(ext), list(lang), ExtensionSet(lang[1:])):
+        assert ext != other and other != ext and not ext == other
+    assert repr(ext) == "ExtensionSet({{},{0},{1},{2},{0,2},{1,2}})"
+    assert repr(pickle.loads(pickle.dumps(ext))) == repr(ext)
 
 
 def test_task_is_built_from_one_iterable(env2):
@@ -866,7 +896,9 @@ def test_sample_index_refuses_an_index_that_is_no_int(env2, index):
 
 
 # env2's language is ((), (0,), (1,), (2,), (0, 2), (1, 2)); the input
-# mask 0b10 is the statement (0,), whose extension is 0b10010
+# mask 0b10 is the statement (0,), whose extension is 0b10010, and 0b1
+# the empty statement, whose extension is the whole language.  True
+# equals 1 and 1.0 equals 1, but neither names a set
 @pytest.mark.parametrize("imask, omask, error", [
     (0, 0, EmptyInputs),
     (0b111111, 0, InputsNotStrictSubset),
@@ -876,10 +908,26 @@ def test_sample_index_refuses_an_index_that_is_no_int(env2, index):
     (0b10, 0b10011, OutputsNotInExtension),
     (0b10, -1, OutputsNotInExtension),
     (0b10, 0b10010, OutputsNotStrict),
+    (True, 0, InputsNotStrictSubset),
+    (1.0, 0, InputsNotStrictSubset),
+    ("1", 0, InputsNotStrictSubset),
+    (0b1, True, OutputsNotInExtension),
+    (0b1, 1.0, OutputsNotInExtension),
+    (0b1, "1", OutputsNotInExtension),
 ])
 def test_task_from_masks_checks_the_masks(env2, imask, omask, error):
     with pytest.raises(error):
         task_space(env2).task_from_masks(imask, omask)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True, "1", None])
+def test_sample_many_refuses_a_bad_count_before_any_draw(env2, count):
+    space = task_space(env2)
+    with pytest.raises(InvalidSampleCount):
+        space.sample_many(0, count)  # on the call, not on the first draw
+    assert list(space.sample_many(0, 0)) == []
+    drawn = list(space.sample_many(0, 3))
+    assert len(drawn) == 3 and drawn[0] == space.sample(0)
 
 
 def test_sample_task_deterministic(env2):
