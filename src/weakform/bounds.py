@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_GUARDS,
@@ -49,9 +50,7 @@ from .tasks import (
     Task,
     _class_counts,
     _ones,
-    _policy_bounds,
     _policy_count,
-    _policy_mask,
     _programs,
     correct_policies,
 )
@@ -135,15 +134,18 @@ def _positions(vocabularies: _Vocabularies, candidate: Iterable) -> list[int]:
     A program with a state that is no int (``"a"``, 1.0) is built by
     ``mk_environment`` before it is sorted, and raises its
     ``StateOutOfRange``.  Then a foreign program raises
-    ``InvalidVocabulary``.  A candidate with a repeated program, or with
-    an int state that is no plain int (True, an int subclass), is built
-    by ``mk_environment`` too, which raises that vocabulary's own error;
-    every other candidate skips the build."""
+    ``InvalidVocabulary``, as does a Program over another number of
+    states, even when its states name a base program.  A candidate with
+    a repeated program, or with an int state that is no plain int (True,
+    an int subclass), is built by ``mk_environment`` too, which raises
+    that vocabulary's own error; every other candidate skips the build."""
     position = vocabularies.position
     n = vocabularies.state_count
     sets = []
     for p in candidate:
         if isinstance(p, Program):
+            if p.width != n:
+                raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {n}")
             states = p.states()
         else:
             states = tuple(p)
@@ -180,13 +182,17 @@ def instantiate(
     """
     masks = rho._masks
     vocabulary = sum(1 << b for b in _positions(masks.vocabularies, v_prime))
+    restricted = masks.restrict(vocabulary, guards)
+    if isinstance(restricted, type):
+        size = vocabulary.bit_count()
+        raise restricted(_REFUSALS[restricted].format(size=size, guards=guards))
     sets = masks.vocabularies.sets
     env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
     statements = masks.index.statements
     # the restricted language is dropped: the new environment has its own
     inputs, extension, outputs = (
         tuple(_renumbered(vocabulary, statements[i]) for i in _bits(mask))
-        for mask in masks.restrict(vocabulary, guards)[1:]
+        for mask in restricted[1:]
     )
     return Task((env2, inputs, outputs, ExtensionSet._of_canonical(extension)))
 
@@ -231,9 +237,9 @@ def all_vocabularies(env: Environment) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 # --- reports ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VocabularyRow:
-    """One candidate vocabulary's outcome in a utility comparison."""
+class VocabularyRow(NamedTuple):
+    """One candidate vocabulary's outcome in a utility comparison; a
+    named tuple, as a sweep builds one per candidate."""
 
     index: int
     vocabulary: str
@@ -245,7 +251,7 @@ class VocabularyRow:
     error: str | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _report_header(
@@ -306,44 +312,46 @@ class _BaseMasks:
         self.outputs = sum(1 << position[y] for y in base.outputs_correct)
         self.extension = sum(1 << position[y] for y in base.extension)
 
-    def restrict(self, vocabulary: int, guards: Guards) -> tuple[int, int, int, int]:
+    def restrict(
+        self, vocabulary: int, guards: Guards
+    ) -> tuple[int, int, int, int] | type[WeakformError]:
         """The restricted language, inputs, extension and outputs, as masks
-        over the base language, for the base program mask ``vocabulary``.
-        Raises ``EmptyInstantiation`` when no input survives, then what
-        ``mk_task`` raises on the restricted task, in its order."""
+        over the base language, for the base program mask ``vocabulary``;
+        or the class of the error the restriction raises: first
+        ``EmptyInstantiation`` when no input survives, then what ``mk_task``
+        raises on the restricted task, in its order.  A sweep records the
+        class's name, so it builds no exception; ``instantiate`` raises it."""
         # an input survives when its programs lie in the vocabulary; most
         # candidates of a sweep keep none, so this is tested before the
         # down-set is built
         if all(q & ~vocabulary for q in self.input_programs):
-            raise EmptyInstantiation("no input statement survives this vocabulary")
+            return EmptyInstantiation
+        if vocabulary.bit_count() > guards.max_vocabulary:
+            return VocabularyTooLarge
         language = self.index.below(vocabulary)
         inputs = self.inputs & language
-        if vocabulary.bit_count() > guards.max_vocabulary:
-            raise VocabularyTooLarge(
-                f"|v| = {vocabulary.bit_count()} exceeds guard {guards.max_vocabulary}"
-            )
         if inputs == language:
-            raise InputsNotStrictSubset("inputs cover the whole language")
+            return InputsNotStrictSubset
         extension = self.extension & language
         outputs = self.outputs & language
         if outputs == extension:
-            raise OutputsNotStrict("outputs equal the whole input extension")
+            return OutputsNotStrict
         return language, inputs, extension, outputs
-
-    def policies(self, vocabulary: int, extension: int, outputs: int) -> int:
-        """The restriction's correct policies, as a mask over the base
-        language, from its extension and outputs."""
-        programs = self.vocabularies.programs.__getitem__
-        bounds = _policy_bounds(
-            map(programs, _bits(outputs)), map(programs, _bits(extension & ~outputs)), vocabulary
-        )
-        return _policy_mask(self.index, *bounds)
 
     def task_count(self, language: int, memo: dict, m: int) -> int:
         """The size of the task space restricted to ``language = L_B``
         (``m`` is 1 when empty outputs are excluded); ``memo`` is keyed by
         base masks, so one serves every restriction of this environment."""
         return sum(_class_counts(self.ext, language, memo, _ones(len(self.ext)), m))
+
+
+#: The message ``instantiate`` raises each error of ``_BaseMasks.restrict`` with.
+_REFUSALS = {
+    EmptyInstantiation: "no input statement survives this vocabulary",
+    VocabularyTooLarge: "|v| = {size} exceeds guard {guards.max_vocabulary}",
+    InputsNotStrictSubset: "inputs cover the whole language",
+    OutputsNotStrict: "outputs equal the whole input extension",
+}
 
 
 def _renumbered(vocabulary: int, statement: Statement) -> Statement:
@@ -389,40 +397,55 @@ def _vocabulary_rows(
 ) -> list[tuple[VocabularyRow, int, int, int]]:
     """Each candidate's utility row, with its base program mask, its
     restricted language and its correct policies as masks over the base
-    language (policies 0 if the row has an error)."""
+    language (all 0 if the row has an error).
+
+    p is a correct policy when ``E_B ∩ ext(p) = O_B``: every output
+    completes p and no other member of ``E_B`` does.  Transposed onto the
+    environment's down table, the policies are
+    ``L_B & AND_{o in O_B} down[o] & ~OR_{y in E_B - O_B} down[y]``.  A
+    row's error is recorded by its class's name; none is raised."""
     masks = rho._masks
     statements = masks.index.statements
+    ext = masks.ext
+    restrict = masks.restrict
+    down = masks.vocabularies.down.__getitem__
     too_wide = masks.vocabularies.too_wide(guards)
     out = []
     for idx, (encoded, vocabulary) in enumerate(vocabularies):
-        try:
-            if isinstance(vocabulary, WeakformError):
-                raise vocabulary  # the parse step's error is the row's
-            language, inputs, extension, outputs = masks.restrict(vocabulary, guards)
-            policies = masks.policies(vocabulary, extension, outputs)
-            if not policies:
-                raise NoCorrectPolicy("the task has no correct policy")
-            if policies & too_wide:
-                raise TruthSetTooLarge(
-                    f"a correct policy's truth set exceeds guard {guards.max_truth_set}"
-                )
-            # policies in canonical order, so the first of the largest wins
-            members = _bits(policies)
-            sizes = [(masks.ext[p] & language).bit_count() for p in members]
-            size = max(sizes)
-            row = VocabularyRow(
-                idx,
-                encoded,
-                language.bit_count(),
-                size - outputs.bit_count(),
-                encode_statement(_renumbered(vocabulary, statements[members[sizes.index(size)]])),
-                size,
-                inputs != masks.inputs,
-                None,
+        if isinstance(vocabulary, WeakformError):
+            error = type(vocabulary)  # the parse step's error is the row's
+        else:
+            restricted = restrict(vocabulary, guards)
+            error = restricted if isinstance(restricted, type) else None
+        if error is None:
+            language, inputs, extension, outputs = restricted
+            policies = reduce(and_, map(down, _bits(outputs)), language) & ~reduce(
+                or_, map(down, _bits(extension & ~outputs)), 0
             )
-        except WeakformError as exc:
-            row = VocabularyRow(idx, encoded, None, None, None, None, None, type(exc).__name__)
-            vocabulary = language = policies = 0  # a row with an error ranks none of its pairs
+            if not policies:
+                error = NoCorrectPolicy
+            elif policies & too_wide:
+                error = TruthSetTooLarge
+        if error is not None:
+            # a row with an error ranks none of its pairs
+            row = VocabularyRow(idx, encoded, None, None, None, None, None, error.__name__)
+            out.append((row, 0, 0, 0))
+            continue
+        # policies in canonical order, so the first of the largest wins
+        members = _bits(policies)
+        sizes = [(ext[p] & language).bit_count() for p in members]
+        size = max(sizes)
+        witness = _renumbered(vocabulary, statements[members[sizes.index(size)]])
+        row = VocabularyRow(
+            idx,
+            encoded,
+            language.bit_count(),
+            size - outputs.bit_count(),
+            encode_statement(witness),
+            size,
+            inputs != masks.inputs,
+            None,
+        )
         out.append((row, vocabulary, language, policies))
     return out
 
@@ -441,9 +464,9 @@ def compare_vocabularies(
     return UtilityReport(header, rows)
 
 
-@dataclass(frozen=True)
-class CandidatePolicy:
-    """A (vocabulary, policy) pair with its generalization probability."""
+class CandidatePolicy(NamedTuple):
+    """A (vocabulary, policy) pair with its generalization probability; a
+    named tuple, as a bound report builds one per pair."""
 
     candidate_index: int
     vocabulary: str

@@ -430,8 +430,12 @@ class _Vocabularies:
     """The environment-only part of the vocabulary sweeps, built once per
     environment as its ``LanguageIndex.vocabularies`` and shared by every
     base task over it: each base program's position and report code, each
-    statement's program mask and truth-set size, and three memos.
+    statement's truth-set size, the down table and three memos.
 
+    - ``down``: each statement y's down-set ``below(programs(y))``, the
+      statements that y completes: |L| masks of |L| bits.  A
+      restriction's correct policies are read off it
+      (``bounds._vocabulary_rows``).
     - ``parsed``: a candidate's report string and base program mask
       (``bounds._parsed``), stored only for a candidate in canonical form, a
       tuple of base state tuples in base order whose states are exact
@@ -451,8 +455,8 @@ class _Vocabularies:
         self.sets = env.program_sets()
         self.position = {states: b for b, states in enumerate(self.sets)}
         self.codes = tuple(map(encode_statement, self.sets))
-        self.programs = tuple(sum(map((1).__lshift__, s)) for s in index.statements)
         self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in index.statements)
+        self.down = tuple(index.below(sum(map((1).__lshift__, s))) for s in index.statements)
         self.parsed: dict[tuple, tuple[str, int]] = {}
         self.counts: dict[tuple[int, int], int] = {}
 

@@ -43,12 +43,12 @@ from .errors import (
     WeakformError,
 )
 from .learning import (
+    _proxy_errors,
     estimate_generalization_probabilities,
     evaluate_generalization,
     generalization_table,
     learn,
     proxy_by_name,
-    sample_efficiency,
 )
 from .tasks import Task, enumerate_tasks, mk_task, task_space
 
@@ -265,14 +265,16 @@ def _run_compare(config, env, factory) -> list[dict[str, str]]:
     lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
     proxies = [proxy_by_name(name, config.base_dir) for name in config.proxies]
+    # a pair's sample efficiency is the difference of the two proxies'
+    # errors, so each proxy's rows are built once (the config admits no
+    # run without two distinct proxies)
+    errors = _proxy_errors(env, proxies, config.guards, config.include_empty_outputs)
     rows = []
-    for a in proxies:
-        for b in proxies:
+    for a, error_a in zip(proxies, errors):
+        for b, error_b in zip(proxies, errors):
             if a.name == b.name:
                 continue
-            value = sample_efficiency(
-                env, a, b, config.guards, config.include_empty_outputs
-            )
+            value = error_a - error_b
             rows.append(
                 factory.row(
                     language_size=len(lang),

@@ -27,7 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from operator import or_, xor
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -380,17 +380,27 @@ def sample_efficiency(
     generalization order, summed over all ordered statement pairs.
 
     Every term is a bit, so a row's error is the popcount of its XOR
-    with the generalization order's row ``{j : num_i < num_j}``.
-    Negative means ``a`` is the more sample-efficient proxy.
+    with the generalization order's row ``{j : num_i < num_j}``, and the
+    double sum is ``a``'s total error minus ``b``'s.  Negative means ``a``
+    is the more sample-efficient proxy.
     """
+    error_a, error_b = _proxy_errors(env, (a, b), guards, include_empty_outputs)
+    return error_a - error_b
+
+
+def _proxy_errors(
+    env: Environment, proxies: Sequence[Proxy], guards: Guards, include_empty_outputs: bool
+) -> list[int]:
+    """Each proxy's error against the generalization order, summed over
+    all ordered statement pairs; each proxy's rows are built once."""
     table = generalization_table(env, guards, include_empty_outputs)
     if table.denominator == 0:
         raise EmptyTaskSpace("no tasks exist, sample efficiency is undefined")
     g = _key_rows(table.numerators)
-    rows_a, rows_b = (p.rows(env, table.statements, guards) for p in (a, b))
-    return sum(
-        (gi ^ ai).bit_count() - (gi ^ bi).bit_count() for gi, ai, bi in zip(g, rows_a, rows_b)
-    )
+    return [
+        sum(map(int.bit_count, map(xor, g, p.rows(env, table.statements, guards))))
+        for p in proxies
+    ]
 
 
 # --- learning ------------------------------------------------------------------------------

@@ -202,26 +202,15 @@ def _programs(x: Statement) -> int:
     return sum(map((1).__lshift__, x))
 
 
-def _policy_bounds(
-    outputs: Iterable[int], others: Iterable[int], common: int
-) -> tuple[int, list[int]]:
+def _task_bounds(task: Task) -> tuple[int, list[int]]:
     # p is correct when E & ext[p] == O for the inputs' extension E and
     # the outputs O: p lies in ``common``, the programs of every output,
     # and in no rival, the programs of another member of E (within
     # common).  A p inside a rival is inside every rival above it, so
-    # the maximal rivals decide.  Statements come as program masks, and
-    # ``common`` starts at the whole vocabulary
-    common = reduce(and_, outputs, common)
-    return common, _maximal({y & common for y in others})
-
-
-def _task_bounds(task: Task) -> tuple[int, list[int]]:
+    # the maximal rivals decide.  Statements come as program masks
     outs = task.output_set
-    return _policy_bounds(
-        map(_programs, outs),
-        (_programs(y) for y in task.extension if y not in outs),
-        (1 << task.env.vocabulary_size) - 1,
-    )
+    common = reduce(and_, map(_programs, outs), (1 << task.env.vocabulary_size) - 1)
+    return common, _maximal({_programs(y) & common for y in task.extension if y not in outs})
 
 
 def _policy_mask(index: LanguageIndex, common: int, maximal: Iterable[int]) -> int:
@@ -249,7 +238,7 @@ class PolicySet(tuple):
 
 def correct_policies(task: Task) -> PolicySet:
     """The statements inside every output and inside no maximal rival
-    (see ``_policy_bounds``)."""
+    (see ``_task_bounds``)."""
     # the task's index was admitted when the task was built, perhaps
     # under raised guards, so it is not checked against the defaults again
     index = _index_cached(task.env)

@@ -330,8 +330,9 @@ def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
 def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     """``bounds.instantiate`` by its state-tuple definition.
 
-    Every candidate program must be a base program, and a state that is
-    no int raises what ``mk_environment`` raises on it; the restricted
+    Every candidate program must be a base program, a Program value over
+    the base's number of states, and a state that is no int raises what
+    ``mk_environment`` raises on it; the restricted
     environment is built from the candidate, and each base statement is
     carried over program by program, through the programs' state tuples,
     when all of its programs survive.  Outputs that complete no
@@ -340,6 +341,8 @@ def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     base_sets = rho.env.program_sets()
     sets = []
     for p in v_prime:
+        if isinstance(p, Program) and p.width != rho.env.state_count:
+            raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {rho.env.state_count}")
         states = p.states() if isinstance(p, Program) else tuple(p)
         if not all(isinstance(s, int) for s in states):
             mk_environment(rho.env.state_count, [states])  # names the state that is no int

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -151,6 +152,19 @@ def test_instantiate_names_a_state_that_is_no_int(rho2):
     report = verify_upper_bound(rho2, [[(0, "a")], [(0,), (0, 1)]])
     assert [r.error for r in report.utility_rows] == ["StateOutOfRange", None]
     assert report.header["candidates"][0] == "[{0,a}]"
+
+
+def test_instantiate_rejects_a_program_over_other_states():
+    # Program({0}) over five states names the states of a base program,
+    # yet it is no program of a three-state base
+    foreign = mk_environment(5, [[0], [1, 4]]).programs[0]
+    rho = mk_uninstantiated(mk_task(full_powerset_vocabulary(3), [(1,)], []))
+    assert compare_vocabularies(rho, [[(0,), (1,)]]).rows[0].utility == 1
+    for restrict in (instantiate, brute_instantiate):
+        with pytest.raises(InvalidVocabulary, match="over 5 states, not 3"):
+            restrict(rho, [foreign, (1,)])
+    assert compare_vocabularies(rho, [[foreign, (1,)]]).rows[0].error == "InvalidVocabulary"
+    assert verify_upper_bound(rho, [[foreign, (1,)]]).outcome == "no_candidate"
 
 
 def _restriction(restrict, rho, vocabulary):
@@ -436,6 +450,7 @@ def _malformed(rho):
         (p for p in full if p.size != 1),        # a one-shot generator
         [tuple(map(_State, sets[-1]))],          # an int subclass is a state
         [(0, "a")],                              # a state that is no int and does not sort
+        [mk_environment(5, [[0], [1, 4]]).programs[0], (1,)],  # a Program over other states
     ]
 
 
@@ -533,6 +548,62 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     assert not hasattr(bounds, "generalization_table")
     assert not hasattr(bounds, "mk_task")
     assert bound_reports[0].ranking and bound_reports[1].ranking
+
+
+def test_the_sweep_raises_nothing_and_reads_the_down_table(monkeypatch):
+    # on one three-state base task every row's error is recorded by its
+    # class's name, with no exception built, and each candidate's policies
+    # come off the environment's down table: ``below`` runs once per
+    # statement to build it, then once per candidate that keeps an input,
+    # for its restricted language, and never per rival or per policy
+    base = _phi3_family(1, seed=5)[0].base
+    index = core._index_cached(base.env)
+    below = LanguageIndex.below
+    calls = []
+
+    def counted(self, programs):
+        calls.append(programs)
+        return below(self, programs)
+
+    def refused(self, *args):
+        raise AssertionError(f"{type(self).__name__}{args} was built")
+
+    monkeypatch.setattr(LanguageIndex, "below", counted)
+    monkeypatch.setattr(index, "vocabularies", core._Vocabularies(index))  # a cold table
+    assert len(calls) == len(index.statements)
+    monkeypatch.setattr(WeakformError, "__init__", refused)
+    for _ in range(2):
+        calls.clear()
+        report = verify_utility_maximal_at_P(mk_uninstantiated(base))
+        kept = [r for r in report.rows if r.error != "EmptyInstantiation"]
+        assert len(calls) == len(set(calls)) == len(kept) > 0
+    assert {r.error for r in report.rows} > {None, "EmptyInstantiation"}
+
+
+def test_row_records_keep_their_contract():
+    # positional construction, field order, to_dict, immutability and no
+    # per-instance dict
+    fields = (
+        "index", "vocabulary", "language_size", "utility", "witness_policy",
+        "witness_extension_size", "strict_child", "error",
+    )
+    values = (3, "[{0},{0,1}]", 4, 1, "{1}", 2, True, None)
+    row = VocabularyRow(*values)
+    assert tuple(getattr(row, f) for f in fields) == values
+    assert list(row.to_dict().items()) == list(zip(fields, values))
+    pair = CandidatePolicy(3, "[{0},{0,1}]", "{1}", 2, Fraction(2, 6))
+    assert list(pair.to_dict().items()) == [
+        ("candidate_index", 3),
+        ("vocabulary", "[{0},{0,1}]"),
+        ("policy", "{1}"),
+        ("extension_size", 2),
+        ("probability", "1/3"),
+    ]
+    for record, field in ((row, "index"), (row, "error"), (pair, "probability")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert not hasattr(record, "__dict__")
+    assert row == VocabularyRow(*values) and hash(row) == hash(VocabularyRow(*values))
 
 
 def _sweep_reports(rho, candidates, guards):

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from random import Random
 
 import pytest
 
-from weakform import harness, mk_environment, sample_efficiency, simplicity_proxy, weakness_proxy
+from weakform import (
+    harness,
+    mk_environment,
+    proxy_by_name,
+    sample_efficiency,
+    simplicity_proxy,
+    weakness_proxy,
+)
 from weakform.config import parse_config
 from weakform.errors import (
     EmptyReport,
@@ -162,6 +170,36 @@ def test_compare_proxies_rows_carry_exhaustive_value():
     by_pair = {r["proxy"]: r for r in rows}
     assert by_pair["weakness|simplicity"]["value"] == str(expected)
     assert by_pair["simplicity|weakness"]["value"] == str(-expected)
+
+
+def test_compare_proxies_builds_each_proxys_rows_once(monkeypatch):
+    # every ordered pair is read off the two proxies' errors, so a proxy's
+    # rows, 400 SHA-256 cells for a random one at |L| = 20, run once
+    built = []
+
+    def counted(name, base_dir=None):
+        proxy = proxy_by_name(name, base_dir)
+
+        def rows(*args):
+            built.append(name)
+            return proxy.rows(*args)
+
+        return replace(proxy, rows=rows)
+
+    monkeypatch.setattr(harness, "proxy_by_name", counted)
+    names = ["weakness", "simplicity", "random:3"]
+    rows = run_experiment(cfg({
+        "experiment": "compare-proxies",
+        "environment": ENV2_DOC,
+        "proxies": names,
+    }))
+    assert sorted(built) == sorted(names)
+    env = mk_environment(2, [{0}, {1}, {0, 1}])
+    want = {
+        f"{a}|{b}": str(sample_efficiency(env, proxy_by_name(a), proxy_by_name(b)))
+        for a in names for b in names if a != b
+    }
+    assert {r["proxy"]: r["value"] for r in rows} == want
 
 
 def test_learn_rows_and_child_validity():
