@@ -1,8 +1,9 @@
 """Command-line driver.
 
-One subcommand per experiment kind; the configuration document decides
-everything else.  Exit codes: 0 success, 2 configuration error, 3 guard
-exceeded, 4 internal invariant violation (a repro bundle is dumped).
+The first argument names the experiment kind; the configuration
+document decides everything else.  Exit codes: 0 success, 2 configuration
+error, 3 guard exceeded, 4 internal invariant violation (a repro bundle
+is dumped).
 """
 
 from __future__ import annotations
@@ -28,32 +29,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weakform",
         description="Seeded, reproducible experiments over finite task spaces.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the seed list")
-        p.add_argument("--out", default=None, help="report path (default: from config)")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=None,
-            help="report format (default: from config)",
-        )
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="parallel learn workers (at most one per trial and per CPU)",
-        )
-        p.add_argument(
-            "--timing", action="store_true",
-            help="fill the wall_ms column (breaks byte-identical reruns)",
-        )
+    parser.add_argument("subcommand", choices=EXPERIMENT_KINDS, help="the experiment kind")
+    parser.add_argument("--config", required=True, help="path to the JSON configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override the seed list")
+    parser.add_argument("--out", default=None, help="report path (default: from config)")
+    parser.add_argument(
+        "--format", choices=("csv", "json"), default=None,
+        help="report format (default: from config)",
+    )
+    parser.add_argument(
+        "--timing", action="store_true",
+        help="fill the wall_ms column (breaks byte-identical reruns)",
+    )
     return parser
 
 
-def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: BaseException) -> Path | None:
+def _dump_repro_bundle(
+    argv: list[str], args: argparse.Namespace, config_text: str | None, exc: BaseException,
+) -> Path | None:
     """Write the repro bundle beside the report, else in the cwd; None
     when neither write succeeds."""
     bundle = {
-        "argv": sys.argv[1:],
+        "argv": argv,
         "config": config_text,
         "error": repr(exc),
         "traceback": traceback.format_exc(),
@@ -72,16 +69,14 @@ def _dump_repro_bundle(args: argparse.Namespace, config_text: str | None, exc: B
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     config_text: str | None = None
     try:
         config_path = Path(args.config)
         try:
             config_text = config_path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         config = parse_config(
@@ -94,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             output_path=args.out,
             output_format=args.format,
         )
-        rows = run_experiment(config, jobs=args.jobs, timing=args.timing)
+        rows = run_experiment(config, timing=args.timing)
         if config.output_path:
             write_report(rows, config.output_path, config.output_format)
             print(f"wrote {len(rows)} rows to {config.output_path}")
@@ -108,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except Exception as exc:  # noqa: BLE001 - dump a bundle, report code 4
-        path = _dump_repro_bundle(args, config_text, exc)
+        path = _dump_repro_bundle(argv, args, config_text, exc)
         written = path if path else "none written (the write failed)"
         print(f"internal error: {exc}\nrepro bundle: {written}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -185,7 +185,7 @@ def _parse_environment(doc: Any, base_dir: Path | None, guards: Guards) -> Envir
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"cannot read {label}: {exc}") from None
         _expect(
             isinstance(doc, dict) and "states" in doc and "vocabulary" in doc,
@@ -375,5 +375,7 @@ def parse_config(
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     _expect(isinstance(doc, dict), "the configuration document must be a JSON object")
     return config_from_dict(doc, base_dir, default_experiment)

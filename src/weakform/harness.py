@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from random import Random
 
@@ -87,12 +86,6 @@ def _guards_str(g: Guards) -> str:
     )
 
 
-def _env_of(config: ExperimentConfig) -> Environment:
-    return mk_environment(
-        config.environment["states"], config.environment["vocabulary"]
-    )
-
-
 class _RowFactory:
     """Fills the constant columns of every row of one run."""
 
@@ -144,25 +137,21 @@ def _derive_child(task: Task, rng: Random, child_input_count: int | None) -> Tas
     return mk_task(task.env, inputs, outs)
 
 
-def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[str, str]]:
-    env = _env_of(config)
-    factory = _RowFactory(config, env)
-    space = task_space(env, config.guards, config.include_empty_outputs)
-    lang_size = len(space.language)
-    rng = Random(_derive_trial_seed(seed, trial))
-
-    parent = None
-    for _ in range(10000):
-        candidate = space.sample_index(rng.randrange(space.total_count))
-        imask, omask = candidate
-        if imask.bit_count() >= 2:
-            parent = space.task_from_masks(imask, omask)
-            break
+def _learn_unit(config, env, factory, proxies, space, seed, trial) -> list[dict[str, str]]:
     common = dict(
-        language_size=lang_size,
+        language_size=len(space.language),
         task_count=space.total_count,
         seed=f"{seed}.{trial}",
     )
+    rng = Random(_derive_trial_seed(seed, trial))
+    parent = None
+    # a parent needs two input statements, and every language of at
+    # least three statements holds such tasks; smaller ones hold none
+    for _ in range(10000 if len(space.language) >= 3 else 0):
+        imask, omask = space.sample_index(rng.randrange(space.total_count))
+        if imask.bit_count() >= 2:
+            parent = space.task_from_masks(imask, omask)
+            break
     if parent is None:
         return [factory.row(note="NoUsableParent", **common)]
 
@@ -173,8 +162,7 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
     except NoCorrectPolicy:
         eps = ""
     rows = []
-    for name in config.proxies:
-        proxy = proxy_by_name(name, config.base_dir)
+    for name, proxy in proxies:
         try:
             pi = learn(child, proxy, config.guards)
         except NoCorrectPolicy:
@@ -196,27 +184,19 @@ def _learn_unit(config: ExperimentConfig, seed: int, trial: int) -> list[dict[st
     return rows
 
 
-def _learn_unit_star(args) -> list[dict[str, str]]:
-    return _learn_unit(*args)
-
-
 # --- experiment dispatch ---------------------------------------------------------------
 
-def run_experiment(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    timing: bool = False,
-) -> list[dict[str, str]]:
+def run_experiment(config: ExperimentConfig, timing: bool = False) -> list[dict[str, str]]:
     """Execute the configured experiment and return its report rows."""
     t0 = time.monotonic()
-    env = _env_of(config)
+    env = mk_environment(config.environment["states"], config.environment["vocabulary"])
     factory = _RowFactory(config, env)
     kind = config.experiment
 
     if kind == "enumerate":
         rows = _run_enumerate(config, env, factory)
     elif kind == "learn":
-        rows = _run_learn(config, jobs)
+        rows = _run_learn(config, env, factory)
     elif kind == "compare-proxies":
         rows = _run_compare(config, env, factory)
     elif kind == "utility":
@@ -249,16 +229,16 @@ def _run_enumerate(config, env, factory) -> list[dict[str, str]]:
     ]
 
 
-def _run_learn(config, jobs) -> list[dict[str, str]]:
-    units = [(config, seed, trial) for seed in config.seeds for trial in range(config.trials)]
-    # the pool starts every worker at once, so never more than can be busy
-    workers = min(jobs, len(units), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_learn_unit_star, units))
-    else:
-        chunks = [_learn_unit_star(u) for u in units]
-    return [row for chunk in chunks for row in chunk]
+def _run_learn(config, env, factory) -> list[dict[str, str]]:
+    space = task_space(env, config.guards, config.include_empty_outputs)
+    # rows carry each proxy's configured name ("random:01", not "random:1")
+    proxies = [(name, proxy_by_name(name, config.base_dir)) for name in config.proxies]
+    return [
+        row
+        for seed in config.seeds
+        for trial in range(config.trials)
+        for row in _learn_unit(config, env, factory, proxies, space, seed, trial)
+    ]
 
 
 def _run_compare(config, env, factory) -> list[dict[str, str]]:

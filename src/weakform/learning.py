@@ -219,7 +219,7 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
             ):
                 raise ValueError("each true pair must be two lists of ints")
             return table_proxy(name, pairs)
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, RecursionError) as exc:
             raise UnknownProxy(f"cannot load proxy table {path}: {exc}") from None
     raise UnknownProxy(f"unknown proxy {name!r}")
 

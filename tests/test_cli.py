@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -99,6 +102,21 @@ def test_internal_error_dumps_repro_bundle(tmp_path, capsys, monkeypatch):
     bundle = json.loads((tmp_path / "weakform-repro.json").read_text())
     assert "synthetic failure" in bundle["error"]
     assert bundle["config"]
+
+
+def test_repro_bundle_records_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    # main(argv) records the list it parsed, not the host process's argv
+    config = write_config(tmp_path, {"experiment": "enumerate", "environment": ENV2_DOC})
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(sys, "argv", ["host", "host-arg-1", "host-arg-2"])
+    argv = ["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 4
+    bundle = json.loads((tmp_path / "weakform-repro.json").read_text())
+    assert bundle["argv"] == argv
 
 
 def test_internal_error_without_a_writable_bundle_exits_4(tmp_path, capsys, monkeypatch):
@@ -229,11 +247,65 @@ def test_enumerate_empty_language(tmp_path, environment):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_jobs_must_be_positive(tmp_path, capsys):
-    config = write_config(tmp_path, {"experiment": "learn", "environment": ENV2_DOC})
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["explore", "--config", "c.json"],
+                 "argument subcommand: invalid choice: 'explore'", id="unknown-kind"),
+    pytest.param(["--config", "c.json"],
+                 "the following arguments are required: subcommand", id="no-kind"),
+    # every run is one serial process
+    pytest.param(["learn", "--config", "c.json", "--jobs", "2"],
+                 "unrecognized arguments: --jobs 2", id="jobs"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["learn", "--config", str(config), "--jobs", "0"])
+        cli.main(argv)
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; import weakform.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "[]"
+
+
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+def _config_bytes(**doc):
+    return json.dumps({"experiment": "enumerate", "environment": ENV2_DOC, **doc}).encode()
+
+
+@pytest.mark.parametrize("files", [
+    pytest.param({"config.json": b"\xff\xfe" + _config_bytes()}, id="undecodable-config"),
+    pytest.param({"config.json": DEEP_JSON}, id="deep-config"),
+    pytest.param({
+        "config.json": _config_bytes(environment={"file": "env.json"}),
+        "env.json": DEEP_JSON,
+    }, id="deep-environment-file"),
+    pytest.param({
+        "config.json": _config_bytes(proxies=["table:rel.json", "weakness"]),
+        "rel.json": DEEP_JSON,
+    }, id="deep-table-file"),
+])
+def test_unreadable_documents_exit_2(tmp_path, capsys, files):
+    # every malformed document is a configuration error, also one that
+    # is no UTF-8 or that nests deeper than the JSON reader can follow
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    config, out = tmp_path / "config.json", tmp_path / "r.csv"
+    assert cli.main(["enumerate", "--config", str(config), "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "weakform-repro.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("env_text", ['{"states": 2, "vocabulary": 5}', "not json"])

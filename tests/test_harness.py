@@ -25,7 +25,7 @@ from weakform.errors import (
 )
 from weakform.harness import CSV_FIELDS, run_experiment, write_report
 from weakform.harness import _derive_child
-from weakform.tasks import is_child, task_space
+from weakform.tasks import TaskSpace, is_child, task_space
 
 ENV2_DOC = {"states": 2, "vocabulary": [[0], [1], [0, 1]]}
 
@@ -223,6 +223,45 @@ def test_learn_rows_and_child_validity():
     assert marked, "expected some trials without a correct policy"
 
 
+def test_learn_draws_no_task_when_no_parent_can_exist(monkeypatch):
+    # a parent needs two input statements; the language {(), (0,)} has
+    # two statements in all, so no trial draws and each writes its marker
+    draws = []
+    sample_index = TaskSpace.sample_index
+
+    def counted(self, index):
+        draws.append(index)
+        return sample_index(self, index)
+
+    monkeypatch.setattr(TaskSpace, "sample_index", counted)
+    doc = {"experiment": "learn", "environment": {"states": 1, "vocabulary": [[0]]}, "trials": 5}
+    rows = run_experiment(cfg(doc))
+    assert [r["note"] for r in rows] == ["NoUsableParent"] * 5
+    assert draws == []
+    run_experiment(cfg(dict(doc, environment=ENV2_DOC)))
+    assert draws
+
+
+def test_learn_resolves_each_proxy_once_per_run(monkeypatch):
+    resolved = []
+
+    def counted(name, base_dir=None):
+        resolved.append(name)
+        return proxy_by_name(name, base_dir)
+
+    monkeypatch.setattr(harness, "proxy_by_name", counted)
+    names = ["weakness", "random:01"]
+    rows = run_experiment(cfg({
+        "experiment": "learn",
+        "environment": ENV2_DOC,
+        "proxies": names,
+        "seeds": [1, 2],
+        "trials": 4,
+    }))
+    assert resolved == names
+    assert {r["proxy"] for r in rows if r["proxy"]} == set(names)
+
+
 def test_derive_child_is_strict_child():
     env = mk_environment(2, [{0}, {1}, {0, 1}])
     space = task_space(env)
@@ -304,45 +343,6 @@ def test_run_experiment_deterministic():
         "trials": 5,
     }
     assert run_experiment(cfg(doc)) == run_experiment(cfg(doc))
-
-
-def test_parallel_learn_matches_serial():
-    doc = {
-        "experiment": "learn",
-        "environment": ENV2_DOC,
-        "proxies": ["weakness", "simplicity"],
-        "seeds": [1, 2],
-        "trials": 4,
-    }
-    assert run_experiment(cfg(doc), jobs=2) == run_experiment(cfg(doc), jobs=1)
-
-
-@pytest.mark.parametrize("jobs, cpus, expected", [
-    (1000, 64, 6),  # one worker per unit: 2 seeds x 3 trials
-    (1000, 4, 4),   # one worker per CPU
-    (3, 64, 3),     # as many as asked for
-])
-def test_learn_pool_is_clamped(monkeypatch, jobs, cpus, expected):
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    doc = {"experiment": "learn", "environment": ENV2_DOC, "seeds": [1, 2], "trials": 3}
-    assert run_experiment(cfg(doc), jobs=jobs) == run_experiment(cfg(doc), jobs=1)
-    assert started == [expected]
 
 
 def test_write_report_csv_and_json_agree(tmp_path):
