@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -26,7 +26,7 @@ from .core import (
     mk_environment,
 )
 from .errors import GuardConflict, GuardExceeded, ParseError, WeakformError
-from .learning import proxy_by_name
+from .learning import Proxy, proxy_by_name
 from .tasks import mk_task
 
 __all__ = [
@@ -80,10 +80,11 @@ class ExperimentConfig:
     guards: Guards
     output_path: str | None
     output_format: str
-    # the directory relative paths in the document resolve against (table
-    # proxies); where the document lives does not define the experiment,
-    # so it is neither serialised nor hashed
-    base_dir: Path | None = None
+    # each name of ``proxies`` resolved once, when the document was
+    # validated, so a run uses the relation it validated and reads no
+    # table file again; the names define the experiment, so the resolved
+    # proxies are neither serialised, hashed nor compared
+    resolved_proxies: tuple[Proxy, ...] = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -271,9 +272,10 @@ def config_from_dict(
         and all(isinstance(p, str) for p in proxies),
         "proxies must be a nonempty list of names",
     )
-    # raises UnknownProxy; names that resolve alike ("random:1" and
-    # "random:01") are the same proxy
-    distinct_proxies = {proxy_by_name(name, base_dir).name for name in proxies}
+    # raises UnknownProxy; each distinct name is resolved once, and names
+    # that resolve alike ("random:1" and "random:01") are the same proxy
+    resolved = {name: proxy_by_name(name, base_dir) for name in dict.fromkeys(proxies)}
+    distinct_proxies = {proxy.name for proxy in resolved.values()}
 
     seeds = doc.get("seeds", [0])
     _expect(
@@ -359,7 +361,7 @@ def config_from_dict(
         guards=guards,
         output_path=output_path,
         output_format=output_format,
-        base_dir=base_dir,
+        resolved_proxies=tuple(map(resolved.__getitem__, proxies)),
     )
 
 

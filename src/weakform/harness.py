@@ -47,7 +47,6 @@ from .learning import (
     evaluate_generalization,
     generalization_table,
     learn,
-    proxy_by_name,
 )
 from .tasks import Task, enumerate_tasks, mk_task, task_space
 
@@ -232,7 +231,7 @@ def _run_enumerate(config, env, factory) -> list[dict[str, str]]:
 def _run_learn(config, env, factory) -> list[dict[str, str]]:
     space = task_space(env, config.guards, config.include_empty_outputs)
     # rows carry each proxy's configured name ("random:01", not "random:1")
-    proxies = [(name, proxy_by_name(name, config.base_dir)) for name in config.proxies]
+    proxies = list(zip(config.proxies, config.resolved_proxies))
     return [
         row
         for seed in config.seeds
@@ -244,7 +243,7 @@ def _run_learn(config, env, factory) -> list[dict[str, str]]:
 def _run_compare(config, env, factory) -> list[dict[str, str]]:
     lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
-    proxies = [proxy_by_name(name, config.base_dir) for name in config.proxies]
+    proxies = config.resolved_proxies
     # a pair's sample efficiency is the difference of the two proxies'
     # errors, so each proxy's rows are built once (the config admits no
     # run without two distinct proxies)

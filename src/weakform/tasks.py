@@ -9,9 +9,12 @@ statement order) and enumerated explicitly, and the two must agree.
 Sampling is exactly uniform: a single random index into the counted
 space is decoded back into a task by the same count, size class first
 and then one member of the input set at a time.  The stream ORs each
-input set's extension masks as it walks the input sets, and decodes one
-extension per run of equal consecutive unions.  Nothing here keeps a
-table of input sets.
+input set's extension masks as it walks the input sets, decodes one
+extension per run of equal consecutive unions, and builds a run's output
+sets once when its extension has at most 10 statements; it is a pipeline
+of C iterators with one Python call per input set, none per task.
+Nothing here keeps a table of input sets, and the stream holds at most
+one run's output sets, at most 1,023 of them.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class Task(tuple):
 
     A slotted tuple ``(env, inputs, outputs_correct, extension)`` with
     read-only fields, built from one iterable as a tuple is: the task
-    space streams millions of tasks, and the type call builds each in C
-    (``mk_task`` is the validated constructor).  Two tasks are equal
+    space streams millions of tasks, and the type call, mapped over each
+    input set's output sets, builds each in C with no Python frame per
+    task (``mk_task`` is the validated constructor).  Two tasks are equal
     when their environment, inputs and correct outputs are (the extension
     follows from the inputs), and the hash agrees.  A task equals only
     another ``Task``: never a plain tuple of the same fields.
@@ -403,6 +407,13 @@ def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
     return count
 
 
+# A run of input sets whose extension has at most this many statements
+# replays one tuple of its output sets (at most 2^10 - 1 = 1,023 of them,
+# about 0.1 MiB).  A longer extension may belong to a single input set with
+# up to 2^|L| - 1 output sets, so buffering it would only cost memory.
+_SHARED_OUTPUTS = 10
+
+
 class TaskSpace:
     """Counted, enumerable, uniformly sampleable space of all tasks.
 
@@ -494,24 +505,40 @@ class TaskSpace:
 
     def tasks(self) -> Iterator[Task]:
         """Every task exactly once: input sets by size then encoding,
-        output sets likewise within each input set."""
+        output sets likewise within each input set.
+
+        The stream is a pipeline of C iterators: ``chain.from_iterable``
+        flattens a ``map`` that makes one Python call per input set, and
+        that call returns a ``map`` of the ``Task`` type call over the
+        set's output sets, so no Python frame runs per task.  A run of
+        consecutive input sets with one union shares one ``ExtensionSet``
+        and, when the extension has at most ``_SHARED_OUTPUTS`` statements,
+        one tuple of its output sets, built once and replayed for each
+        input set of the run.  So the stream holds at most one run's
+        output sets, at most 1,023 of them; a longer extension's output
+        sets are drawn lazily from ``combinations`` per input set.
+        """
         env = self.env
         statements = self.language
-        last = None
-        # each input set's union of extensions, ORed in the same order
-        unions = map(reduce, repeat(or_), _subsets_in_order(self.ext_masks))
-        for inputs, union in zip(_subsets_in_order(statements), unions):
-            # everything but the output set is shared across a run of
-            # input sets with one union
+        m = self._min_outputs
+        last = ext = shared = None
+
+        def output_sets(extension: ExtensionSet) -> Iterator[tuple]:
+            # by size, then positions, short of the whole extension
+            return chain.from_iterable(map(combinations, repeat(extension), range(m, len(extension))))
+
+        def input_set_tasks(inputs: tuple, union: int) -> Iterator[Task]:
+            nonlocal last, ext, shared
             if union != last:
                 last = union
                 ext = ExtensionSet._of_canonical(map(statements.__getitem__, _bits(union)))
-                sizes = range(self._min_outputs, len(ext))
-            # output sets by size, then positions, short of the whole extension
-            outs = chain.from_iterable(map(combinations, repeat(ext), sizes))
-            # C iterators and the type call build the tasks: no Python
-            # frame runs per task but this generator's own
-            yield from map(Task, zip(repeat(env), repeat(inputs), outs, repeat(ext)))
+                shared = tuple(output_sets(ext)) if len(ext) <= _SHARED_OUTPUTS else None
+            outs = output_sets(ext) if shared is None else shared
+            return map(Task, zip(repeat(env), repeat(inputs), outs, repeat(ext)))
+
+        # each input set's union of extensions, ORed in the same order
+        unions = map(reduce, repeat(or_), _subsets_in_order(self.ext_masks))
+        return chain.from_iterable(map(input_set_tasks, _subsets_in_order(statements), unions))
 
     def __iter__(self) -> Iterator[Task]:
         return self.tasks()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
 import json
@@ -400,6 +401,36 @@ def test_same_named_tables_are_distinct_proxies(tmp_path, others):
     env = mk_environment(ENV2_DOC["states"], ENV2_DOC["vocabulary"])
     a, b = (table_proxy(f"table:{sub}/rel.json", TWO_RELATIONS[sub]) for sub in "ab")
     assert values["table:a/rel.json|table:b/rel.json"] == sample_efficiency(env, a, b) != 0
+
+
+@pytest.mark.parametrize("experiment", ["compare-proxies", "learn"])
+def test_each_table_file_is_read_once_per_run(tmp_path, monkeypatch, experiment):
+    # the config resolves each table proxy once, named twice or not, and
+    # the run uses the relation it validated: no file is read again
+    for sub, pairs in TWO_RELATIONS.items():
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "rel.json").write_text(json.dumps({"true_pairs": pairs}))
+    config = write_config(tmp_path, {
+        "experiment": experiment,
+        "environment": ENV2_DOC,
+        "proxies": ["table:a/rel.json", "table:b/rel.json", "table:a/rel.json", "weakness"],
+        "seeds": [1, 2],
+        "trials": 3,
+    })
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).name == "rel.json":
+            opened.append(Path(file).parent.name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert sorted(opened) == ["a", "b"]
+    assert "table:b/rel.json" in out.read_text()
 
 
 SHIPPED_REPORT_SHA256 = {

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from weakform import (
-    harness,
+    config,
     mk_environment,
     proxy_by_name,
     sample_efficiency,
@@ -186,7 +186,7 @@ def test_compare_proxies_builds_each_proxys_rows_once(monkeypatch):
 
         return replace(proxy, rows=rows)
 
-    monkeypatch.setattr(harness, "proxy_by_name", counted)
+    monkeypatch.setattr(config, "proxy_by_name", counted)
     names = ["weakness", "simplicity", "random:3"]
     rows = run_experiment(cfg({
         "experiment": "compare-proxies",
@@ -249,7 +249,7 @@ def test_learn_resolves_each_proxy_once_per_run(monkeypatch):
         resolved.append(name)
         return proxy_by_name(name, base_dir)
 
-    monkeypatch.setattr(harness, "proxy_by_name", counted)
+    monkeypatch.setattr(config, "proxy_by_name", counted)
     names = ["weakness", "random:01"]
     rows = run_experiment(cfg({
         "experiment": "learn",
@@ -260,6 +260,24 @@ def test_learn_resolves_each_proxy_once_per_run(monkeypatch):
     }))
     assert resolved == names
     assert {r["proxy"] for r in rows if r["proxy"]} == set(names)
+
+
+@pytest.mark.parametrize("experiment", ["compare-proxies", "learn"])
+def test_run_uses_the_relation_its_config_validated(tmp_path, experiment):
+    # the table is read when the config is parsed; rewriting the file
+    # afterwards changes nothing in the run
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"true_pairs": [[[0], [2]], [[2], [0, 2]]]}))
+    c = cfg({
+        "experiment": experiment,
+        "environment": ENV2_DOC,
+        "proxies": ["table:rel.json", "weakness"],
+        "trials": 3,
+    }, base_dir=tmp_path)
+    before = run_experiment(c)
+    rel.write_text("not a relation")
+    assert run_experiment(c) == before
+    assert any("table:rel.json" in r["proxy"] for r in before)
 
 
 def test_derive_child_is_strict_child():

@@ -567,6 +567,26 @@ def test_stream_holds_no_table():
     assert time.perf_counter() - start < 0.1
 
 
+def test_stream_past_the_shared_cap_holds_no_table():
+    # the first run of _env_18 has all 18 statements in its extension,
+    # past the cap on shared output sets: its 2^18 - 1 output sets are
+    # drawn one at a time, never held as a tuple
+    space = TaskSpace(*_env_18())
+    tracemalloc.start()
+    try:
+        stream = space.tasks()
+        first = next(stream)
+        streamed = 1
+        for last in islice(stream, 4095):
+            streamed += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed == 4096 and last.inputs == first.inputs
+    assert first.extension.size == 18 > tasks_module._SHARED_OUTPUTS
+    assert peak <= (8 << 18) // 16
+
+
 def test_counting_builds_no_table():
     # a vocabulary guard no other test uses keys a task space and a
     # generalization table of their own
@@ -848,6 +868,30 @@ _compared = itemgetter(0, 1, 2)  # env, inputs, outputs_correct
 _members = attrgetter("extension.members")
 
 
+def _compare_streams(env, got, want, include_empty):
+    """Check ``got`` against ``want``, task by task, for as long as ``got``
+    runs; return how many tasks it streamed."""
+    streamed = 0
+    previous = None
+    # compared a chunk at a time, with C iterators, since the
+    # streams run to millions of tasks
+    while chunk := list(islice(got, 1 << 12)):
+        expected = list(islice(want, len(chunk)))
+        assert set(map(type, chunk)) == {Task}, env
+        assert list(map(_compared, chunk)) == list(map(_compared, expected)), env
+        assert list(map(_members, chunk)) == list(map(_members, expected)), env
+        # every input set admits a task when empty outputs count,
+        # so consecutive tasks come from one or consecutive input
+        # sets, and a new extension object means a new union
+        exts = [previous, *map(itemgetter(3), chunk)]
+        if include_empty:
+            for before, after in compress(zip(exts, exts[1:]), map(is_not, exts, exts[1:])):
+                assert before is None or before.members != after.members, env
+        previous = exts[-1]
+        streamed += len(chunk)
+    return streamed
+
+
 @pytest.mark.parametrize("include_empty", [True, False])
 def test_stream_matches_the_mask_stream(include_empty):
     envs = list(all_environments(3, 3)) + [_disjoint_env(size) for size in range(1, 11)]
@@ -856,26 +900,18 @@ def test_stream_matches_the_mask_stream(include_empty):
         for env in envs:
             space = TaskSpace(env, include_empty_outputs=include_empty)
             got, want = space.tasks(), mask_stream(space)
-            streamed = 0
-            previous = None
-            # compared a chunk at a time, with C iterators, since the
-            # streams run to millions of tasks
-            while chunk := list(islice(got, 1 << 12)):
-                expected = list(islice(want, len(chunk)))
-                assert set(map(type, chunk)) == {Task}, env
-                assert list(map(_compared, chunk)) == list(map(_compared, expected)), env
-                assert list(map(_members, chunk)) == list(map(_members, expected)), env
-                # every input set admits a task when empty outputs count,
-                # so consecutive tasks come from one or consecutive input
-                # sets, and a new extension object means a new union
-                exts = [previous, *map(itemgetter(3), chunk)]
-                if include_empty:
-                    for before, after in compress(zip(exts, exts[1:]), map(is_not, exts, exts[1:])):
-                        assert before is None or before.members != after.members, env
-                previous = exts[-1]
-                streamed += len(chunk)
+            streamed = _compare_streams(env, got, want, include_empty)
             assert next(want, None) is None, env
             assert streamed == space.total_count, env
+        # the first 100,000 tasks of an 11-statement language: each input
+        # set holding the empty statement has the whole language for its
+        # extension, past the cap on shared output sets (a run of ten
+        # such pairs among them), and the other sets' extensions are small
+        env = _disjoint_env(11)
+        space = TaskSpace(env, include_empty_outputs=include_empty)
+        assert len(space.language) > tasks_module._SHARED_OUTPUTS
+        got = islice(space.tasks(), 100_000)
+        assert _compare_streams(env, got, mask_stream(space), include_empty) == 100_000
     finally:
         gc.enable()
 
