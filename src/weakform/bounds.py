@@ -543,15 +543,16 @@ def verify_upper_bound(
         if not policies:
             continue
         # a candidate whose restricted task space exceeds the task-language
-        # guard, or is empty, ranks no pair; whether the guard should raise
-        # here instead is an open decision
+        # guard ranks no pair; whether the guard should raise here instead
+        # is an open decision.  No count is 0: a row with a policy keeps an
+        # input and stops short of L_B, so |L_B| >= 2, and the one input
+        # set {empty statement}, whose extension is all of L_B, admits
+        # 2^|L_B| - 1 - m >= 2 tasks
         if language.bit_count() > guards.max_task_language:
             continue
         denominator = counts.get((language, m))
         if denominator is None:
             denominator = counts[language, m] = masks.task_count(language, memo, m)
-        if not denominator:
-            continue
         for p in _bits(policies):
             pairs.append(
                 CandidatePolicy(
@@ -626,8 +627,9 @@ def verify_utility_maximal_at_P(
 ) -> MaximalityReport:
     """Sweep every sub-vocabulary and check none beats the full one.
 
-    A candidate with defined utility while the full vocabulary has none
-    counts as a violation and is returned as the witness.
+    A candidate beats it with a larger utility, or with any utility when
+    the full vocabulary has none; the witness is the one with the largest
+    utility, the first of them on a tie.
     """
     n = rho.env.state_count
     if n > MAX_SWEEP_STATES:
@@ -639,15 +641,10 @@ def verify_utility_maximal_at_P(
     swept = rho._masks.vocabularies.swept
     rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, swept, guards))
     header = _report_header(rho, rows, guards, seeds)
-    full_row = rows[-1]  # the full vocabulary is the last subset
-    defined = [r for r in rows if r.utility is not None]
-    if full_row.utility is None:
-        if defined:
-            worst = max(defined, key=lambda r: (r.utility, -r.index))
-            return MaximalityReport(header, False, None, worst, rows)
-        return MaximalityReport(header, True, None, None, rows)
-    violators = [r for r in defined if r.utility > full_row.utility]
-    if violators:
-        worst = max(violators, key=lambda r: (r.utility, -r.index))
-        return MaximalityReport(header, False, full_row.utility, worst, rows)
-    return MaximalityReport(header, True, full_row.utility, None, rows)
+    full = rows[-1].utility  # the full vocabulary is the last subset
+    witness = max(
+        (r for r in rows if r.utility is not None and (full is None or r.utility > full)),
+        key=lambda r: (r.utility, -r.index),
+        default=None,
+    )
+    return MaximalityReport(header, witness is None, full, witness, rows)

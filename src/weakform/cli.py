@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config
@@ -45,33 +46,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dump_repro_bundle(
-    argv: list[str], args: argparse.Namespace, config_text: str | None, exc: BaseException,
+    argv: list[str], out: str | None, config_text: str | None, exc: BaseException,
 ) -> Path | None:
-    """Write the repro bundle beside the report, else in the cwd; None
-    when neither write succeeds."""
-    bundle = {
+    """Write the repro bundle beside the report at ``out``, else in the
+    cwd; None when neither write succeeds."""
+    bundle = json.dumps({
         "argv": argv,
         "config": config_text,
         "error": repr(exc),
         "traceback": traceback.format_exc(),
-    }
-    out_dir = Path(args.out).parent if args.out else Path.cwd()
-    path = out_dir / "weakform-repro.json"
-    try:
-        path.write_text(json.dumps(bundle, indent=2), encoding="utf-8")
-    except OSError:
-        path = Path.cwd() / "weakform-repro.json"
+    }, indent=2)
+    for folder in (Path(out).parent if out else Path.cwd(), Path.cwd()):
+        path = folder / "weakform-repro.json"
         try:
-            path.write_text(json.dumps(bundle, indent=2), encoding="utf-8")
+            path.write_text(bundle, encoding="utf-8")
+            return path
         except OSError:
-            return None
-    return path
+            pass
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     config_text: str | None = None
+    out = args.out  # where the bundle goes: beside --out, or the config's report path
     try:
         config_path = Path(args.config)
         try:
@@ -84,11 +83,13 @@ def main(argv: list[str] | None = None) -> int:
             base_dir=config_path.parent,
             default_experiment=args.subcommand,
         )
-        config = config.with_overrides(
-            seeds=(args.seed,) if args.seed is not None else None,
-            output_path=args.out,
-            output_format=args.format,
+        config = replace(
+            config,
+            seeds=config.seeds if args.seed is None else (args.seed,),
+            output_path=config.output_path if args.out is None else args.out,
+            output_format=config.output_format if args.format is None else args.format,
         )
+        out = config.output_path
         rows = run_experiment(config, timing=args.timing)
         if config.output_path:
             write_report(rows, config.output_path, config.output_format)
@@ -103,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except Exception as exc:  # noqa: BLE001 - dump a bundle, report code 4
-        path = _dump_repro_bundle(argv, args, config_text, exc)
+        path = _dump_repro_bundle(argv, out, config_text, exc)
         written = path if path else "none written (the write failed)"
         print(f"internal error: {exc}\nrepro bundle: {written}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -20,6 +20,7 @@ from .core import (
     HARD_GUARD_LIMITS,
     Environment,
     Guards,
+    _read_json,
     environment_to_dict,
     full_powerset_vocabulary,
     load_environment,
@@ -117,21 +118,6 @@ class ExperimentConfig:
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
-    def with_overrides(
-        self,
-        seeds: tuple[int, ...] | None = None,
-        output_path: str | None = None,
-        output_format: str | None = None,
-    ) -> "ExperimentConfig":
-        cfg = self
-        if seeds is not None:
-            cfg = replace(cfg, seeds=seeds)
-        if output_path is not None:
-            cfg = replace(cfg, output_path=output_path)
-        if output_format is not None:
-            cfg = replace(cfg, output_format=output_format)
-        return cfg
-
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
@@ -184,9 +170,8 @@ def _parse_environment(doc: Any, base_dir: Path | None, guards: Guards) -> Envir
             path = base_dir / path
         label = f"environment file {path}"
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            doc = _read_json(path, "environment file")
+        except OSError as exc:
             raise ParseError(f"cannot read {label}: {exc}") from None
         _expect(
             isinstance(doc, dict) and "states" in doc and "vocabulary" in doc,

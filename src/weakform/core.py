@@ -209,16 +209,24 @@ def env_hash(env: Environment) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _read_json(source: str | Path | dict, label: str):
+    """The JSON document in the file at ``source``, or ``source`` itself if
+    it is no path; a file holding no readable UTF-8 JSON raises ParseError."""
+    if not isinstance(source, (str, Path)):
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"cannot read {label} {source}: {exc}") from None
+
+
 def load_environment(source: str | Path | dict) -> Environment:
     """Load ``{"states": n, "vocabulary": [[state...], ...]}`` JSON.
 
     Warns if the stored program order differs from canonical order.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _read_json(source, "environment file")
     if not isinstance(doc, dict):
         raise ParseError("an environment document must be a JSON object")
     missing = [key for key in ("states", "vocabulary") if key not in doc]

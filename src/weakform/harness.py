@@ -107,10 +107,6 @@ class _RowFactory:
         return out
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 # --- the learn experiment -----------------------------------------------------------
 
 def _derive_trial_seed(seed: int, trial: int) -> int:
@@ -175,7 +171,7 @@ def _learn_unit(config, env, factory, proxies, space, seed, trial) -> list[dict[
                 proxy=name,
                 policy=encode_statement(pi),
                 extension_size=extension_size(env, pi, config.guards),
-                generalized=_bool_str(evaluate_generalization(pi, parent)),
+                generalized="true" if evaluate_generalization(pi, parent) else "false",
                 utility=eps,
                 **common,
             )
@@ -189,24 +185,7 @@ def run_experiment(config: ExperimentConfig, timing: bool = False) -> list[dict[
     """Execute the configured experiment and return its report rows."""
     t0 = time.monotonic()
     env = mk_environment(config.environment["states"], config.environment["vocabulary"])
-    factory = _RowFactory(config, env)
-    kind = config.experiment
-
-    if kind == "enumerate":
-        rows = _run_enumerate(config, env, factory)
-    elif kind == "learn":
-        rows = _run_learn(config, env, factory)
-    elif kind == "compare-proxies":
-        rows = _run_compare(config, env, factory)
-    elif kind == "utility":
-        rows = _run_utility(config, env, factory)
-    elif kind == "verify-bound":
-        rows = _run_verify_bound(config, env, factory)
-    elif kind == "sample-gen":
-        rows = _run_sample_gen(config, env, factory)
-    else:  # config validation makes this unreachable
-        raise WeakformError(f"unknown experiment {kind!r}")
-
+    rows = _RUNNERS[config.experiment](config, env, _RowFactory(config, env))
     if timing:
         wall = str(int((time.monotonic() - t0) * 1000))
         for row in rows:
@@ -277,21 +256,10 @@ def _run_utility(config, env, factory) -> list[dict[str, str]]:
         tasks = enumerate_tasks(env, config.guards, config.include_empty_outputs)
     for task in tasks:
         try:
-            rows.append(
-                factory.row(
-                    language_size=len(lang),
-                    task_id=task.encode(),
-                    utility=utility(task, config.guards),
-                )
-            )
+            outcome = {"utility": utility(task, config.guards)}
         except NoCorrectPolicy:
-            rows.append(
-                factory.row(
-                    language_size=len(lang),
-                    task_id=task.encode(),
-                    note="NoCorrectPolicy",
-                )
-            )
+            outcome = {"note": "NoCorrectPolicy"}
+        rows.append(factory.row(language_size=len(lang), task_id=task.encode(), **outcome))
     return rows
 
 
@@ -306,18 +274,15 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
     report = verify_upper_bound(
         rho, candidates, config.guards, config.include_empty_outputs
     )
-    rows = [
-        factory.row(
-            task_id=rho.base.encode(),
-            note=f"outcome={report.outcome}",
-            value="" if report.selected is None else (
-                f"{report.selected.probability.numerator}/"
-                f"{report.selected.probability.denominator}"
-            ),
-            policy="" if report.selected is None else report.selected.policy,
-            proxy="" if report.selected is None else report.selected.vocabulary,
+    selected = {}
+    if report.selected is not None:
+        probability = report.selected.probability
+        selected = dict(
+            value=f"{probability.numerator}/{probability.denominator}",
+            policy=report.selected.policy,
+            proxy=report.selected.vocabulary,
         )
-    ]
+    rows = [factory.row(task_id=rho.base.encode(), note=f"outcome={report.outcome}", **selected)]
     for rank, pair in enumerate(report.ranking):
         rows.append(
             factory.row(
@@ -355,9 +320,26 @@ def _run_sample_gen(config, env, factory) -> list[dict[str, str]]:
     return rows
 
 
+#: the runner of each of ``EXPERIMENT_KINDS``; config validation admits no other kind
+_RUNNERS = {
+    "enumerate": _run_enumerate,
+    "learn": _run_learn,
+    "compare-proxies": _run_compare,
+    "utility": _run_utility,
+    "verify-bound": _run_verify_bound,
+    "sample-gen": _run_sample_gen,
+}
+
+
 # --- report writing ------------------------------------------------------------------------
 
-def _render_csv(rows: list[dict[str, str]]) -> str:
+def render_report(rows: list[dict[str, str]], format: str) -> str:
+    if not rows:
+        raise EmptyReport("refusing to write a report with no rows")
+    if format == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if format != "csv":
+        raise WeakformError(f"unknown report format {format!r}")
     import csv
     import io
 
@@ -366,20 +348,6 @@ def _render_csv(rows: list[dict[str, str]]) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _render_json(rows: list[dict[str, str]]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def render_report(rows: list[dict[str, str]], format: str) -> str:
-    if not rows:
-        raise EmptyReport("refusing to write a report with no rows")
-    if format == "csv":
-        return _render_csv(rows)
-    if format == "json":
-        return _render_json(rows)
-    raise WeakformError(f"unknown report format {format!r}")
 
 
 def write_report(rows: list[dict[str, str]], path: str | Path, format: str = "csv") -> None:

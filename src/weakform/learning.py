@@ -88,9 +88,9 @@ def simplicity_cmp(l1: Iterable[int], l2: Iterable[int]) -> bool:
 
     Fewer constraints count as simpler, so maximising this relation
     selects the shortest statement.  A form-based baseline, nothing more:
-    the simplicity proxy's relation.
+    the simplicity proxy's relation, on index sets (no environment checks them).
     """
-    return simplicity_proxy().holds(None, l1, l2)
+    return len(set(l1)) > len(set(l2))
 
 
 def _key_rows(keys: Sequence) -> list[int]:
@@ -128,7 +128,10 @@ class Proxy:
     rows: Callable[[Environment, Sequence[Statement], Guards], list[int]]
 
     def holds(self, env: Environment, l1: Statement, l2: Statement, guards=DEFAULT_GUARDS) -> bool:
-        return bool(self.rows(env, (l1, l2), guards)[0] >> 1 & 1)
+        """Whether the relation holds of ``(l1, l2)``, both read as statements
+        of ``env`` first, so the answer does not depend on their spelling."""
+        pair = (require_statement(env, l1), require_statement(env, l2))
+        return bool(self.rows(env, pair, guards)[0] >> 1 & 1)
 
     def __repr__(self) -> str:
         return f"Proxy({self.name})"

@@ -19,7 +19,6 @@ one run's output sets, at most 1,023 of them.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat, starmap
 from math import comb
@@ -38,6 +37,7 @@ from .core import (
     _bits,
     _index_cached,
     _maximal,
+    _read_json,
     _stmt_order,
     canon_statement,
     encode_statement,
@@ -184,11 +184,7 @@ def task_to_dict(task: Task, inline_env: bool = True) -> dict:
 def load_task(source: str | Path | dict, env: Environment | None = None) -> Task:
     """Load ``{"env": ..., "inputs": [...], "outputs": [...]}`` JSON and
     re-validate against the environment."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _read_json(source, "task file")
     if not isinstance(doc, dict):
         raise ParseError("a task document must be a JSON object")
     needed = ("inputs", "outputs") if env is not None else ("env", "inputs", "outputs")

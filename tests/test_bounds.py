@@ -731,6 +731,39 @@ def test_base_mask_counts_match_restricted_tables():
                 assert got == table.numerators, (vocabulary, include_empty)
 
 
+def test_every_restricted_count_the_bound_reaches_is_at_least_two(monkeypatch):
+    # verify_upper_bound divides by the restricted task count with no
+    # check for 0: a row with a policy has |L_B| >= 2, and the input set
+    # {empty statement} alone admits 2^|L_B| - 1 - m >= 2 tasks
+    seen = []
+    original = bounds._BaseMasks.task_count
+
+    def record(self, language, memo, m):
+        seen.append(original(self, language, memo, m))
+        return seen[-1]
+
+    monkeypatch.setattr(bounds._BaseMasks, "task_count", record)
+    core._index_cached.cache_clear()  # so every count is computed here
+    two_state = [
+        mk_uninstantiated(t)
+        for t in enumerate_tasks(full_powerset_vocabulary(2))
+        if len(t.inputs) <= 2
+    ]
+    for rho in two_state + _phi3_family(40, seed=12):
+        candidates = list(all_vocabularies(rho.env))
+        for guards in (
+            Guards(),
+            Guards(max_truth_set=1),
+            Guards(max_vocabulary=2),
+            Guards(max_task_language=3),
+            Guards(max_task_language=38),
+        ):
+            for mode in (True, False):
+                verify_upper_bound(rho, candidates, guards, mode)
+    core._index_cached.cache_clear()
+    assert min(seen) == 2
+
+
 @pytest.mark.parametrize("guards", [
     Guards(),
     Guards(max_truth_set=1),

@@ -120,6 +120,28 @@ def test_repro_bundle_records_the_parsed_argv(tmp_path, capsys, monkeypatch):
     assert bundle["argv"] == argv
 
 
+def test_repro_bundle_goes_beside_the_configured_report(tmp_path, capsys, monkeypatch):
+    # with no --out, the bundle lands beside the config's output.path,
+    # not in the cwd
+    reports, cwd = tmp_path / "reports", tmp_path / "cwd"
+    reports.mkdir()
+    cwd.mkdir()
+    config = write_config(tmp_path, {
+        "experiment": "enumerate",
+        "environment": ENV2_DOC,
+        "output": {"path": str(reports / "report.csv")},
+    })
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.chdir(cwd)
+    assert cli.main(["enumerate", "--config", str(config)]) == 4
+    assert "synthetic failure" in json.loads((reports / "weakform-repro.json").read_text())["error"]
+    assert not list(cwd.iterdir())
+
+
 def test_internal_error_without_a_writable_bundle_exits_4(tmp_path, capsys, monkeypatch):
     # the bundle write fails beside the report and again in the cwd: the
     # exit code stays 4 and stderr says that no bundle was written
@@ -172,6 +194,29 @@ def test_json_format_flag(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 6
+
+
+def test_timing_fills_only_wall_ms(tmp_path):
+    # every row gets the same integer wall time; every other column is
+    # what an untimed run writes
+    config = write_config(tmp_path, {
+        "experiment": "learn",
+        "environment": ENV2_DOC,
+        "seeds": [3],
+        "trials": 3,
+    })
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli.main(["learn", "--config", str(config), "--out", str(plain)]) == 0
+    assert cli.main(["learn", "--config", str(config), "--out", str(timed), "--timing"]) == 0
+    with open(plain, newline="") as fh:
+        plain_rows = list(csv.DictReader(fh))
+    with open(timed, newline="") as fh:
+        timed_rows = list(csv.DictReader(fh))
+    assert len(timed_rows) == len(plain_rows) > 1
+    walls = {row.pop("wall_ms") for row in timed_rows}
+    assert len(walls) == 1 and walls.pop().isdigit()
+    assert {row.pop("wall_ms") for row in plain_rows} == {""}
+    assert timed_rows == plain_rows
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -231,6 +276,8 @@ def test_rerun_byte_identical(tmp_path):
 ] + [
     # a report path must be a string
     ({"experiment": "enumerate", "environment": ENV2_DOC, "output": {"path": 5}}, 2),
+    # a guard the library does not know
+    ({"experiment": "enumerate", "environment": ENV2_DOC, "guards": {"max_states": 3}}, 2),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)

@@ -352,9 +352,27 @@ def test_load_environment_names_a_missing_key(doc, named):
         load_task({"env": doc, "inputs": [[0]], "outputs": []})
 
 
-def test_load_environment_needs_an_object():
+#: file contents that hold no JSON document: malformed, not UTF-8, and
+#: nested deeper than the JSON reader can follow
+UNREADABLE_DOCUMENTS = [b"{bad", b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000]
+
+
+def test_load_environment_needs_an_object(tmp_path):
     with pytest.raises(ParseError, match="JSON object"):
         load_environment([2, [[0]]])
+    # a file that holds no JSON document is a parse error, for an
+    # environment and for a task alike; a missing file stays an OSError
+    path = tmp_path / "doc.json"
+    for data in UNREADABLE_DOCUMENTS:
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="cannot read environment file"):
+            load_environment(path)
+        with pytest.raises(ParseError, match="cannot read task file"):
+            load_task(str(path))
+    with pytest.raises(FileNotFoundError):
+        load_environment(tmp_path / "missing.json")
+    with pytest.raises(FileNotFoundError):
+        load_task(tmp_path / "missing.json")
 
 
 def test_environment_to_dict(env2):

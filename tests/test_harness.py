@@ -9,23 +9,26 @@ import pytest
 
 from weakform import (
     config,
+    harness,
     mk_environment,
     proxy_by_name,
     sample_efficiency,
     simplicity_proxy,
     weakness_proxy,
 )
-from weakform.config import parse_config
+from weakform.bounds import all_vocabularies, utility
+from weakform.config import EXPERIMENT_KINDS, parse_config
 from weakform.errors import (
     EmptyReport,
     GuardConflict,
     IoError,
+    NoCorrectPolicy,
     ParseError,
     UnknownProxy,
 )
 from weakform.harness import CSV_FIELDS, run_experiment, write_report
 from weakform.harness import _derive_child
-from weakform.tasks import TaskSpace, is_child, task_space
+from weakform.tasks import TaskSpace, enumerate_tasks, is_child, task_space
 
 ENV2_DOC = {"states": 2, "vocabulary": [[0], [1], [0, 1]]}
 
@@ -307,6 +310,21 @@ def test_utility_experiment_single_task():
     assert rows[0]["utility"] == "1"
 
 
+def test_utility_experiment_without_a_task_scores_every_task():
+    c = cfg({"experiment": "utility", "environment": ENV2_DOC})
+    rows = run_experiment(c)
+    env = mk_environment(2, [[0], [1], [0, 1]])
+    tasks = list(enumerate_tasks(env))
+    assert [row["task_id"] for row in rows] == [t.encode() for t in tasks]
+    for row, task in zip(rows, tasks):
+        try:
+            want = (str(utility(task)), "")
+        except NoCorrectPolicy:
+            want = ("", "NoCorrectPolicy")
+        assert (row["utility"], row["note"]) == want, task
+    assert {row["note"] for row in rows} == {"", "NoCorrectPolicy"}
+
+
 def test_utility_experiment_flags_undefined():
     c = cfg({
         "experiment": "utility",
@@ -328,6 +346,16 @@ def test_verify_bound_experiment():
     assert rows[0]["note"] == "outcome=not_attained"
     ranked = [r for r in rows if r["note"].startswith("rank=")]
     assert ranked[0]["value"] == "13/132"
+    # an explicit list of every sub-vocabulary is the same sweep; only the
+    # config hash, which covers the candidates, differs
+    env = mk_environment(c.environment["states"], c.environment["vocabulary"])
+    listed = cfg({**json.loads(c.canonical_json()), "candidates": [
+        [list(p) for p in vocabulary] for vocabulary in all_vocabularies(env)
+    ]})
+    assert listed.candidates != "all"
+    explicit = run_experiment(listed)
+    assert {row.pop("config_hash") for row in explicit} != {row.pop("config_hash") for row in rows}
+    assert explicit == rows
 
 
 def test_sample_gen_experiment():
@@ -348,6 +376,8 @@ def test_rows_have_fixed_fields():
     c = cfg({"experiment": "enumerate", "environment": ENV2_DOC})
     for row in run_experiment(c):
         assert tuple(row.keys()) == CSV_FIELDS
+    # every experiment kind has a runner
+    assert tuple(harness._RUNNERS) == EXPERIMENT_KINDS
 
 
 # --- determinism and report writing ---------------------------------------------------

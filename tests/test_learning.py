@@ -76,6 +76,9 @@ def test_simplicity_cmp_examples():
     assert simplicity_cmp((0, 2), (0,)) is True
     assert simplicity_cmp((0,), (1,)) is False
     assert simplicity_cmp((), (0,)) is False
+    # a repeated index is one member program
+    assert simplicity_cmp((1, 1), (0,)) is False
+    assert simplicity_cmp((0, 0, 2), (2, 2)) is True
 
 
 # --- generalization ------------------------------------------------------------
@@ -389,6 +392,19 @@ def test_holds_answers_one_pair(env2):
     table = table_proxy("diagonal", [((0,), (0,))])
     assert table.holds(env2, (0,), (0,)) is True
     assert table.holds(env2, (1,), (1,)) is False
+    # the answer does not depend on how a statement is spelled
+    assert random_proxy(0).holds(env2, (0, 2), (1,)) is True
+    assert random_proxy(0).holds(env2, (2, 0), (1,)) is True
+    assert random_proxy(0).holds(env2, (0, 0, 2), (1, 1)) is True
+    listed = table_proxy("t", [([0, 2], [1])])
+    assert listed.holds(env2, (2, 0), (1,)) is True
+    assert listed.holds(env2, (0, 2), (1,)) is True
+    # and every proxy refuses a non-statement, as weakness does
+    for proxy in (simplicity_proxy(), random_proxy(0), listed):
+        with pytest.raises(NotAStatement):
+            proxy.holds(env2, (0, 1), (0,))
+        with pytest.raises(IndexOutOfRange):
+            proxy.holds(env2, (0,), (3,))
     # defined on the class, where method tracing can wrap it
     assert "holds" in Proxy.__dict__
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 import pickle
 import time
 import tracemalloc
@@ -459,6 +460,10 @@ def test_hierarchy_level_env2(env2):
     assert level == 4
     parent = mk_task(env2, [(2,), (1,)], [(0, 2)])
     assert hierarchy_level(parent, space) + 1 <= level
+    # a task of another environment has no level in this space
+    other = mk_task(mk_environment(2, [{0}, {1}]), [()], [(0,)])
+    with pytest.raises(EnvironmentMismatch):
+        hierarchy_level(other, space)
 
 
 def test_hierarchy_level_closed_form_sweep():
@@ -1023,10 +1028,19 @@ def test_task_roundtrip(tmp_path, env2):
     assert again.env == env2
 
 
-def test_load_task_revalidates(env2):
+def test_load_task_revalidates(env2, tmp_path):
     doc = {"inputs": [[2]], "outputs": [[2], [0, 2], [1, 2]]}
     with pytest.raises(OutputsNotStrict):
         load_task(doc, env2)
+    # a task file is read, then validated the same way
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(OutputsNotStrict):
+        load_task(path, env2)
+    task = mk_task(env2, [(2,)], [(0, 2)])
+    path.write_text(json.dumps(task_to_dict(task)))
+    assert load_task(str(path)) == task
+    assert load_task(path, env2) == task
 
 
 @pytest.mark.parametrize(
