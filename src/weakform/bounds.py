@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, combinations
 from math import lcm
 from operator import and_, or_
@@ -100,22 +100,78 @@ def weakest_correct_policy(task: Task, guards: Guards = DEFAULT_GUARDS) -> tuple
 
 # --- uninstantiated tasks -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class UninstantiatedTask:
-    """A task over the full powerset vocabulary, awaiting a vocabulary."""
+    """A task over the full powerset vocabulary, awaiting a vocabulary;
+    equal to another, and hashed, by its base task.
 
-    base: Task
+    It holds the base task over its own language index, from which each
+    restriction to a sub-vocabulary B is read off without building it
+    (``restrict``).  The restricted language is exactly the base
+    statements whose programs all lie in B, the down-set ``L_B =
+    below(B)``.  The restricted inputs, extension and outputs are the
+    base ones ANDed with ``L_B``: a statement of ``L_B`` that completes a
+    base input completes one inside ``L_B``, whose programs are a subset
+    of its own.  The renumbering onto B is monotone, so base canonical
+    order is the restricted canonical order; only ``instantiate`` and
+    report strings need it.
+
+    The restricted task space is counted off the same masks: its task
+    counts are ``tasks._class_counts`` over ``L_B`` with the base
+    extensions, and a policy's numerator is ``tasks._policy_count`` over
+    ``L_B``.  Only the base task's own masks live here; what depends on
+    the environment alone is its index's ``_Vocabularies``.
+    """
+
+    __slots__ = ("base", "index", "input_mask", "input_programs", "output_mask", "extension_mask")
+
+    def __init__(self, base: Task):
+        self.base = base
+        # the base task was admitted under its own guards
+        self.index = index = _index_cached(base.env)
+        position = index.position
+        self.input_mask = sum(1 << position[x] for x in base.inputs)
+        self.input_programs = tuple(map(_programs, base.inputs))
+        self.output_mask = sum(1 << position[y] for y in base.outputs_correct)
+        self.extension_mask = sum(1 << position[y] for y in base.extension)
 
     @property
     def env(self) -> Environment:
         return self.base.env
 
-    @cached_property
-    def _masks(self) -> _BaseMasks:
-        return _BaseMasks(self.base)
+    def __eq__(self, other: object) -> bool:
+        return type(other) is UninstantiatedTask and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash(self.base)
 
     def __repr__(self) -> str:
         return f"UninstantiatedTask({self.base.encode()})"
+
+    def restrict(
+        self, vocabulary: int, guards: Guards
+    ) -> tuple[int, int, int, int] | type[WeakformError]:
+        """The restricted language, inputs, extension and outputs, as masks
+        over the base language, for the base program mask ``vocabulary``;
+        or the class of the error the restriction raises: first
+        ``EmptyInstantiation`` when no input survives, then what ``mk_task``
+        raises on the restricted task, in its order.  A sweep records the
+        class's name, so it builds no exception; ``instantiate`` raises it."""
+        # an input survives when its programs lie in the vocabulary; most
+        # candidates of a sweep keep none, so this is tested before the
+        # down-set is built
+        if all(q & ~vocabulary for q in self.input_programs):
+            return EmptyInstantiation
+        if vocabulary.bit_count() > guards.max_vocabulary:
+            return VocabularyTooLarge
+        language = self.index.below(vocabulary)
+        inputs = self.input_mask & language
+        if inputs == language:
+            return InputsNotStrictSubset
+        extension = self.extension_mask & language
+        outputs = self.output_mask & language
+        if outputs == extension:
+            return OutputsNotStrict
+        return language, inputs, extension, outputs
 
 
 def mk_uninstantiated(base: Task) -> UninstantiatedTask:
@@ -176,19 +232,19 @@ def instantiate(
     environment would raise.  A kept output still completes a kept
     input: the input it completed has a subset of its programs.
     Restriction by the full vocabulary is the identity.  The task is read
-    off the base task's masks (``_BaseMasks.restrict``), as the
+    off the base task's masks (``UninstantiatedTask.restrict``), as the
     vocabulary comparisons below read every restriction; the tests check
     it against a restriction by the programs' state tuples.
     """
-    masks = rho._masks
-    vocabulary = sum(1 << b for b in _positions(masks.vocabularies, v_prime))
-    restricted = masks.restrict(vocabulary, guards)
+    vocabularies = rho.index.vocabularies
+    vocabulary = sum(1 << b for b in _positions(vocabularies, v_prime))
+    restricted = rho.restrict(vocabulary, guards)
     if isinstance(restricted, type):
         size = vocabulary.bit_count()
         raise restricted(_REFUSALS[restricted].format(size=size, guards=guards))
-    sets = masks.vocabularies.sets
+    sets = vocabularies.sets
     env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
-    statements = masks.index.statements
+    statements = rho.index.statements
     # the restricted language is dropped: the new environment has its own
     inputs, extension, outputs = (
         tuple(_renumbered(vocabulary, statements[i]) for i in _bits(mask))
@@ -281,71 +337,7 @@ class UtilityReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-class _BaseMasks:
-    """The base task over its own language index, from which each
-    restriction to a sub-vocabulary B is read off without building it.
-
-    The restricted language is exactly the base statements whose
-    programs all lie in B, the down-set ``L_B = below(B)``.  The
-    restricted inputs, extension and outputs are the base ones ANDed
-    with ``L_B``: a statement of ``L_B`` that completes a base input
-    completes one inside ``L_B``, whose programs are a subset of its own.
-    The renumbering onto B is monotone, so base canonical order is the
-    restricted canonical order; only ``instantiate`` and report strings
-    need it.
-
-    The restricted task space is counted off the same masks: its task
-    counts are ``tasks._class_counts`` over ``L_B`` with the base
-    extensions, and a policy's numerator is ``tasks._policy_count`` over
-    ``L_B``.  Only the base task's own masks live here; what depends on
-    the environment alone is its index's ``_Vocabularies``.
-    """
-
-    def __init__(self, base: Task):
-        # the base task was admitted under its own guards
-        self.index = index = _index_cached(base.env)
-        self.vocabularies = index.vocabularies
-        position = index.position
-        self.ext = index.ext_masks
-        self.inputs = sum(1 << position[x] for x in base.inputs)
-        self.input_programs = tuple(map(_programs, base.inputs))
-        self.outputs = sum(1 << position[y] for y in base.outputs_correct)
-        self.extension = sum(1 << position[y] for y in base.extension)
-
-    def restrict(
-        self, vocabulary: int, guards: Guards
-    ) -> tuple[int, int, int, int] | type[WeakformError]:
-        """The restricted language, inputs, extension and outputs, as masks
-        over the base language, for the base program mask ``vocabulary``;
-        or the class of the error the restriction raises: first
-        ``EmptyInstantiation`` when no input survives, then what ``mk_task``
-        raises on the restricted task, in its order.  A sweep records the
-        class's name, so it builds no exception; ``instantiate`` raises it."""
-        # an input survives when its programs lie in the vocabulary; most
-        # candidates of a sweep keep none, so this is tested before the
-        # down-set is built
-        if all(q & ~vocabulary for q in self.input_programs):
-            return EmptyInstantiation
-        if vocabulary.bit_count() > guards.max_vocabulary:
-            return VocabularyTooLarge
-        language = self.index.below(vocabulary)
-        inputs = self.inputs & language
-        if inputs == language:
-            return InputsNotStrictSubset
-        extension = self.extension & language
-        outputs = self.outputs & language
-        if outputs == extension:
-            return OutputsNotStrict
-        return language, inputs, extension, outputs
-
-    def task_count(self, language: int, memo: dict, m: int) -> int:
-        """The size of the task space restricted to ``language = L_B``
-        (``m`` is 1 when empty outputs are excluded); ``memo`` is keyed by
-        base masks, so one serves every restriction of this environment."""
-        return sum(_class_counts(self.ext, language, memo, _ones(len(self.ext)), m))
-
-
-#: The message ``instantiate`` raises each error of ``_BaseMasks.restrict`` with.
+#: The message ``instantiate`` raises each error of ``UninstantiatedTask.restrict`` with.
 _REFUSALS = {
     EmptyInstantiation: "no input statement survives this vocabulary",
     VocabularyTooLarge: "|v| = {size} exceeds guard {guards.max_vocabulary}",
@@ -362,12 +354,12 @@ def _renumbered(vocabulary: int, statement: Statement) -> Statement:
 
 def _parsed(
     rho: UninstantiatedTask, candidates: Sequence[Iterable]
-) -> Iterator[tuple[str, int | WeakformError]]:
+) -> Iterator[tuple[str, int | type[WeakformError]]]:
     """Each caller-supplied candidate's report string, with its base
-    program mask or the error ``_positions`` raises on it.  A candidate
-    in canonical form is parsed once per environment, into the memo of
-    ``_Vocabularies.parsed``; every other one is parsed here."""
-    vocabularies = rho._masks.vocabularies
+    program mask or the class of the error ``_positions`` raises on it
+    (as ``restrict`` gives its own).  A candidate in canonical form is
+    parsed once per environment, into ``_Vocabularies.parsed``."""
+    vocabularies = rho.index.vocabularies
     parsed, codes, sets = vocabularies.parsed, vocabularies.codes, vocabularies.sets
     for cand in candidates:
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
@@ -384,7 +376,7 @@ def _parsed(
         try:
             found = _positions(vocabularies, cand)
         except WeakformError as exc:
-            yield encode_vocabulary(cand), exc
+            yield encode_vocabulary(cand), type(exc)
             continue
         got = "[%s]" % ",".join(map(codes.__getitem__, found)), sum(1 << b for b in found)
         if plain and cand == tuple(map(sets.__getitem__, _bits(got[1]))):
@@ -393,7 +385,7 @@ def _parsed(
 
 
 def _vocabulary_rows(
-    rho: UninstantiatedTask, vocabularies: Iterable[tuple[str, int | WeakformError]], guards: Guards
+    rho: UninstantiatedTask, vocabularies: Iterable[tuple[str, int | type[WeakformError]]], guards: Guards
 ) -> list[tuple[VocabularyRow, int, int, int]]:
     """Each candidate's utility row, with its base program mask, its
     restricted language and its correct policies as masks over the base
@@ -404,19 +396,14 @@ def _vocabulary_rows(
     environment's down table, the policies are
     ``L_B & AND_{o in O_B} down[o] & ~OR_{y in E_B - O_B} down[y]``.  A
     row's error is recorded by its class's name; none is raised."""
-    masks = rho._masks
-    statements = masks.index.statements
-    ext = masks.ext
-    restrict = masks.restrict
-    down = masks.vocabularies.down.__getitem__
-    too_wide = masks.vocabularies.too_wide(guards)
+    statements, ext = rho.index.statements, rho.index.ext_masks
+    down = rho.index.vocabularies.down.__getitem__
+    too_wide = rho.index.vocabularies.too_wide(guards)
     out = []
     for idx, (encoded, vocabulary) in enumerate(vocabularies):
-        if isinstance(vocabulary, WeakformError):
-            error = type(vocabulary)  # the parse step's error is the row's
-        else:
-            restricted = restrict(vocabulary, guards)
-            error = restricted if isinstance(restricted, type) else None
+        # a class is an error: the parse step's, or else the restriction's
+        restricted = vocabulary if isinstance(vocabulary, type) else rho.restrict(vocabulary, guards)
+        error = restricted if isinstance(restricted, type) else None
         if error is None:
             language, inputs, extension, outputs = restricted
             policies = reduce(and_, map(down, _bits(outputs)), language) & ~reduce(
@@ -443,7 +430,7 @@ def _vocabulary_rows(
             size - outputs.bit_count(),
             encode_statement(witness),
             size,
-            inputs != masks.inputs,
+            inputs != rho.input_mask,
             None,
         )
         out.append((row, vocabulary, language, policies))
@@ -524,8 +511,8 @@ def verify_upper_bound(
 
     Every pair is read off the base task's masks, with nothing built per
     candidate: the probability of policy p over a candidate B is the
-    restricted generalization table's, ``tasks._policy_count`` over
-    ``_BaseMasks.task_count`` for ``L_B``, and the pair's extension size
+    restricted generalization table's, ``tasks._policy_count`` over the
+    sum of ``tasks._class_counts`` for ``L_B``, and the pair's extension size
     is ``|ext[p] & L_B|``.  The environment's ``_Vocabularies`` keeps each
     ``(L_B, m)`` count and each canonical candidate's parse, so a later
     base task over the same environment redoes neither; the pivot
@@ -533,9 +520,9 @@ def verify_upper_bound(
     """
     outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
     rows = tuple(row for row, _, _, _ in outcomes)
-    masks = rho._masks
-    statements = masks.index.statements
-    counts = masks.vocabularies.counts
+    index = rho.index
+    statements, ext = index.statements, index.ext_masks
+    counts, ones = index.vocabularies.counts, _ones(len(ext))
     memo: dict = {}
     m = 0 if include_empty_outputs else 1
     pairs: list[CandidatePolicy] = []
@@ -552,15 +539,15 @@ def verify_upper_bound(
             continue
         denominator = counts.get((language, m))
         if denominator is None:
-            denominator = counts[language, m] = masks.task_count(language, memo, m)
+            denominator = counts[language, m] = sum(_class_counts(ext, language, memo, ones, m))
         for p in _bits(policies):
             pairs.append(
                 CandidatePolicy(
                     row.index,
                     row.vocabulary,
                     encode_statement(_renumbered(vocabulary, statements[p])),
-                    (masks.ext[p] & language).bit_count(),
-                    Fraction(_policy_count(masks.index, p, language, m), denominator),
+                    (ext[p] & language).bit_count(),
+                    Fraction(_policy_count(index, p, language, m), denominator),
                 )
             )
 
@@ -638,7 +625,7 @@ def verify_utility_maximal_at_P(
             f"{MAX_SWEEP_STATES} states"
         )
     # the sweep's candidates are base program masks, none parsed
-    swept = rho._masks.vocabularies.swept
+    swept = rho.index.vocabularies.swept
     rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, swept, guards))
     header = _report_header(rho, rows, guards, seeds)
     full = rows[-1].utility  # the full vocabulary is the last subset

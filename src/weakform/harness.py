@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 import time
+from itertools import permutations
 from pathlib import Path
 from random import Random
 
@@ -222,28 +223,26 @@ def _run_learn(config, env, factory) -> list[dict[str, str]]:
 def _run_compare(config, env, factory) -> list[dict[str, str]]:
     lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
-    proxies = config.resolved_proxies
-    # a pair's sample efficiency is the difference of the two proxies'
-    # errors, so each proxy's rows are built once (the config admits no
-    # run without two distinct proxies)
+    # each distinct proxy once, in first-listed order ("random:01" is
+    # "random:1"); a pair's sample efficiency is the difference of the two
+    # proxies' errors, so each proxy's rows are built once (the config
+    # admits no run without two distinct proxies)
+    proxies = tuple({p.name: p for p in config.resolved_proxies}.values())
     errors = _proxy_errors(env, proxies, config.guards, config.include_empty_outputs)
     rows = []
-    for a, error_a in zip(proxies, errors):
-        for b, error_b in zip(proxies, errors):
-            if a.name == b.name:
-                continue
-            value = error_a - error_b
-            rows.append(
-                factory.row(
-                    language_size=len(lang),
-                    task_count=space.total_count,
-                    proxy=f"{a.name}|{b.name}",
-                    value=value,
-                    note="more_efficient" if value < 0 else (
-                        "tie" if value == 0 else "less_efficient"
-                    ),
-                )
+    for (a, error_a), (b, error_b) in permutations(zip(proxies, errors), 2):
+        value = error_a - error_b
+        rows.append(
+            factory.row(
+                language_size=len(lang),
+                task_count=space.total_count,
+                proxy=f"{a.name}|{b.name}",
+                value=value,
+                note="more_efficient" if value < 0 else (
+                    "tie" if value == 0 else "less_efficient"
+                ),
             )
+        )
     return rows
 
 

@@ -178,10 +178,12 @@ def random_proxy(seed: int) -> Proxy:
 
 
 def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Proxy:
-    """A relation given extensionally: listed ordered pairs are 1."""
+    """A relation given extensionally: listed ordered pairs are 1, each
+    side in canonical form (``[0, 0, 2]`` is ``(0, 2)``), as ``Proxy.holds``
+    reads its arguments."""
     successors: dict[Statement, set[Statement]] = {}
     for a, b in true_pairs:
-        successors.setdefault(tuple(sorted(a)), set()).add(tuple(sorted(b)))
+        successors.setdefault(tuple(sorted(set(a))), set()).add(tuple(sorted(set(b))))
 
     def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
         keys = [tuple(s) for s in statements]

@@ -66,6 +66,15 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_missing_config_exit_code(tmp_path, capsys):
     assert cli.main(["enumerate", "--config", str(tmp_path / "nope.json")]) == 2
+    # run as a module, the CLI exits with main's code
+    root = Path(__file__).resolve().parent.parent
+    for config, code in ((root / "configs" / "compare-env2.json", 0), (tmp_path / "nope.json", 2)):
+        done = subprocess.run(
+            [sys.executable, "-m", "weakform.cli", "compare-proxies", "--config", str(config),
+             "--out", str(tmp_path / "r.csv")],
+            capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == code, done.stderr
 
 
 def test_subcommand_config_mismatch(tmp_path, capsys):
@@ -356,9 +365,10 @@ def test_unreadable_documents_exit_2(tmp_path, capsys, files):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("env_text", ['{"states": 2, "vocabulary": 5}', "not json"])
+@pytest.mark.parametrize("env_text", ['{"states": 2, "vocabulary": 5}', "not json", None])
 def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
-    (tmp_path / "env.json").write_text(env_text)
+    if env_text is not None:  # None: the file does not exist
+        (tmp_path / "env.json").write_text(env_text)
     config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
     assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "weakform-repro.json").exists()

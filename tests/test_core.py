@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import pickle
+import pkgutil
 
 import pytest
 
+import weakform
 from weakform import (
     ExtensionSet,
     Guards,
@@ -52,6 +56,12 @@ from helpers import (
 def test_mk_environment_env2(env2):
     assert env2.state_count == 2
     assert env2.program_sets() == ((0,), (1,), (0, 1))
+    # a program holds exactly its states; one outside the state range is in none
+    assert [[s in p for s in (-1, 0, 1, 2)] for p in env2.programs] == [
+        [False, True, False, False],
+        [False, False, True, False],
+        [False, True, True, False],
+    ]
 
 
 def test_mk_environment_duplicate():
@@ -380,3 +390,26 @@ def test_environment_to_dict(env2):
         "states": 2,
         "vocabulary": [[0], [1], [0, 1]],
     }
+
+
+#: every module-level cache of the library.  Each holds its entries for the
+#: life of the process, so a new one is listed here on purpose or not at all
+MODULE_CACHES = {
+    "core._index_cached",
+    "core._ie_extension_size",
+    "learning._table_cached",
+    "tasks._ones",
+    "tasks._space_cached",
+}
+
+
+def test_module_level_caches_are_listed():
+    found = set()
+    for info in pkgutil.iter_modules(weakform.__path__):
+        module = importlib.import_module(f"weakform.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for scope in scopes:
+            for obj in scope.values():
+                if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
+                    found.add(f"{info.name}.{obj.__qualname__}")
+    assert found == MODULE_CACHES

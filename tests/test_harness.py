@@ -25,8 +25,9 @@ from weakform.errors import (
     NoCorrectPolicy,
     ParseError,
     UnknownProxy,
+    WeakformError,
 )
-from weakform.harness import CSV_FIELDS, run_experiment, write_report
+from weakform.harness import CSV_FIELDS, render_report, run_experiment, write_report
 from weakform.harness import _derive_child
 from weakform.tasks import TaskSpace, enumerate_tasks, is_child, task_space
 
@@ -191,18 +192,22 @@ def test_compare_proxies_builds_each_proxys_rows_once(monkeypatch):
 
     monkeypatch.setattr(config, "proxy_by_name", counted)
     names = ["weakness", "simplicity", "random:3"]
-    rows = run_experiment(cfg({
-        "experiment": "compare-proxies",
-        "environment": ENV2_DOC,
-        "proxies": names,
-    }))
-    assert sorted(built) == sorted(names)
     env = mk_environment(2, [{0}, {1}, {0, 1}])
-    want = {
-        f"{a}|{b}": str(sample_efficiency(env, proxy_by_name(a), proxy_by_name(b)))
+    want = [
+        (f"{a}|{b}", str(sample_efficiency(env, proxy_by_name(a), proxy_by_name(b))))
         for a in names for b in names if a != b
-    }
-    assert {r["proxy"]: r["value"] for r in rows} == want
+    ]
+    # a proxy listed twice, by name or by another spelling of its seed, is
+    # one proxy: its rows are built once, and each ordered pair is written once
+    for listed in (names, names + ["weakness"], names + ["random:03"]):
+        built.clear()
+        rows = run_experiment(cfg({
+            "experiment": "compare-proxies",
+            "environment": ENV2_DOC,
+            "proxies": listed,
+        }))
+        assert len(built) == len(names), listed
+        assert [(r["proxy"], r["value"]) for r in rows] == want, listed
 
 
 def test_learn_rows_and_child_validity():
@@ -376,6 +381,9 @@ def test_rows_have_fixed_fields():
     c = cfg({"experiment": "enumerate", "environment": ENV2_DOC})
     for row in run_experiment(c):
         assert tuple(row.keys()) == CSV_FIELDS
+    factory = harness._RowFactory(c, mk_environment(2, [{0}, {1}, {0, 1}]))
+    with pytest.raises(KeyError, match="'wall'"):
+        factory.row(wall="1")
     # every experiment kind has a runner
     assert tuple(harness._RUNNERS) == EXPERIMENT_KINDS
 
@@ -404,6 +412,8 @@ def test_write_report_csv_and_json_agree(tmp_path):
         csv_rows = list(csv.DictReader(fh))
     json_rows = json.loads(json_path.read_text())
     assert csv_rows == json_rows
+    with pytest.raises(WeakformError, match="unknown report format 'xml'"):
+        render_report(rows, "xml")
 
 
 def test_write_report_two_lines(tmp_path):

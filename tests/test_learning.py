@@ -200,8 +200,14 @@ def test_estimator_converges(env2):
         est = estimate_generalization_probability(env2, l, samples=20000, seed=3)
         se = (float(exact) * (1 - float(exact)) / 20000) ** 0.5
         assert abs(float(est.estimate) - float(exact)) <= 3 * se
+        # the estimate's own standard error, and its interval at z = 3
+        p = est.successes / est.samples
+        assert est.stderr() == (p * (1 - p) / est.samples) ** 0.5
+        assert est.interval() == (p - 3 * est.stderr(), p + 3 * est.stderr())
+        assert est.interval(z=1e6) == (0.0, 1.0)
     zero = estimate_generalization_probability(env2, (), samples=2000, seed=3)
     assert zero.successes == 0
+    assert zero.stderr() == 0.0 and zero.interval() == (0.0, 0.0)
 
 
 def test_estimator_deterministic(env2):
@@ -327,6 +333,7 @@ def test_random_proxies_differ(env2):
 
 def test_proxy_by_name(tmp_path):
     assert proxy_by_name("weakness").name == "weakness"
+    assert repr(proxy_by_name("random:05")) == "Proxy(random:5)"
     assert proxy_by_name("simplicity").name == "simplicity"
     assert proxy_by_name("random:5").name == "random:5"
     table = tmp_path / "rel.json"
@@ -399,6 +406,7 @@ def test_holds_answers_one_pair(env2):
     listed = table_proxy("t", [([0, 2], [1])])
     assert listed.holds(env2, (2, 0), (1,)) is True
     assert listed.holds(env2, (0, 2), (1,)) is True
+    assert table_proxy("t", [([0, 0, 2], [1])]).holds(env2, (0, 2), (1,)) is True
     # and every proxy refuses a non-statement, as weakness does
     for proxy in (simplicity_proxy(), random_proxy(0), listed):
         with pytest.raises(NotAStatement):

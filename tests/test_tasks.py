@@ -520,6 +520,8 @@ def test_enumerate_tasks_all_valid(env_pair):
 def test_enumerate_tasks_deterministic_and_ordered(env2):
     first = next(iter(enumerate_tasks(env2)))
     assert first.encode() == next(iter(enumerate_tasks(env2))).encode()
+    # iterating a task space is its stream
+    assert list(task_space(env2)) == list(enumerate_tasks(env2))
     sizes = [len(t.inputs) for t in enumerate_tasks(env2)]
     assert sizes == sorted(sizes)
 
