@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import chain, combinations
 from math import lcm
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_GUARDS,
@@ -385,17 +385,21 @@ def _parsed(
 
 
 def _vocabulary_rows(
-    rho: UninstantiatedTask, vocabularies: Iterable[tuple[str, int | type[WeakformError]]], guards: Guards
+    rho: UninstantiatedTask, candidates: Sequence[Iterable] | Literal["all"], guards: Guards
 ) -> list[tuple[VocabularyRow, int, int, int]]:
     """Each candidate's utility row, with its base program mask, its
     restricted language and its correct policies as masks over the base
-    language (all 0 if the row has an error).
+    language (all 0 if the row has an error).  ``"all"`` reads every
+    sub-vocabulary off the environment's sweep table
+    (``_Vocabularies.swept``), parsing none; a list is parsed
+    (``_parsed``).
 
     p is a correct policy when ``E_B ∩ ext(p) = O_B``: every output
     completes p and no other member of ``E_B`` does.  Transposed onto the
     environment's down table, the policies are
     ``L_B & AND_{o in O_B} down[o] & ~OR_{y in E_B - O_B} down[y]``.  A
     row's error is recorded by its class's name; none is raised."""
+    vocabularies = rho.index.vocabularies.swept if candidates == "all" else _parsed(rho, candidates)
     statements, ext = rho.index.statements, rho.index.ext_masks
     down = rho.index.vocabularies.down.__getitem__
     too_wide = rho.index.vocabularies.too_wide(guards)
@@ -439,13 +443,13 @@ def _vocabulary_rows(
 
 def compare_vocabularies(
     rho: UninstantiatedTask,
-    candidates: Sequence[Iterable],
+    candidates: Sequence[Iterable] | Literal["all"],
     guards: Guards = DEFAULT_GUARDS,
     seeds: Sequence[int] = (),
 ) -> UtilityReport:
-    """One row per candidate vocabulary; per-row failures are recorded,
-    never raised."""
-    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
+    """One row per candidate vocabulary, or per sub-vocabulary for
+    ``"all"``; per-row failures are recorded, never raised."""
+    outcomes = _vocabulary_rows(rho, candidates, guards)
     rows = tuple(row for row, _, _, _ in outcomes)
     header = _report_header(rho, rows, guards, seeds)
     return UtilityReport(header, rows)
@@ -500,7 +504,7 @@ class BoundReport:
 
 def verify_upper_bound(
     rho: UninstantiatedTask,
-    candidates: Sequence[Iterable],
+    candidates: Sequence[Iterable] | Literal["all"],
     guards: Guards = DEFAULT_GUARDS,
     include_empty_outputs: bool = True,
     seeds: Sequence[int] = (),
@@ -516,27 +520,29 @@ def verify_upper_bound(
     is ``|ext[p] & L_B|``.  The environment's ``_Vocabularies`` keeps each
     ``(L_B, m)`` count and each canonical candidate's parse, so a later
     base task over the same environment redoes neither; the pivot
-    count's memo serves one call.
+    count's memo serves one call, its fields sized by the largest
+    ``L_B`` the call ranks.
     """
-    outcomes = _vocabulary_rows(rho, _parsed(rho, candidates), guards)
+    outcomes = _vocabulary_rows(rho, candidates, guards)
     rows = tuple(row for row, _, _, _ in outcomes)
+    # a candidate whose restricted task space exceeds the task-language
+    # guard ranks no pair; whether the guard should raise here instead
+    # is an open decision.  No count is 0: a row with a policy keeps an
+    # input and stops short of L_B, so |L_B| >= 2, and the one input
+    # set {empty statement}, whose extension is all of L_B, admits
+    # 2^|L_B| - 1 - m >= 2 tasks
+    ranked = [
+        (row, vocabulary, language, policies)
+        for row, vocabulary, language, policies in outcomes
+        if policies and language.bit_count() <= guards.max_task_language
+    ]
     index = rho.index
     statements, ext = index.statements, index.ext_masks
-    counts, ones = index.vocabularies.counts, _ones(len(ext))
-    memo: dict = {}
+    counts, memo = index.vocabularies.counts, {}
+    ones = _ones(max((language.bit_count() for _, _, language, _ in ranked), default=0))
     m = 0 if include_empty_outputs else 1
     pairs: list[CandidatePolicy] = []
-    for row, vocabulary, language, policies in outcomes:
-        if not policies:
-            continue
-        # a candidate whose restricted task space exceeds the task-language
-        # guard ranks no pair; whether the guard should raise here instead
-        # is an open decision.  No count is 0: a row with a policy keeps an
-        # input and stops short of L_B, so |L_B| >= 2, and the one input
-        # set {empty statement}, whose extension is all of L_B, admits
-        # 2^|L_B| - 1 - m >= 2 tasks
-        if language.bit_count() > guards.max_task_language:
-            continue
+    for row, vocabulary, language, policies in ranked:
         denominator = counts.get((language, m))
         if denominator is None:
             denominator = counts[language, m] = sum(_class_counts(ext, language, memo, ones, m))
@@ -614,9 +620,10 @@ def verify_utility_maximal_at_P(
 ) -> MaximalityReport:
     """Sweep every sub-vocabulary and check none beats the full one.
 
-    A candidate beats it with a larger utility, or with any utility when
-    the full vocabulary has none; the witness is the one with the largest
-    utility, the first of them on a tie.
+    The rows are ``compare_vocabularies(rho, "all")``'s.  A candidate
+    beats the full vocabulary with a larger utility, or with any utility
+    when the full vocabulary has none; the witness is the one with the
+    largest utility, the first of them on a tie.
     """
     n = rho.env.state_count
     if n > MAX_SWEEP_STATES:
@@ -624,14 +631,11 @@ def verify_utility_maximal_at_P(
             f"sweeping all vocabularies needs 2^(2^{n}) candidates; refuse beyond "
             f"{MAX_SWEEP_STATES} states"
         )
-    # the sweep's candidates are base program masks, none parsed
-    swept = rho.index.vocabularies.swept
-    rows = tuple(row for row, _, _, _ in _vocabulary_rows(rho, swept, guards))
-    header = _report_header(rho, rows, guards, seeds)
-    full = rows[-1].utility  # the full vocabulary is the last subset
+    report = compare_vocabularies(rho, "all", guards, seeds)
+    full = report.rows[-1].utility  # the full vocabulary is the last subset
     witness = max(
-        (r for r in rows if r.utility is not None and (full is None or r.utility > full)),
+        (r for r in report.rows if r.utility is not None and (full is None or r.utility > full)),
         key=lambda r: (r.utility, -r.index),
         default=None,
     )
-    return MaximalityReport(header, witness is None, full, witness, rows)
+    return MaximalityReport(report.header, witness is None, full, witness, report.rows)

@@ -233,7 +233,7 @@ def load_environment(source: str | Path | dict) -> Environment:
     if missing:
         raise ParseError(f"environment document has no {' or '.join(map(repr, missing))}")
     env = mk_environment(doc["states"], doc["vocabulary"])
-    loaded = [tuple(sorted(p)) for p in doc["vocabulary"]]
+    loaded = [tuple(sorted(set(p))) for p in doc["vocabulary"]]
     if loaded != list(env.program_sets()):
         warnings.warn(
             "vocabulary was reordered into canonical order on load",
@@ -252,14 +252,14 @@ def save_environment(env: Environment, path: str | Path) -> None:
 # --- statements ---------------------------------------------------------------
 
 def canon_statement(env: Environment, indices: Iterable[int]) -> Statement:
-    """Sort, deduplicate and range-check a statement encoding."""
-    out = sorted(set(indices))
-    for j in out:
+    """Range-check in the caller's order, deduplicate and sort a statement."""
+    indices = tuple(indices)
+    for j in indices:
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < env.vocabulary_size:
             raise IndexOutOfRange(
                 f"index {j!r} outside [0, {env.vocabulary_size})"
             )
-    return tuple(out)
+    return tuple(sorted(set(indices)))
 
 
 def encode_statement(x: Iterable[int]) -> str:
@@ -451,10 +451,10 @@ class _Vocabularies:
       ``True``, ``1.0`` or an int subclass, which hash and compare like
       an int, never reach one.
     - ``swept``: every sub-vocabulary's report string and base program
-      mask, 2^|v| of them.
+      mask, 2^|v| of them, built only for a caller's ``"all"``.
     - ``counts``: the size of the task space restricted to ``L_B``, per
       ``(L_B, m)``, at most 2 * 2^|v| ints.  The pivot count's own memo,
-      whose values are |L| + 1 fields wide, lives for one call only.
+      sized by the largest ``L_B`` it counts, lives for one call only.
     """
 
     def __init__(self, index: LanguageIndex):

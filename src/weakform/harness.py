@@ -20,7 +20,6 @@ from random import Random
 
 from . import __version__
 from .bounds import (
-    all_vocabularies,
     mk_uninstantiated,
     utility,
     verify_upper_bound,
@@ -266,12 +265,8 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
     rho = mk_uninstantiated(
         mk_task(env, config.rho["inputs"], config.rho["outputs"], config.guards)
     )
-    if config.candidates == "all":
-        candidates = list(all_vocabularies(env))
-    else:
-        candidates = [list(v) for v in config.candidates]
     report = verify_upper_bound(
-        rho, candidates, config.guards, config.include_empty_outputs
+        rho, config.candidates, config.guards, config.include_empty_outputs
     )
     selected = {}
     if report.selected is not None:

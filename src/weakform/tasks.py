@@ -8,13 +8,9 @@ statements' extensions alone (a memoised pivot recursion over the
 statement order) and enumerated explicitly, and the two must agree.
 Sampling is exactly uniform: a single random index into the counted
 space is decoded back into a task by the same count, size class first
-and then one member of the input set at a time.  The stream ORs each
-input set's extension masks as it walks the input sets, decodes one
-extension per run of equal consecutive unions, and builds a run's output
-sets once when its extension has at most 10 statements; it is a pipeline
-of C iterators with one Python call per input set, none per task.
-Nothing here keeps a table of input sets, and the stream holds at most
-one run's output sets, at most 1,023 of them.
+and then one member of the input set at a time.  The stream is a
+pipeline of C iterators that holds at most one run's output sets
+(``TaskSpace.tasks``); nothing here keeps a table of input sets.
 """
 
 from __future__ import annotations
@@ -297,10 +293,10 @@ def _reach(ext: tuple[int, ...], q: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
 def _ones(n: int) -> tuple[int, ...]:
     """``(1 + z)^a`` for a = 0..n, each packed into one int with the
-    coefficient of ``z^r`` in bits ``[r w, (r + 1) w)``, ``w = 2n + 2``."""
+    coefficient of ``z^r`` in bits ``[r w, (r + 1) w)``, ``w = 2n + 2``;
+    uncached, as it takes microseconds for n <= 20."""
     width = 2 * n + 2
     ones = [1]
     for _ in range(n):
@@ -311,13 +307,13 @@ def _ones(n: int) -> tuple[int, ...]:
 def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tuple[int, ...]) -> int:
     """``G(P, C)``, size-graded: the coefficient of ``z^r`` is the sum
     over the r-subsets T of the positions in P of ``2^|up(T) & C|``, where
-    ``up(x) = ext[x]`` and ``up(T)`` is their OR; ``ones`` is
-    ``_ones(len(ext))``.
+    ``up(x) = ext[x]`` and ``up(T)`` is their OR; ``ones`` is ``_ones(n)``,
+    n no less than |P| and |C| in any call that shares ``memo``.
 
     The polynomial is packed into one int (Kronecker substitution), with
-    fields of ``w = 2|L| + 2`` bits.  A coefficient sums at most
-    ``C(|L|, r) <= 2^|L|`` powers of at most ``2^|L|``, so it is at most
-    ``2^(2|L|) < 2^w``, and so is every coefficient of the partial sums
+    fields of ``w = 2n + 2`` bits, read off ``len(ones)``.  A coefficient
+    sums at most ``C(n, r) <= 2^n`` powers of at most ``2^n``, so it is at
+    most ``2^(2n) < 2^w``, and so is every coefficient of the partial sums
     and products below: no field ever carries into the next, and adding,
     multiplying and shifting the ints adds, multiplies and scales the
     polynomials exactly.
@@ -346,7 +342,7 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
         reach_far = _reach(ext, far)
         with_x = _union_power_sum(ext, far, c & ~up & reach_far, memo, ones) * ones[(p & up).bit_count() - 1]
         got = _union_power_sum(ext, rest, c & (reach_far | _reach(ext, rest & up)), memo, ones) + (
-            with_x << (2 * len(ext) + 2 + (up & c).bit_count())
+            with_x << (2 * len(ones) + (up & c).bit_count())
         )
         memo[p, c] = got
     return got
@@ -354,7 +350,7 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
 
 def _fields(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tuple[int, ...]) -> tuple[int, ...]:
     """``G(P, C)`` unpacked: one coefficient per subset size 0..|P|."""
-    width = 2 * len(ext) + 2
+    width = 2 * len(ones)
     g = _union_power_sum(ext, p, c, memo, ones)
     return tuple(g >> width * r & (1 << width) - 1 for r in range(p.bit_count() + 1))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -797,6 +798,38 @@ def test_maximality_sweep_matches_compared_vocabularies(guards):
         want = compare_vocabularies(rho, list(all_vocabularies(rho.env)), guards)
         assert got.header == want.header, rho
         assert got.rows == want.rows, rho
+
+
+@pytest.mark.parametrize("guards", [
+    Guards(),
+    Guards(max_truth_set=1),
+    Guards(max_task_language=3),
+], ids=["default", "truth_set_1", "task_language_3"])
+def test_all_reads_the_sweep_table(guards):
+    # "all" gives every report that the list of every vocabulary gives,
+    # and reads the environment's sweep table: a fresh index parses nothing
+    for base in _reference_cases(2)[::40] + _reference_cases(3)[:3]:
+        core._index_cached.cache_clear()
+        rho = mk_uninstantiated(base.base)
+        got = _sweep_reports(rho, "all", guards)
+        assert not rho.index.vocabularies.parsed, rho
+        assert got == _sweep_reports(rho, list(all_vocabularies(rho.env)), guards), rho
+
+
+def test_a_four_state_bound_sizes_its_count_by_the_ranked_languages():
+    # the pivot count's (1+z)^a table runs to the largest restricted
+    # language ranked, a few statements, and not to the 942 of the base
+    # language, whose table would take over 100 MiB
+    rho = mk_uninstantiated(mk_task(full_powerset_vocabulary(4), [(1, 7)], []))
+    rho.index.vocabularies  # the environment's own tables are not the call's
+    tracemalloc.start()
+    try:
+        report = verify_upper_bound(rho, [[(0,), (0, 3)], [(0,), (0, 3), (1,)]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ranking
+    assert peak < 2 << 20, peak
 
 
 def test_ranking_matches_the_sort_definition():

@@ -5,6 +5,7 @@ import importlib
 import json
 import pickle
 import pkgutil
+import warnings
 
 import pytest
 
@@ -28,6 +29,7 @@ from weakform import (
     mk_environment,
     save_environment,
     truth_set,
+    weakness_cmp,
 )
 from weakform.core import LanguageIndex, Program
 from weakform.errors import (
@@ -104,6 +106,19 @@ def test_truth_set_examples(env2):
 def test_truth_set_index_error(env2):
     with pytest.raises(IndexOutOfRange):
         truth_set(env2, [3])
+    # the first bad index in the caller's order is named, even where the
+    # indices do not sort, and a one-shot iterable is read once
+    for call, bad in (
+        (lambda: truth_set(env2, ["a", 0]), "'a'"),
+        (lambda: truth_set(env2, ["a"]), "'a'"),
+        (lambda: truth_set(env2, [0, 5, "a"]), "5"),
+        (lambda: is_statement(env2, [None, 0]), "None"),
+        (lambda: is_statement(env2, iter([0, 2, 9])), "9"),
+        (lambda: weakness_cmp(env2, ("a", 0), (1,)), "'a'"),
+    ):
+        with pytest.raises(IndexOutOfRange, match=f"index {bad} outside"):
+            call()
+    assert truth_set(env2, iter([2, 0, 2])) == truth_set(env2, [0, 2])
 
 
 def test_is_statement_examples(env2):
@@ -345,6 +360,11 @@ def test_load_warns_on_reorder(tmp_path):
     with pytest.warns(VocabularyReorderedWarning):
         env = load_environment(path)
     assert env.program_sets() == ((0,), (1,), (0, 1))
+    # a repeated state reorders nothing
+    path.write_text(json.dumps({"states": 2, "vocabulary": [[0, 0], [1], [0, 1]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_environment(path) == env
 
 
 @pytest.mark.parametrize(
@@ -398,7 +418,6 @@ MODULE_CACHES = {
     "core._index_cached",
     "core._ie_extension_size",
     "learning._table_cached",
-    "tasks._ones",
     "tasks._space_cached",
 }
 
