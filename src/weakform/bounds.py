@@ -25,11 +25,11 @@ from .core import (
     Environment,
     ExtensionSet,
     Guards,
+    LanguageIndex,
     Program,
     Statement,
     _bits,
     _index_cached,
-    _Vocabularies,
     encode_statement,
     env_hash,
     extension_size,
@@ -119,7 +119,7 @@ class UninstantiatedTask:
     counts are ``tasks._class_counts`` over ``L_B`` with the base
     extensions, and a policy's numerator is ``tasks._policy_count`` over
     ``L_B``.  Only the base task's own masks live here; what depends on
-    the environment alone is its index's ``_Vocabularies``.
+    the environment alone, the sweeps' tables and memos, is its index's.
     """
 
     __slots__ = ("base", "index", "input_mask", "input_programs", "output_mask", "extension_mask")
@@ -183,7 +183,7 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
     return UninstantiatedTask(base)
 
 
-def _positions(vocabularies: _Vocabularies, candidate: Iterable) -> list[int]:
+def _positions(index: LanguageIndex, candidate: Iterable) -> list[int]:
     """The base positions of a candidate's programs, in its order: state-set
     iterables or Program values, each drawn from the base vocabulary.
 
@@ -195,8 +195,8 @@ def _positions(vocabularies: _Vocabularies, candidate: Iterable) -> list[int]:
     a repeated program, or with an int state that is no plain int (True,
     an int subclass), is built by ``mk_environment`` too, which raises
     that vocabulary's own error; every other candidate skips the build."""
-    position = vocabularies.position
-    n = vocabularies.state_count
+    position = index.program_position
+    n = index.env.state_count
     sets = []
     for p in candidate:
         if isinstance(p, Program):
@@ -236,13 +236,12 @@ def instantiate(
     vocabulary comparisons below read every restriction; the tests check
     it against a restriction by the programs' state tuples.
     """
-    vocabularies = rho.index.vocabularies
-    vocabulary = sum(1 << b for b in _positions(vocabularies, v_prime))
+    vocabulary = sum(1 << b for b in _positions(rho.index, v_prime))
     restricted = rho.restrict(vocabulary, guards)
     if isinstance(restricted, type):
         size = vocabulary.bit_count()
         raise restricted(_REFUSALS[restricted].format(size=size, guards=guards))
-    sets = vocabularies.sets
+    sets = rho.env.program_sets()
     env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
     statements = rho.index.statements
     # the restricted language is dropped: the new environment has its own
@@ -310,9 +309,7 @@ class VocabularyRow(NamedTuple):
         return self._asdict()
 
 
-def _report_header(
-    rho: UninstantiatedTask, rows: Sequence[VocabularyRow], guards: Guards, seeds: Sequence[int]
-) -> dict:
+def _report_header(rho: UninstantiatedTask, rows: Sequence[VocabularyRow], guards: Guards) -> dict:
     from . import __version__
 
     return {
@@ -320,7 +317,7 @@ def _report_header(
         "states": rho.env.state_count,
         "base_task": rho.base.encode(),
         "guards": asdict(guards),
-        "seeds": list(seeds),
+        "seeds": [],  # nothing in a report is random
         "version": __version__,
         "candidates": [r.vocabulary for r in rows],
     }
@@ -357,10 +354,11 @@ def _parsed(
 ) -> Iterator[tuple[str, int | type[WeakformError]]]:
     """Each caller-supplied candidate's report string, with its base
     program mask or the class of the error ``_positions`` raises on it
-    (as ``restrict`` gives its own).  A candidate in canonical form is
-    parsed once per environment, into ``_Vocabularies.parsed``."""
-    vocabularies = rho.index.vocabularies
-    parsed, codes, sets = vocabularies.parsed, vocabularies.codes, vocabularies.sets
+    (as ``restrict`` gives its own).  A candidate in canonical form, a
+    tuple of base state tuples in base order whose states are exact ints,
+    is parsed once per environment, into ``LanguageIndex.parsed``."""
+    index = rho.index
+    parsed, codes, sets = index.parsed, index.program_codes, rho.env.program_sets()
     for cand in candidates:
         cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
         # only tuples of exact ints may look an entry up: True and 1.0 equal 1
@@ -374,7 +372,7 @@ def _parsed(
         if not plain:  # each program is read twice as well, so it is frozen here once
             cand = tuple(p if isinstance(p, Program) else tuple(p) for p in cand)
         try:
-            found = _positions(vocabularies, cand)
+            found = _positions(index, cand)
         except WeakformError as exc:
             yield encode_vocabulary(cand), type(exc)
             continue
@@ -391,18 +389,23 @@ def _vocabulary_rows(
     restricted language and its correct policies as masks over the base
     language (all 0 if the row has an error).  ``"all"`` reads every
     sub-vocabulary off the environment's sweep table
-    (``_Vocabularies.swept``), parsing none; a list is parsed
-    (``_parsed``).
+    (``LanguageIndex.swept``), parsing none; a list is parsed
+    (``_parsed``); any other string raises ``InvalidVocabulary``.
 
     p is a correct policy when ``E_B ∩ ext(p) = O_B``: every output
     completes p and no other member of ``E_B`` does.  Transposed onto the
     environment's down table, the policies are
     ``L_B & AND_{o in O_B} down[o] & ~OR_{y in E_B - O_B} down[y]``.  A
     row's error is recorded by its class's name; none is raised."""
-    vocabularies = rho.index.vocabularies.swept if candidates == "all" else _parsed(rho, candidates)
-    statements, ext = rho.index.statements, rho.index.ext_masks
-    down = rho.index.vocabularies.down.__getitem__
-    too_wide = rho.index.vocabularies.too_wide(guards)
+    index = rho.index
+    if candidates == "all":
+        vocabularies = index.swept
+    elif isinstance(candidates, str):
+        raise InvalidVocabulary(f'candidates {candidates!r} is neither "all" nor a list')
+    else:
+        vocabularies = _parsed(rho, candidates)
+    statements, ext, down = index.statements, index.ext_masks, index.down.__getitem__
+    too_wide = index.too_wide(guards)
     out = []
     for idx, (encoded, vocabulary) in enumerate(vocabularies):
         # a class is an error: the parse step's, or else the restriction's
@@ -445,13 +448,12 @@ def compare_vocabularies(
     rho: UninstantiatedTask,
     candidates: Sequence[Iterable] | Literal["all"],
     guards: Guards = DEFAULT_GUARDS,
-    seeds: Sequence[int] = (),
 ) -> UtilityReport:
     """One row per candidate vocabulary, or per sub-vocabulary for
     ``"all"``; per-row failures are recorded, never raised."""
     outcomes = _vocabulary_rows(rho, candidates, guards)
     rows = tuple(row for row, _, _, _ in outcomes)
-    header = _report_header(rho, rows, guards, seeds)
+    header = _report_header(rho, rows, guards)
     return UtilityReport(header, rows)
 
 
@@ -507,7 +509,6 @@ def verify_upper_bound(
     candidates: Sequence[Iterable] | Literal["all"],
     guards: Guards = DEFAULT_GUARDS,
     include_empty_outputs: bool = True,
-    seeds: Sequence[int] = (),
 ) -> BoundReport:
     """Select the candidate maximising utility, then its weakest correct
     policy, and check that pair attains the best generalization
@@ -517,7 +518,7 @@ def verify_upper_bound(
     candidate: the probability of policy p over a candidate B is the
     restricted generalization table's, ``tasks._policy_count`` over the
     sum of ``tasks._class_counts`` for ``L_B``, and the pair's extension size
-    is ``|ext[p] & L_B|``.  The environment's ``_Vocabularies`` keeps each
+    is ``|ext[p] & L_B|``.  The environment's ``LanguageIndex`` keeps each
     ``(L_B, m)`` count and each canonical candidate's parse, so a later
     base task over the same environment redoes neither; the pivot
     count's memo serves one call, its fields sized by the largest
@@ -538,7 +539,7 @@ def verify_upper_bound(
     ]
     index = rho.index
     statements, ext = index.statements, index.ext_masks
-    counts, memo = index.vocabularies.counts, {}
+    counts, memo = index.counts, {}
     ones = _ones(max((language.bit_count() for _, _, language, _ in ranked), default=0))
     m = 0 if include_empty_outputs else 1
     pairs: list[CandidatePolicy] = []
@@ -557,7 +558,7 @@ def verify_upper_bound(
                 )
             )
 
-    return _select(_report_header(rho, rows, guards, seeds), rows, pairs)
+    return _select(_report_header(rho, rows, guards), rows, pairs)
 
 
 def _select(
@@ -616,7 +617,6 @@ class MaximalityReport:
 def verify_utility_maximal_at_P(
     rho: UninstantiatedTask,
     guards: Guards = DEFAULT_GUARDS,
-    seeds: Sequence[int] = (),
 ) -> MaximalityReport:
     """Sweep every sub-vocabulary and check none beats the full one.
 
@@ -631,7 +631,7 @@ def verify_utility_maximal_at_P(
             f"sweeping all vocabularies needs 2^(2^{n}) candidates; refuse beyond "
             f"{MAX_SWEEP_STATES} states"
         )
-    report = compare_vocabularies(rho, "all", guards, seeds)
+    report = compare_vocabularies(rho, "all", guards)
     full = report.rows[-1].utility  # the full vocabulary is the last subset
     witness = max(
         (r for r in report.rows if r.utility is not None and (full is None or r.utility > full)),

@@ -21,8 +21,9 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 from typing import Iterable
 
@@ -359,6 +360,11 @@ class LanguageIndex:
     def __init__(self, env: Environment):
         self.env = env
         self.statements = _enumerate_statements(env)
+        # the vocabulary sweeps' memos (``bounds``): ``parsed`` stores only
+        # canonical candidates, at most 2^|v| entries; ``counts`` holds at
+        # most 2 * 2^|v| restricted task counts, one per ``(L_B, m)``
+        self.parsed: dict[tuple, tuple[str, int]] = {}
+        self.counts: dict[tuple[int, int], int] = {}
 
     @staticmethod
     def of(env: Environment, guards: Guards = DEFAULT_GUARDS) -> LanguageIndex:
@@ -399,14 +405,28 @@ class LanguageIndex:
         return tuple(map(self.extension_mask, self.statements))
 
     @cached_property
+    def truth_masks(self) -> tuple[int, ...]:
+        """Each statement's truth set, as a state mask."""
+        return tuple(_truth_mask(self.env, s) for s in self.statements)
+
+    @cached_property
     def incompatible(self) -> tuple[int, ...]:
         """Each statement's incompatible statements, those whose
-        extensions miss its own.  Inside a down-set ``below(B)`` these are
-        the incompatible statements of the restricted language too: two
+        extensions miss its own: the statements true at no state of its
+        truth set, as two statements share a completion exactly when their
+        truth sets meet.  Inside a down-set ``below(B)`` these are the
+        incompatible statements of the restricted language too: two
         statements of it with a common completion have their union of
         programs as one, and it lies in ``below(B)``."""
-        ext = self.ext_masks
-        return tuple(sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext)
+        full = (1 << len(self.statements)) - 1
+        # the statements true at a state: those of the programs true there
+        true_at = [
+            self.below(sum(1 << j for j, p in enumerate(self.env.programs) if p.mask >> s & 1))
+            for s in range(self.env.state_count)
+        ]
+        return tuple(
+            full & ~reduce(or_, map(true_at.__getitem__, _bits(t)), 0) for t in self.truth_masks
+        )
 
     def below(self, programs: int) -> int:
         """The statements whose programs all lie in the program mask
@@ -418,10 +438,40 @@ class LanguageIndex:
         return ((1 << len(self.statements)) - 1) & ~outside
 
     @cached_property
-    def vocabularies(self) -> _Vocabularies:
-        """The environment-only part of the vocabulary sweeps, built on
-        first use."""
-        return _Vocabularies(self)
+    def program_position(self) -> dict[tuple[int, ...], int]:
+        """Each program's state tuple, mapped to its vocabulary position."""
+        return {states: b for b, states in enumerate(self.env.program_sets())}
+
+    @cached_property
+    def program_codes(self) -> tuple[str, ...]:
+        """Each program's code in a report's ``vocabulary`` column."""
+        return tuple(map(encode_statement, self.env.program_sets()))
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Each statement y's down-set ``below(programs(y))``, the
+        statements that y completes: |L| masks of |L| bits.  A
+        restriction's correct policies are read off it
+        (``bounds._vocabulary_rows``)."""
+        return tuple(self.below(sum(map((1).__lshift__, s))) for s in self.statements)
+
+    @cached_property
+    def swept(self) -> tuple[tuple[str, int], ...]:
+        """Every sub-vocabulary's report string and program mask, 2^|v|
+        of them in ``all_vocabularies`` order, built only for a caller's
+        ``"all"``."""
+        codes = self.program_codes
+        positions = range(len(codes))
+        return tuple(
+            ("[%s]" % ",".join(map(codes.__getitem__, combo)), sum(map((1).__lshift__, combo)))
+            for size in range(len(codes) + 1)
+            for combo in combinations(positions, size)
+        )
+
+    def too_wide(self, guards: Guards) -> int:
+        """The statements whose extension size the truth-set guard refuses."""
+        limit = guards.max_truth_set
+        return sum(1 << i for i, t in enumerate(self.truth_masks) if t.bit_count() > limit)
 
     def extension_of_set(self, xs: Iterable[Statement]) -> ExtensionSet:
         """The union of the extensions of the canonical statements ``xs``."""
@@ -432,57 +482,6 @@ class LanguageIndex:
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         return tuple(self.statements[i] for i in _bits(mask))
-
-
-class _Vocabularies:
-    """The environment-only part of the vocabulary sweeps, built once per
-    environment as its ``LanguageIndex.vocabularies`` and shared by every
-    base task over it: each base program's position and report code, each
-    statement's truth-set size, the down table and three memos.
-
-    - ``down``: each statement y's down-set ``below(programs(y))``, the
-      statements that y completes: |L| masks of |L| bits.  A
-      restriction's correct policies are read off it
-      (``bounds._vocabulary_rows``).
-    - ``parsed``: a candidate's report string and base program mask
-      (``bounds._parsed``), stored only for a candidate in canonical form, a
-      tuple of base state tuples in base order whose states are exact
-      ints.  So a sub-vocabulary has at most one entry, 2^|v| in all, and
-      ``True``, ``1.0`` or an int subclass, which hash and compare like
-      an int, never reach one.
-    - ``swept``: every sub-vocabulary's report string and base program
-      mask, 2^|v| of them, built only for a caller's ``"all"``.
-    - ``counts``: the size of the task space restricted to ``L_B``, per
-      ``(L_B, m)``, at most 2 * 2^|v| ints.  The pivot count's own memo,
-      sized by the largest ``L_B`` it counts, lives for one call only.
-    """
-
-    def __init__(self, index: LanguageIndex):
-        env = index.env
-        self.state_count = env.state_count
-        self.sets = env.program_sets()
-        self.position = {states: b for b, states in enumerate(self.sets)}
-        self.codes = tuple(map(encode_statement, self.sets))
-        self.truth_sizes = tuple(_truth_mask(env, s).bit_count() for s in index.statements)
-        self.down = tuple(index.below(sum(map((1).__lshift__, s))) for s in index.statements)
-        self.parsed: dict[tuple, tuple[str, int]] = {}
-        self.counts: dict[tuple[int, int], int] = {}
-
-    @cached_property
-    def swept(self) -> tuple[tuple[str, int], ...]:
-        """Every sub-vocabulary's report string and base program mask, in
-        ``all_vocabularies`` order."""
-        codes = self.codes
-        positions = range(len(codes))
-        return tuple(
-            ("[%s]" % ",".join(map(codes.__getitem__, combo)), sum(map((1).__lshift__, combo)))
-            for size in range(len(codes) + 1)
-            for combo in combinations(positions, size)
-        )
-
-    def too_wide(self, guards: Guards) -> int:
-        """The statements whose extension size the truth-set guard refuses."""
-        return sum(1 << i for i, k in enumerate(self.truth_sizes) if k > guards.max_truth_set)
 
 
 @lru_cache(maxsize=None)

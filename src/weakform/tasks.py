@@ -179,7 +179,7 @@ def task_to_dict(task: Task, inline_env: bool = True) -> dict:
 
 def load_task(source: str | Path | dict, env: Environment | None = None) -> Task:
     """Load ``{"env": ..., "inputs": [...], "outputs": [...]}`` JSON and
-    re-validate against the environment."""
+    re-validate it; a given ``env`` must equal the document's."""
     doc = _read_json(source, "task file")
     if not isinstance(doc, dict):
         raise ParseError("a task document must be a JSON object")
@@ -187,8 +187,10 @@ def load_task(source: str | Path | dict, env: Environment | None = None) -> Task
     missing = [key for key in needed if key not in doc]
     if missing:
         raise ParseError(f"task document has no {' or '.join(map(repr, missing))}")
-    if env is None:
-        env = load_environment(doc["env"])
+    if "env" in doc:
+        given, env = env, load_environment(doc["env"])
+        if given is not None and given != env:
+            raise EnvironmentMismatch("the task file names another environment")
     return mk_task(env, doc["inputs"], doc["outputs"])
 
 
@@ -253,9 +255,7 @@ def infer(task: Task, pi: Iterable[int], input_stmt: Iterable[int], seed: int) -
     x = canon_statement(env, input_stmt)
     if x not in task.input_set:
         raise InputNotInTask(f"{encode_statement(x)} is not an input of this task")
-    # the task's index was admitted when the task was built, perhaps
-    # under raised guards, so it is not checked against the defaults again
-    index = _index_cached(env)
+    index = _index_cached(env)  # admitted with the task, as in correct_policies
     shared = index.extension_mask(p) & index.extension_mask(x)
     if not shared:
         raise NoOutput(
@@ -439,7 +439,6 @@ class TaskSpace:
             raise TaskSpaceTooLarge(
                 f"|L_v| = {n} exceeds guard {guards.max_task_language}"
             )
-        # each statement's extension as a mask over language positions
         self.ext_masks = self.index.ext_masks
 
         m = self._min_outputs = 0 if include_empty_outputs else 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -128,6 +129,18 @@ def test_instantiate_identity(rho2):
     assert t.env == rho2.env
     assert t.inputs == rho2.base.inputs
     assert t.outputs_correct == rho2.base.outputs_correct
+    # each of the environment's sweep tables is built on first read: on a
+    # fresh index, instantiate builds none of them, a listed sweep the down
+    # table and truth masks, and only "all" the sweep table
+    core._index_cached.cache_clear()
+    fresh = mk_uninstantiated(rho2.base)
+    tables = {"down", "swept", "truth_masks", "incompatible"}
+    assert instantiate(fresh, full) == t
+    assert not tables & set(vars(fresh.index))
+    compare_vocabularies(fresh, [full])
+    assert tables & set(vars(fresh.index)) == {"down", "truth_masks"}
+    compare_vocabularies(fresh, "all")
+    assert tables & set(vars(fresh.index)) == {"down", "swept", "truth_masks"}
 
 
 def test_instantiate_reindexes(rho2):
@@ -283,11 +296,11 @@ def test_compare_vocabularies_duplicates_identical(rho2):
 
 
 def test_report_header_and_serialisation(rho2):
-    rep = compare_vocabularies(rho2, [rho2.env.program_sets()], seeds=[3])
+    rep = compare_vocabularies(rho2, [rho2.env.program_sets()])
     doc = json.loads(rep.to_json())
     assert doc["environment_hash"]
     assert doc["version"]
-    assert doc["seeds"] == [3]
+    assert doc["seeds"] == []
     assert doc["guards"]["max_vocabulary"] == 24
 
 
@@ -443,7 +456,7 @@ def _reference_bound(rho, candidates, guards, include_empty_outputs):
                 ))
         except WeakformError:
             continue
-    return bounds._select(bounds._report_header(rho, rows, guards, ()), rows, pairs)
+    return bounds._select(bounds._report_header(rho, rows, guards), rows, pairs)
 
 
 def _malformed(rho):
@@ -585,7 +598,8 @@ def test_the_sweep_raises_nothing_and_reads_the_down_table(monkeypatch):
         raise AssertionError(f"{type(self).__name__}{args} was built")
 
     monkeypatch.setattr(LanguageIndex, "below", counted)
-    monkeypatch.setattr(index, "vocabularies", core._Vocabularies(index))  # a cold table
+    monkeypatch.delitem(vars(index), "down", raising=False)  # a cold table
+    index.down
     assert len(calls) == len(index.statements)
     monkeypatch.setattr(WeakformError, "__init__", refused)
     for _ in range(2):
@@ -665,11 +679,11 @@ def test_warm_sweeps_equal_cold_ones(guards):
         core._index_cached.cache_clear()
         warm = [reports(rho) for rho in bases[::-1]]
         assert warm[::-1] == cold, env
-        memos = LanguageIndex.of(env).vocabularies
-        assert len(memos.parsed) <= 1 << env.vocabulary_size
-        assert len(memos.counts) <= 2 << env.vocabulary_size
-        assert {type(s) for key in memos.parsed for p in key for s in p} == {int}
-        assert {type(p) for key in memos.parsed for p in key} == {tuple}
+        index = LanguageIndex.of(env)
+        assert len(index.parsed) <= 1 << env.vocabulary_size
+        assert len(index.counts) <= 2 << env.vocabulary_size
+        assert {type(s) for key in index.parsed for p in key for s in p} == {int}
+        assert {type(p) for key in index.parsed for p in key} == {tuple}
 
 
 def test_a_second_base_task_reuses_the_environment_work(monkeypatch):
@@ -812,8 +826,17 @@ def test_all_reads_the_sweep_table(guards):
         core._index_cached.cache_clear()
         rho = mk_uninstantiated(base.base)
         got = _sweep_reports(rho, "all", guards)
-        assert not rho.index.vocabularies.parsed, rho
+        assert not rho.index.parsed, rho
         assert got == _sweep_reports(rho, list(all_vocabularies(rho.env)), guards), rho
+
+
+@pytest.mark.parametrize("candidates", ["ALL", "al", ""])
+def test_a_misspelt_sweep_is_refused(rho2, candidates):
+    # a string is no list of candidates: any other than "all" is refused
+    # by name, where it was read one character at a time
+    for sweep in (compare_vocabularies, verify_upper_bound):
+        with pytest.raises(InvalidVocabulary, match=re.escape(repr(candidates))):
+            sweep(rho2, candidates)
 
 
 def test_a_four_state_bound_sizes_its_count_by_the_ranked_languages():
@@ -821,7 +844,8 @@ def test_a_four_state_bound_sizes_its_count_by_the_ranked_languages():
     # language ranked, a few statements, and not to the 942 of the base
     # language, whose table would take over 100 MiB
     rho = mk_uninstantiated(mk_task(full_powerset_vocabulary(4), [(1, 7)], []))
-    rho.index.vocabularies  # the environment's own tables are not the call's
+    for table in ("program_position", "program_codes", "truth_masks", "down"):
+        getattr(rho.index, table)  # the environment's own tables are not the call's
     tracemalloc.start()
     try:
         report = verify_upper_bound(rho, [[(0,), (0, 3)], [(0,), (0, 3), (1,)]])

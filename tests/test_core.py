@@ -273,6 +273,12 @@ def test_below_matches_brute_down_sets():
             assert set(index.statements_of(d)) == {
                 y for y in brute_language(env) if not ext & brute_extension(env, y)
             }
+    # the table read off the truth sets is the pairwise definition's
+    index = LanguageIndex(full_powerset_vocabulary(4))
+    ext = index.ext_masks
+    assert index.incompatible == tuple(
+        sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext
+    )
 
 
 def test_language_size_matches_enumeration():

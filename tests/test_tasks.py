@@ -1043,6 +1043,14 @@ def test_load_task_revalidates(env2, tmp_path):
     path.write_text(json.dumps(task_to_dict(task)))
     assert load_task(str(path)) == task
     assert load_task(path, env2) == task
+    # a document that names its environment is read in it: another given
+    # environment, where its indices name other programs, is refused
+    env3 = mk_environment(3, [{0}, {1}, {0, 1}])
+    for source in (task_to_dict(task), path, str(path)):
+        with pytest.raises(EnvironmentMismatch):
+            load_task(source, env3)
+    # a document without one is read in the given environment
+    assert load_task(task_to_dict(task, inline_env=False), env2) == task
 
 
 @pytest.mark.parametrize(
