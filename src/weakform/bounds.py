@@ -30,6 +30,7 @@ from .core import (
     Statement,
     _bits,
     _index_cached,
+    _members,
     encode_statement,
     env_hash,
     extension_size,
@@ -198,13 +199,13 @@ def _positions(index: LanguageIndex, candidate: Iterable) -> list[int]:
     position = index.program_position
     n = index.env.state_count
     sets = []
-    for p in candidate:
+    for p in _members(candidate, InvalidVocabulary, "candidate"):
         if isinstance(p, Program):
             if p.width != n:
                 raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {n}")
             states = p.states()
         else:
-            states = tuple(p)
+            states = _members(p, InvalidVocabulary, "program")
             if not all(isinstance(s, int) for s in states):
                 mk_environment(n, [states])
             states = tuple(sorted(states))
@@ -354,23 +355,29 @@ def _parsed(
 ) -> Iterator[tuple[str, int | type[WeakformError]]]:
     """Each caller-supplied candidate's report string, with its base
     program mask or the class of the error ``_positions`` raises on it
-    (as ``restrict`` gives its own).  A candidate in canonical form, a
-    tuple of base state tuples in base order whose states are exact ints,
-    is parsed once per environment, into ``LanguageIndex.parsed``."""
+    (as ``restrict`` gives its own); a candidate, or a program of it,
+    that is no iterable is written as its ``repr``, with
+    ``InvalidVocabulary``.  A candidate in canonical form, a tuple of base
+    state tuples in base order whose states are exact ints, is parsed
+    once per environment, into ``LanguageIndex.parsed``."""
     index = rho.index
     parsed, codes, sets = index.parsed, index.program_codes, rho.env.program_sets()
-    for cand in candidates:
-        cand = tuple(cand)  # read twice, so a one-shot iterator is read here once
-        # only tuples of exact ints may look an entry up: True and 1.0 equal 1
-        plain = all(type(p) is tuple for p in cand) and {int}.issuperset(
-            map(type, chain.from_iterable(cand))
-        )
+    for given in candidates:
+        try:
+            cand = tuple(given)  # read twice, so a one-shot iterator is read here once
+            # only tuples of exact ints may look an entry up: True and 1.0 equal 1
+            plain = all(type(p) is tuple for p in cand) and {int}.issuperset(
+                map(type, chain.from_iterable(cand))
+            )
+            if not plain:  # each program is read twice as well, so it is frozen here once
+                cand = tuple(p if isinstance(p, Program) else tuple(p) for p in cand)
+        except TypeError:  # the candidate, or a program of it, is no iterable
+            yield repr(given), InvalidVocabulary
+            continue
         got = parsed.get(cand) if plain else None
         if got is not None:
             yield got
             continue
-        if not plain:  # each program is read twice as well, so it is frozen here once
-            cand = tuple(p if isinstance(p, Program) else tuple(p) for p in cand)
         try:
             found = _positions(index, cand)
         except WeakformError as exc:
@@ -400,7 +407,7 @@ def _vocabulary_rows(
     index = rho.index
     if candidates == "all":
         vocabularies = index.swept
-    elif isinstance(candidates, str):
+    elif isinstance(candidates, str) or not isinstance(candidates, Iterable):
         raise InvalidVocabulary(f'candidates {candidates!r} is neither "all" nor a list')
     else:
         vocabularies = _parsed(rho, candidates)
@@ -568,7 +575,7 @@ def _select(
     (vocabulary, policy) pair with its probability."""
     with_pairs = {p.candidate_index for p in pairs}
     defined = [r for r in rows if r.utility is not None and r.index in with_pairs]
-    if not defined or not pairs:
+    if not defined:
         return BoundReport(header, "no_candidate", None, None, (), rows)
 
     best_utility = max(r.utility for r in defined)

@@ -20,7 +20,7 @@ from .core import (
     HARD_GUARD_LIMITS,
     Environment,
     Guards,
-    _read_json,
+    _list_of_lists,
     environment_to_dict,
     full_powerset_vocabulary,
     load_environment,
@@ -161,60 +161,34 @@ def _parse_guards(doc: Any) -> Guards:
 
 def _parse_environment(doc: Any, base_dir: Path | None, guards: Guards) -> Environment:
     _expect(isinstance(doc, dict), "environment must be an object")
-    label = "environment"
-    from_file = "file" in doc
-    if from_file:
+    if "file" in doc:
         _expect(isinstance(doc["file"], str), "environment.file must be a path")
         path = Path(doc["file"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        label = f"environment file {path}"
-        try:
-            doc = _read_json(path, "environment file")
-        except OSError as exc:
-            raise ParseError(f"cannot read {label}: {exc}") from None
-        _expect(
-            isinstance(doc, dict) and "states" in doc and "vocabulary" in doc,
-            f"{label} needs 'states' and 'vocabulary'",
-        )
-    elif "full_powerset" in doc:
-        with _invalid_as_parse_error(label):
-            return full_powerset_vocabulary(doc["full_powerset"], guards)
-    _expect(
-        "states" in doc and "vocabulary" in doc,
-        "environment needs 'states'+'vocabulary', 'file' or 'full_powerset'",
-    )
-    vocabulary = doc["vocabulary"]
-    _expect(
-        isinstance(vocabulary, list) and all(isinstance(p, list) for p in vocabulary),
-        f"{label}.vocabulary must be a list of state lists",
-    )
-    with _invalid_as_parse_error(label):
         # a file is loaded as a document, which warns when it had to be
         # put in canonical order
-        if from_file:
-            return load_environment(doc)
-        return mk_environment(doc["states"], vocabulary)
+        with _invalid_as_parse_error("environment"):
+            try:
+                return load_environment(path)
+            except OSError as exc:
+                raise ParseError(f"cannot read environment file {path}: {exc}") from None
+    _expect(
+        "full_powerset" in doc or "states" in doc and "vocabulary" in doc,
+        "environment needs 'states'+'vocabulary', 'file' or 'full_powerset'",
+    )
+    with _invalid_as_parse_error("environment"):
+        if "full_powerset" in doc:
+            return full_powerset_vocabulary(doc["full_powerset"], guards)
+        return mk_environment(doc["states"], _list_of_lists(doc, "vocabulary"))
 
 
 def _parse_statement_sets(doc: Any, label: str, env: Environment, guards: Guards) -> dict:
     _expect(isinstance(doc, dict), f"{label} must be an object")
-    _expect(
-        set(doc) <= {"inputs", "outputs"} and "inputs" in doc and "outputs" in doc,
-        f"{label} needs exactly 'inputs' and 'outputs'",
-    )
-    for key in ("inputs", "outputs"):
-        _expect(
-            isinstance(doc[key], list)
-            and all(isinstance(s, list) and all(map(_is_int, s)) for s in doc[key]),
-            f"{label}.{key} must be a list of index lists",
-        )
+    _expect(set(doc) == {"inputs", "outputs"}, f"{label} needs exactly 'inputs' and 'outputs'")
     with _invalid_as_parse_error(label):
-        mk_task(env, doc["inputs"], doc["outputs"], guards)
-    return {
-        "inputs": [sorted(set(s)) for s in doc["inputs"]],
-        "outputs": [sorted(set(s)) for s in doc["outputs"]],
-    }
+        mk_task(env, _list_of_lists(doc, "inputs"), _list_of_lists(doc, "outputs"), guards)
+    return {key: [sorted(set(s)) for s in doc[key]] for key in ("inputs", "outputs")}
 
 
 def config_from_dict(

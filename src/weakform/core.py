@@ -21,9 +21,8 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import or_
 from pathlib import Path
 from typing import Iterable
 
@@ -160,9 +159,18 @@ class Environment:
         return f"Environment(states={self.state_count}, vocabulary=[{progs}])"
 
 
+def _members(value: Iterable, error: type[Exception], what: str) -> tuple:
+    """The members of ``value``, as a tuple; when it is no iterable, the
+    reader's own ``error``, naming it, in place of a TypeError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is no iterable") from None
+
+
 def _mask_of(states: Iterable[int], state_count: int) -> int:
     mask = 0
-    for s in states:
+    for s in _members(states, StateOutOfRange, "program"):
         if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < state_count:
             raise StateOutOfRange(
                 f"state {s!r} outside [0, {state_count})"
@@ -184,7 +192,7 @@ def mk_environment(state_count: int, programs: Iterable[Iterable[int]]) -> Envir
     list); two identical programs are an error, not a silent merge.
     """
     _check_state_count(state_count)
-    masks = [_mask_of(p, state_count) for p in programs]
+    masks = [_mask_of(p, state_count) for p in _members(programs, StateOutOfRange, "vocabulary")]
     seen: set[int] = set()
     for m in masks:
         if m in seen:
@@ -222,8 +230,18 @@ def _read_json(source: str | Path | dict, label: str):
             raise ParseError(f"cannot read {label} {source}: {exc}") from None
 
 
+def _list_of_lists(doc: dict, key: str) -> list:
+    """``doc[key]`` if it is a list of lists, the shape JSON gives a
+    vocabulary or a statement set (their readers check the members)."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ParseError(f"{key!r} must be a list of lists")
+    return value
+
+
 def load_environment(source: str | Path | dict) -> Environment:
-    """Load ``{"states": n, "vocabulary": [[state...], ...]}`` JSON.
+    """Load ``{"states": n, "vocabulary": [[state...], ...]}`` JSON by the
+    config's rules: a vocabulary that is no list of lists is a ParseError.
 
     Warns if the stored program order differs from canonical order.
     """
@@ -233,7 +251,7 @@ def load_environment(source: str | Path | dict) -> Environment:
     missing = [key for key in ("states", "vocabulary") if key not in doc]
     if missing:
         raise ParseError(f"environment document has no {' or '.join(map(repr, missing))}")
-    env = mk_environment(doc["states"], doc["vocabulary"])
+    env = mk_environment(doc["states"], _list_of_lists(doc, "vocabulary"))
     loaded = [tuple(sorted(set(p))) for p in doc["vocabulary"]]
     if loaded != list(env.program_sets()):
         warnings.warn(
@@ -254,7 +272,7 @@ def save_environment(env: Environment, path: str | Path) -> None:
 
 def canon_statement(env: Environment, indices: Iterable[int]) -> Statement:
     """Range-check in the caller's order, deduplicate and sort a statement."""
-    indices = tuple(indices)
+    indices = _members(indices, IndexOutOfRange, "statement")
     for j in indices:
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < env.vocabulary_size:
             raise IndexOutOfRange(
@@ -299,6 +317,11 @@ def require_statement(env: Environment, candidate: Iterable[int]) -> Statement:
     if _truth_mask(env, x) == 0:
         raise NotAStatement(f"{encode_statement(x)} has an empty truth set")
     return x
+
+
+def _require_statements(env: Environment, xs: Iterable[Iterable[int]]) -> list[Statement]:
+    """``require_statement`` of each member of the statement set ``xs``."""
+    return [require_statement(env, x) for x in _members(xs, IndexOutOfRange, "statement set")]
 
 
 def is_completion(y: Iterable[int], x: Iterable[int]) -> bool:
@@ -354,7 +377,8 @@ class LanguageIndex:
     a bit mask whose bit ``i`` stands for ``statements[i]``.
 
     A program's mask holds the statements containing it, and the
-    extension of ``x`` is the AND of the masks of its programs.
+    extension of ``x`` is the AND of the masks of its programs.  Its other
+    tables are built on first read, per statement or, ``true_at``, per state.
     """
 
     def __init__(self, env: Environment):
@@ -410,22 +434,17 @@ class LanguageIndex:
         return tuple(_truth_mask(self.env, s) for s in self.statements)
 
     @cached_property
-    def incompatible(self) -> tuple[int, ...]:
-        """Each statement's incompatible statements, those whose
-        extensions miss its own: the statements true at no state of its
-        truth set, as two statements share a completion exactly when their
-        truth sets meet.  Inside a down-set ``below(B)`` these are the
-        incompatible statements of the restricted language too: two
-        statements of it with a common completion have their union of
-        programs as one, and it lies in ``below(B)``."""
-        full = (1 << len(self.statements)) - 1
-        # the statements true at a state: those of the programs true there
-        true_at = [
-            self.below(sum(1 << j for j, p in enumerate(self.env.programs) if p.mask >> s & 1))
-            for s in range(self.env.state_count)
-        ]
+    def true_at(self) -> tuple[int, ...]:
+        """Each state's statements, ``below`` the programs true there.  Two
+        statements share a completion exactly when their truth sets meet,
+        so x's compatible statements are the OR of these over x's truth set,
+        and ANDed with a down-set ``below(B)``, those of the restricted
+        language: a common completion of two of its statements is their
+        union of programs, which lies in ``below(B)``."""
+        programs = self.env.programs
         return tuple(
-            full & ~reduce(or_, map(true_at.__getitem__, _bits(t)), 0) for t in self.truth_masks
+            self.below(sum(1 << j for j, p in enumerate(programs) if p.mask >> s & 1))
+            for s in range(self.env.state_count)
         )
 
     def below(self, programs: int) -> int:
@@ -600,8 +619,7 @@ def extension_size(env: Environment, x: Iterable[int], guards: Guards = DEFAULT_
 
 def extension_of_set(env: Environment, xs: Iterable[Iterable[int]]) -> ExtensionSet:
     """Union of the extensions of every statement in ``xs``."""
-    statements = [require_statement(env, x) for x in xs]
-    return LanguageIndex.of(env).extension_of_set(statements)
+    return LanguageIndex.of(env).extension_of_set(_require_statements(env, xs))
 
 
 def equivalent(env: Environment, x: Iterable[int], y: Iterable[int]) -> bool:

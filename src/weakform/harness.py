@@ -194,16 +194,15 @@ def run_experiment(config: ExperimentConfig, timing: bool = False) -> list[dict[
 
 
 def _run_enumerate(config, env, factory) -> list[dict[str, str]]:
-    lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
     return [
         factory.row(
-            language_size=len(lang),
+            language_size=len(space.language),
             task_count=space.total_count,
             policy=encode_statement(statement),
             extension_size=extension_size(env, statement, config.guards),
         )
-        for statement in lang
+        for statement in space.language
     ]
 
 
@@ -220,7 +219,6 @@ def _run_learn(config, env, factory) -> list[dict[str, str]]:
 
 
 def _run_compare(config, env, factory) -> list[dict[str, str]]:
-    lang = enumerate_language(env, config.guards)
     space = task_space(env, config.guards, config.include_empty_outputs)
     # each distinct proxy once, in first-listed order ("random:01" is
     # "random:1"); a pair's sample efficiency is the difference of the two
@@ -233,7 +231,7 @@ def _run_compare(config, env, factory) -> list[dict[str, str]]:
         value = error_a - error_b
         rows.append(
             factory.row(
-                language_size=len(lang),
+                language_size=len(space.language),
                 task_count=space.total_count,
                 proxy=f"{a.name}|{b.name}",
                 value=value,
@@ -291,8 +289,8 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
 
 
 def _run_sample_gen(config, env, factory) -> list[dict[str, str]]:
-    lang = enumerate_language(env, config.guards)
     table = generalization_table(env, config.guards, config.include_empty_outputs)
+    lang = table.statements
     rows = []
     for seed in config.seeds:
         estimates = estimate_generalization_probabilities(

@@ -14,7 +14,7 @@ XOR of the two orders' rows.  Learning keeps the correct policies whose
 row over the policy set is empty.
 
 Each of those counts is closed-form in the statement's extension and
-its incompatible statements: ``tasks._policy_count`` over the whole
+the statements true at its states: ``tasks._policy_count`` over the whole
 language, which the vocabulary sweeps of ``bounds`` share.  The tests
 check it against enumerating tasks.
 """
@@ -22,7 +22,6 @@ check it against enumerating tasks.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,8 @@ from .core import (
     Guards,
     Statement,
     _index_cached,
-    _stmt_order,
+    _read_json,
+    _require_statements,
     encode_statement,
     extension_size,
     require_statement,
@@ -48,6 +48,7 @@ from .errors import (
     EmptyTaskSpace,
     InvalidSampleCount,
     NoCorrectPolicy,
+    ParseError,
     UnknownProxy,
 )
 from .tasks import Task, _policy_count, correct_policies, is_correct_policy, task_space
@@ -214,8 +215,7 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                pairs = json.load(fh)["true_pairs"]
+            pairs = _read_json(path, "proxy table")["true_pairs"]
             # True and 1.0 equal 1, so a pair is two lists of plain ints
             if not isinstance(pairs, list) or not all(
                 isinstance(pair, list) and len(pair) == 2
@@ -224,7 +224,9 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
             ):
                 raise ValueError("each true pair must be two lists of ints")
             return table_proxy(name, pairs)
-        except (OSError, KeyError, ValueError, TypeError, RecursionError) as exc:
+        except ParseError as exc:  # its message names the file
+            raise UnknownProxy(str(exc)) from None
+        except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UnknownProxy(f"cannot load proxy table {path}: {exc}") from None
     raise UnknownProxy(f"unknown proxy {name!r}")
 
@@ -341,7 +343,7 @@ def estimate_generalization_probabilities(
     sample count and seed so the binomial error is reconstructible."""
     if type(samples) is not int or samples < 1:
         raise InvalidSampleCount(f"samples must be an int >= 1, not {samples!r}")
-    xs = [require_statement(env, l) for l in statements]
+    xs = _require_statements(env, statements)
     space = task_space(env, guards, include_empty_outputs)
     if space.total_count == 0:
         raise EmptyTaskSpace("no tasks exist, generalization is undefined")
@@ -434,7 +436,7 @@ def learn(
         raise AmbiguousMaximum(
             f"{len(maximal)} policies are proxy-maximal under {proxy.name}"
         )
-    return min(maximal, key=_stmt_order)
+    return maximal[0]  # policies come in canonical order
 
 
 def evaluate_generalization(pi: Iterable[int], parent: Task) -> bool:

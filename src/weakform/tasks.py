@@ -32,8 +32,10 @@ from .core import (
     Statement,
     _bits,
     _index_cached,
+    _list_of_lists,
     _maximal,
     _read_json,
+    _require_statements,
     _stmt_order,
     canon_statement,
     encode_statement,
@@ -128,11 +130,6 @@ class Task(tuple):
         return f"Task({self.encode()})"
 
 
-def _canon_statement_tuple(env: Environment, xs: Iterable[Iterable[int]]) -> tuple[Statement, ...]:
-    out = {require_statement(env, x) for x in xs}
-    return tuple(sorted(out, key=_stmt_order))
-
-
 def mk_task(
     env: Environment,
     inputs: Iterable[Iterable[int]],
@@ -141,8 +138,7 @@ def mk_task(
 ) -> Task:
     """Validate a task: nonempty inputs below the whole language, and
     outputs a strict subset of the inputs' extension."""
-    ins = _canon_statement_tuple(env, inputs)
-    outs = _canon_statement_tuple(env, outputs)
+    ins, outs = (tuple(sorted(set(_require_statements(env, xs)), key=_stmt_order)) for xs in (inputs, outputs))
     if not ins:
         raise EmptyInputs("a task needs at least one input statement")
     index = LanguageIndex.of(env, guards)
@@ -179,7 +175,8 @@ def task_to_dict(task: Task, inline_env: bool = True) -> dict:
 
 def load_task(source: str | Path | dict, env: Environment | None = None) -> Task:
     """Load ``{"env": ..., "inputs": [...], "outputs": [...]}`` JSON and
-    re-validate it; a given ``env`` must equal the document's."""
+    re-validate it as the config's ``task`` is; a given ``env`` must equal
+    the document's."""
     doc = _read_json(source, "task file")
     if not isinstance(doc, dict):
         raise ParseError("a task document must be a JSON object")
@@ -191,7 +188,7 @@ def load_task(source: str | Path | dict, env: Environment | None = None) -> Task
         given, env = env, load_environment(doc["env"])
         if given is not None and given != env:
             raise EnvironmentMismatch("the task file names another environment")
-    return mk_task(env, doc["inputs"], doc["outputs"])
+    return mk_task(env, _list_of_lists(doc, "inputs"), _list_of_lists(doc, "outputs"))
 
 
 # --- policies and inference ----------------------------------------------------
@@ -386,8 +383,8 @@ def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
     inadmissible when it is all of E_I, that is when I lies inside E (``2^|E| - 1`` sets, one
     fewer when E is the whole language, since I = L is no input set),
     and, with empty outputs excluded, when it is empty, that is when I
-    holds only statements incompatible with p (D of them, ``2^|D| - 1``
-    sets).  Of the ``2^n - 2`` input sets that leaves
+    holds only the D statements outside the OR of ``true_at`` over p's
+    truth set (``2^|D| - 1`` sets).  Of the ``2^n - 2`` input sets that leaves
     ``2^n - 2^|E| - 1 + [E = L]``, less ``2^|D| - 1`` when m is 1.  As
     with ``_class_counts``, ``language = below(B)`` gives the count of
     the restriction to the sub-vocabulary B.
@@ -395,7 +392,8 @@ def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
     extension = index.ext_masks[p] & language
     count = (1 << language.bit_count()) - (1 << extension.bit_count()) - 1 + (extension == language)
     if m:
-        count -= (1 << (index.incompatible[p] & language).bit_count()) - 1
+        compatible = reduce(or_, map(index.true_at.__getitem__, _bits(index.truth_masks[p])), 0)
+        count -= (1 << (language & ~compatible).bit_count()) - 1
     return count
 
 

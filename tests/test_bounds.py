@@ -134,7 +134,7 @@ def test_instantiate_identity(rho2):
     # table and truth masks, and only "all" the sweep table
     core._index_cached.cache_clear()
     fresh = mk_uninstantiated(rho2.base)
-    tables = {"down", "swept", "truth_masks", "incompatible"}
+    tables = {"down", "swept", "truth_masks", "true_at"}
     assert instantiate(fresh, full) == t
     assert not tables & set(vars(fresh.index))
     compare_vocabularies(fresh, [full])

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakform import cli, mk_environment
+from weakform import cli, load_environment, mk_environment
 from weakform.config import EXPERIMENT_KINDS
+from weakform.errors import IndexOutOfRange, ParseError, StateOutOfRange
 from weakform.learning import sample_efficiency, table_proxy
+from weakform.tasks import load_task
 
 from helpers import brute_extension_of_set, brute_language
 
@@ -372,6 +374,60 @@ def test_bad_environment_file_exit_code(tmp_path, capsys, env_text):
     config = write_config(tmp_path, {"experiment": "enumerate", "environment": {"file": "env.json"}})
     assert cli.main(["enumerate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "weakform-repro.json").exists()
+
+
+#: malformed JSON documents and the error the library's reader raises on
+#: each: the shape rule refuses what is no list of lists, and the
+#: element readers a member of the wrong kind
+MALFORMED_VOCABULARIES = [
+    (5, ParseError), ([5], ParseError), (None, ParseError),
+    ([[0], ""], ParseError), ([[0], {}], ParseError), ([[0], [True]], StateOutOfRange),
+]
+MALFORMED_STATEMENT_SETS = [
+    (5, ParseError), ([5], ParseError), ({}, ParseError),
+    ([""], ParseError), ([[0], None], ParseError), ([["1"]], IndexOutOfRange),
+]
+
+
+def _document_id(value):
+    return value.__name__ if isinstance(value, type) else json.dumps(value)
+
+
+def _exit_code(tmp_path, doc):
+    config, out = write_config(tmp_path, doc), tmp_path / "r.csv"
+    code = cli.main([doc["experiment"], "--config", str(config), "--out", str(out)])
+    assert not (tmp_path / "weakform-repro.json").exists()
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("vocabulary, error", MALFORMED_VOCABULARIES, ids=_document_id)
+def test_a_malformed_vocabulary_gets_one_verdict(tmp_path, capsys, vocabulary, error):
+    # the library and the command read an environment by one rule: the
+    # library raises, and the command exits 2 on the document inline and
+    # as a file
+    doc = {"states": 2, "vocabulary": vocabulary}
+    with pytest.raises(error):
+        load_environment(doc)
+    with pytest.raises(error):
+        load_task({"env": doc, "inputs": [[1]], "outputs": []})
+    (tmp_path / "env.json").write_text(json.dumps(doc))
+    for environment in (doc, {"file": "env.json"}):
+        assert _exit_code(tmp_path, {"experiment": "enumerate", "environment": environment}) == 2
+
+
+@pytest.mark.parametrize("key", ["inputs", "outputs"])
+@pytest.mark.parametrize("statements, error", MALFORMED_STATEMENT_SETS, ids=_document_id)
+def test_a_malformed_statement_set_gets_one_verdict(tmp_path, capsys, key, statements, error):
+    # the same for a task's statement sets: the library raises, and the
+    # command exits 2 on them as a task and as a rho
+    sets = {"inputs": [[1]], "outputs": [], key: statements}
+    with pytest.raises(error):
+        load_task({"env": ENV2_DOC, **sets})
+    assert _exit_code(tmp_path, {"experiment": "utility", "environment": ENV2_DOC, "task": sets}) == 2
+    assert _exit_code(
+        tmp_path, {"experiment": "verify-bound", "environment": {"full_powerset": 2}, "rho": sets}
+    ) == 2
 
 
 @pytest.mark.parametrize("where", ["missing/r.csv", "."])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import importlib
 import json
+import operator
 import pickle
 import pkgutil
 import warnings
@@ -31,17 +32,20 @@ from weakform import (
     truth_set,
     weakness_cmp,
 )
-from weakform.core import LanguageIndex, Program
+from weakform.bounds import compare_vocabularies, instantiate, mk_uninstantiated, verify_upper_bound
+from weakform.core import LanguageIndex, Program, canon_statement
 from weakform.errors import (
     DuplicateProgram,
     IndexOutOfRange,
+    InvalidVocabulary,
     NotAStatement,
     ParseError,
     StateOutOfRange,
     TruthSetTooLarge,
     VocabularyTooLarge,
 )
-from weakform.tasks import load_task
+from weakform.learning import estimate_generalization_probabilities, weakness_proxy
+from weakform.tasks import infer, is_correct_policy, load_task, mk_task
 
 from helpers import (
     all_environments,
@@ -266,19 +270,31 @@ def test_below_matches_brute_down_sets():
         for programs in range(1 << nv):
             members = [j for j in range(nv) if programs >> j & 1]
             assert list(index.statements_of(index.below(programs))) == brute_below(env, members)
-        # each statement's extension and incompatible statements
-        for x, e, d in zip(index.statements, index.ext_masks, index.incompatible):
+        # each statement's extension, and its incompatible statements:
+        # those outside the OR of the per-state rows over its truth set
+        for x, e, d in zip(index.statements, index.ext_masks, _incompatible(index)):
             ext = brute_extension(env, x)
             assert set(index.statements_of(e)) == ext
             assert set(index.statements_of(d)) == {
                 y for y in brute_language(env) if not ext & brute_extension(env, y)
             }
-    # the table read off the truth sets is the pairwise definition's
+    # the sets read off the truth sets are the pairwise definition's
     index = LanguageIndex(full_powerset_vocabulary(4))
     ext = index.ext_masks
-    assert index.incompatible == tuple(
+    assert _incompatible(index) == [
         sum(1 << i for i, f in enumerate(ext) if not f & e) for e in ext
-    )
+    ]
+
+
+def _incompatible(index):
+    """Each statement's incompatible statements, as ``tasks._policy_count``
+    reads them: those true at no state of its truth set."""
+    full = (1 << len(index.statements)) - 1
+    rows = index.true_at
+    return [
+        full & ~functools.reduce(operator.or_, (r for s, r in enumerate(rows) if t >> s & 1), 0)
+        for t in index.truth_masks
+    ]
 
 
 def test_language_size_matches_enumeration():
@@ -409,6 +425,64 @@ def test_load_environment_needs_an_object(tmp_path):
         load_environment(tmp_path / "missing.json")
     with pytest.raises(FileNotFoundError):
         load_task(tmp_path / "missing.json")
+
+
+#: library calls given a Python value that is no iterable where a
+#: statement, a statement set, a program or a candidate belongs: each
+#: raises the error its reader raises for a bad member, and a sweep
+#: records the candidate's row, as ``[(vocabulary, error)]``
+MALFORMED_CALLS = {
+    "canon_statement": (lambda env, task, rho: canon_statement(env, 5), IndexOutOfRange),
+    "truth_set": (lambda env, task, rho: truth_set(env, 5), IndexOutOfRange),
+    "is_statement": (lambda env, task, rho: is_statement(env, 5), IndexOutOfRange),
+    "extension": (lambda env, task, rho: extension(env, 5), IndexOutOfRange),
+    "extension_size": (lambda env, task, rho: extension_size(env, 5), IndexOutOfRange),
+    "is_correct_policy": (lambda env, task, rho: is_correct_policy(task, 5), IndexOutOfRange),
+    "infer-policy": (lambda env, task, rho: infer(task, 5, (2,), 0), IndexOutOfRange),
+    "infer-input": (lambda env, task, rho: infer(task, (), 5, 0), IndexOutOfRange),
+    "Proxy.holds": (lambda env, task, rho: weakness_proxy().holds(env, 5, ()), IndexOutOfRange),
+    "weakness_cmp": (lambda env, task, rho: weakness_cmp(env, (), 5), IndexOutOfRange),
+    "mk_task-inputs": (lambda env, task, rho: mk_task(env, 5, []), IndexOutOfRange),
+    "mk_task-input": (lambda env, task, rho: mk_task(env, [5], []), IndexOutOfRange),
+    "mk_task-outputs": (lambda env, task, rho: mk_task(env, [(2,)], 5), IndexOutOfRange),
+    "extension_of_set": (lambda env, task, rho: extension_of_set(env, 5), IndexOutOfRange),
+    "estimates": (
+        lambda env, task, rho: estimate_generalization_probabilities(env, 5, 10, 0),
+        IndexOutOfRange,
+    ),
+    "mk_environment": (lambda env, task, rho: mk_environment(2, 5), StateOutOfRange),
+    "mk_environment-program": (lambda env, task, rho: mk_environment(2, [5]), StateOutOfRange),
+    "instantiate-program": (lambda env, task, rho: instantiate(rho, [5]), InvalidVocabulary),
+    "instantiate": (lambda env, task, rho: instantiate(rho, 5), InvalidVocabulary),
+    "compare-candidate": (
+        lambda env, task, rho: compare_vocabularies(rho, [[5]]).rows,
+        [("[5]", "InvalidVocabulary")],
+    ),
+    "compare-candidates": (
+        lambda env, task, rho: compare_vocabularies(rho, [5]).rows,
+        [("5", "InvalidVocabulary")],
+    ),
+    "compare-program": (
+        lambda env, task, rho: compare_vocabularies(rho, [[(0,), None], [(0,), (1,)]]).rows,
+        [("[(0,), None]", "InvalidVocabulary"), ("[{0},{1}]", None)],
+    ),
+    "verify_upper_bound": (
+        lambda env, task, rho: verify_upper_bound(rho, [[5]]).utility_rows,
+        [("[5]", "InvalidVocabulary")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CALLS))
+def test_no_type_error_escapes_a_reader(env2, name):
+    call, expected = MALFORMED_CALLS[name]
+    task = mk_task(env2, [(2,)], [(0, 2)])
+    rho = mk_uninstantiated(mk_task(full_powerset_vocabulary(2), [(1,)], []))
+    if isinstance(expected, list):
+        assert [(row.vocabulary, row.error) for row in call(env2, task, rho)] == expected
+    else:
+        with pytest.raises(expected, match="5 is no iterable"):
+            call(env2, task, rho)
 
 
 def test_environment_to_dict(env2):

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import replace
 from random import Random
 
 import pytest
 
 from weakform import (
+    VocabularyReorderedWarning,
     config,
     harness,
     mk_environment,
@@ -122,6 +124,19 @@ def test_environment_from_file(tmp_path):
         base_dir=tmp_path,
     )
     assert c.environment == ENV2_DOC
+
+
+def test_only_an_environment_file_warns_on_reorder(tmp_path):
+    # a file is loaded as a document, which warns when its programs had to
+    # be put in canonical order; the inline form is built without a word
+    reordered = {"states": 2, "vocabulary": [[0, 1], [0], [1]]}
+    (tmp_path / "env.json").write_text(json.dumps(reordered))
+    with pytest.warns(VocabularyReorderedWarning):
+        c = cfg({"experiment": "enumerate", "environment": {"file": "env.json"}}, base_dir=tmp_path)
+    assert c.environment == ENV2_DOC
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cfg({"experiment": "enumerate", "environment": reordered}).environment == ENV2_DOC
 
 
 def test_environment_full_powerset():

@@ -1,13 +1,18 @@
-"""README's "Library quick start" block runs as written."""
+"""README's "Library quick start" block runs as written, and the code
+names README gives resolve."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
+import pkgutil
 import re
 import tokenize
 from fractions import Fraction
 from pathlib import Path
+
+import weakform
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +50,35 @@ def test_readme_quick_start_runs():
         assert value == eval(expected, {"Fraction": Fraction}), ast.unparse(stmt)
         checked += 1
     assert checked >= 5
+
+
+def _code_roots() -> dict:
+    """The names a dotted code name in README may start with: each
+    library module, the test helpers, and each library class."""
+    roots = {"helpers": importlib.import_module("helpers")}
+    for info in pkgutil.iter_modules(weakform.__path__):
+        module = importlib.import_module(f"weakform.{info.name}")
+        roots[info.name] = module
+        roots.update(
+            (name, obj)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        )
+    return roots
+
+
+def test_readme_code_names_resolve():
+    # a backticked dotted name such as `tasks._policy_count` or
+    # `LanguageIndex.down` names code that exists; file names are skipped
+    roots = _code_roots()
+    checked = 0
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text(encoding="utf-8")):
+        head, *attributes = name.split(".")
+        if head not in roots or name.endswith((".py", ".json", ".md")):
+            continue
+        found = roots[head]
+        for attribute in attributes:
+            assert hasattr(found, attribute), f"README names `{name}`, which does not resolve"
+            found = getattr(found, attribute)
+        checked += 1
+    assert checked >= 20
