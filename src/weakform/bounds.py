@@ -119,11 +119,23 @@ class UninstantiatedTask:
     The restricted task space is counted off the same masks: its task
     counts are ``tasks._class_counts`` over ``L_B`` with the base
     extensions, and a policy's numerator is ``tasks._policy_count`` over
-    ``L_B``.  Only the base task's own masks live here; what depends on
-    the environment alone, the sweeps' tables and memos, is its index's.
+    ``L_B``.  Only the base task's own masks and its row memo live here;
+    what depends on the environment alone, the sweeps' tables and memos,
+    is its index's.
+
+    The row memo (``rows``) keeps each restriction's outcome, keyed by
+    the ``Guards`` a sweep ran under and then by the base program mask:
+    the class of its error, or the first row built for it, with its
+    restricted language and correct policies.  Every sweep over this
+    base task reads it, so a candidate's row is built once however many
+    reports, lists or orders ask for it; a reader renumbers the row and
+    rewrites its ``vocabulary`` string to its own.  It holds at most one
+    entry per distinct candidate mask per ``Guards``.
     """
 
-    __slots__ = ("base", "index", "input_mask", "input_programs", "output_mask", "extension_mask")
+    __slots__ = (
+        "base", "index", "input_mask", "input_programs", "output_mask", "extension_mask", "rows",
+    )
 
     def __init__(self, base: Task):
         self.base = base
@@ -134,6 +146,7 @@ class UninstantiatedTask:
         self.input_programs = tuple(map(_programs, base.inputs))
         self.output_mask = sum(1 << position[y] for y in base.outputs_correct)
         self.extension_mask = sum(1 << position[y] for y in base.extension)
+        self.rows: dict[Guards, dict[int, type[WeakformError] | tuple]] = {}
 
     @property
     def env(self) -> Environment:
@@ -403,7 +416,10 @@ def _vocabulary_rows(
     completes p and no other member of ``E_B`` does.  Transposed onto the
     environment's down table, the policies are
     ``L_B & AND_{o in O_B} down[o] & ~OR_{y in E_B - O_B} down[y]``.  A
-    row's error is recorded by its class's name; none is raised."""
+    row's error is recorded by its class's name; none is raised.  A
+    parsed mask's outcome is built once per base task and ``Guards``,
+    into the row memo ``rho.rows``; a candidate the parse rejects is
+    never memoised."""
     index = rho.index
     if candidates == "all":
         vocabularies = index.swept
@@ -411,43 +427,53 @@ def _vocabulary_rows(
         raise InvalidVocabulary(f'candidates {candidates!r} is neither "all" nor a list')
     else:
         vocabularies = _parsed(rho, candidates)
+    memo = rho.rows.setdefault(guards, {})
     statements, ext, down = index.statements, index.ext_masks, index.down.__getitem__
     too_wide = index.too_wide(guards)
     out = []
     for idx, (encoded, vocabulary) in enumerate(vocabularies):
-        # a class is an error: the parse step's, or else the restriction's
-        restricted = vocabulary if isinstance(vocabulary, type) else rho.restrict(vocabulary, guards)
-        error = restricted if isinstance(restricted, type) else None
-        if error is None:
-            language, inputs, extension, outputs = restricted
-            policies = reduce(and_, map(down, _bits(outputs)), language) & ~reduce(
-                or_, map(down, _bits(extension & ~outputs)), 0
-            )
-            if not policies:
-                error = NoCorrectPolicy
-            elif policies & too_wide:
-                error = TruthSetTooLarge
-        if error is not None:
+        # a class is an error: the parse step's, or else the memoised
+        # restriction's
+        known = vocabulary if isinstance(vocabulary, type) else memo.get(vocabulary)
+        if known is None:
+            known = rho.restrict(vocabulary, guards)
+            if not isinstance(known, type):
+                language, inputs, extension, outputs = known
+                policies = reduce(and_, map(down, _bits(outputs)), language) & ~reduce(
+                    or_, map(down, _bits(extension & ~outputs)), 0
+                )
+                if not policies:
+                    known = NoCorrectPolicy
+                elif policies & too_wide:
+                    known = TruthSetTooLarge
+                else:
+                    # policies in canonical order, so the first of the largest wins
+                    members = _bits(policies)
+                    sizes = [(ext[p] & language).bit_count() for p in members]
+                    size = max(sizes)
+                    witness = _renumbered(vocabulary, statements[members[sizes.index(size)]])
+                    row = VocabularyRow(
+                        idx,
+                        encoded,
+                        language.bit_count(),
+                        size - outputs.bit_count(),
+                        encode_statement(witness),
+                        size,
+                        inputs != rho.input_mask,
+                        None,
+                    )
+                    known = (row, vocabulary, language, policies)
+            memo[vocabulary] = known
+        if isinstance(known, type):
             # a row with an error ranks none of its pairs
-            row = VocabularyRow(idx, encoded, None, None, None, None, None, error.__name__)
+            row = VocabularyRow(idx, encoded, None, None, None, None, None, known.__name__)
             out.append((row, 0, 0, 0))
             continue
-        # policies in canonical order, so the first of the largest wins
-        members = _bits(policies)
-        sizes = [(ext[p] & language).bit_count() for p in members]
-        size = max(sizes)
-        witness = _renumbered(vocabulary, statements[members[sizes.index(size)]])
-        row = VocabularyRow(
-            idx,
-            encoded,
-            language.bit_count(),
-            size - outputs.bit_count(),
-            encode_statement(witness),
-            size,
-            inputs != rho.input_mask,
-            None,
-        )
-        out.append((row, vocabulary, language, policies))
+        row = known[0]
+        if row.index != idx or row.vocabulary != encoded:
+            # the memoised row, numbered and written as this caller's
+            known = (VocabularyRow(idx, encoded, *row[2:]), *known[1:])
+        out.append(known)
     return out
 
 
@@ -529,7 +555,11 @@ def verify_upper_bound(
     ``(L_B, m)`` count and each canonical candidate's parse, so a later
     base task over the same environment redoes neither; the pivot
     count's memo serves one call, its fields sized by the largest
-    ``L_B`` the call ranks.
+    ``L_B`` the call ranks.  The utility rows come from the base task's
+    row memo (``UninstantiatedTask.rows``), which this call fills for
+    its candidates under ``guards``, so a later sweep of the same base
+    task, ``verify_utility_maximal_at_P`` among them, restricts only the
+    candidates this one did not hold.
     """
     outcomes = _vocabulary_rows(rho, candidates, guards)
     rows = tuple(row for row, _, _, _ in outcomes)

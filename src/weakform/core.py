@@ -326,7 +326,9 @@ def _require_statements(env: Environment, xs: Iterable[Iterable[int]]) -> list[S
 
 def is_completion(y: Iterable[int], x: Iterable[int]) -> bool:
     """True iff statement ``y`` contains statement ``x``."""
-    return set(x) <= set(y)
+    return set(_members(x, IndexOutOfRange, "statement")) <= set(
+        _members(y, IndexOutOfRange, "statement")
+    )
 
 
 # --- language enumeration ------------------------------------------------------

@@ -37,6 +37,7 @@ from .core import (
     Guards,
     Statement,
     _index_cached,
+    _members,
     _read_json,
     _require_statements,
     encode_statement,
@@ -46,6 +47,7 @@ from .core import (
 from .errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
+    IndexOutOfRange,
     InvalidSampleCount,
     NoCorrectPolicy,
     ParseError,
@@ -91,7 +93,9 @@ def simplicity_cmp(l1: Iterable[int], l2: Iterable[int]) -> bool:
     selects the shortest statement.  A form-based baseline, nothing more:
     the simplicity proxy's relation, on index sets (no environment checks them).
     """
-    return len(set(l1)) > len(set(l2))
+    return len(set(_members(l1, IndexOutOfRange, "statement"))) > len(
+        set(_members(l2, IndexOutOfRange, "statement"))
+    )
 
 
 def _key_rows(keys: Sequence) -> list[int]:
@@ -183,8 +187,13 @@ def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[in
     side in canonical form (``[0, 0, 2]`` is ``(0, 2)``), as ``Proxy.holds``
     reads its arguments."""
     successors: dict[Statement, set[Statement]] = {}
-    for a, b in true_pairs:
-        successors.setdefault(tuple(sorted(set(a))), set()).add(tuple(sorted(set(b))))
+
+    def canonical(side: Iterable[int]) -> Statement:
+        return tuple(sorted(set(_members(side, IndexOutOfRange, "statement"))))
+
+    for pair in _members(true_pairs, IndexOutOfRange, "pair list"):
+        a, b = _members(pair, IndexOutOfRange, "pair")
+        successors.setdefault(canonical(a), set()).add(canonical(b))
 
     def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
         keys = [tuple(s) for s in statements]

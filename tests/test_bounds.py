@@ -718,6 +718,57 @@ def test_a_second_base_task_reuses_the_environment_work(monkeypatch):
     assert all(json.loads(report)["ranking"] for report in got)
 
 
+def test_the_row_memo_is_kept_per_guards():
+    # one base task swept under alternating guards gives every report a
+    # fresh base task gives: a row memo keyed without a guard its rows
+    # read would hand the default guards' rows to the low ones
+    alternating = (Guards(), Guards(max_truth_set=1), Guards(max_vocabulary=2), Guards())
+    for rho in _reference_cases(2)[::40] + _reference_cases(3)[:3]:
+        vocabularies = list(all_vocabularies(rho.env))
+        for candidates in (vocabularies, "all"):
+            for guards in alternating:
+                want = _sweep_reports(mk_uninstantiated(rho.base), candidates, guards)
+                assert _sweep_reports(rho, candidates, guards) == want, (rho, guards)
+        assert len(rho.rows) == 3
+        assert all(len(memo) <= len(vocabularies) for memo in rho.rows.values())
+
+
+def test_a_sweep_reads_the_rows_the_bound_built(monkeypatch):
+    # the maximality sweep restricts only the masks the bound's list did
+    # not hold, and a later list in another order or form gets the rows a
+    # fresh base task gives it, numbered and written as that list's
+    restricted = []
+    restrict = bounds.UninstantiatedTask.restrict
+
+    def counted(self, vocabulary, guards):
+        restricted.append(vocabulary)
+        return restrict(self, vocabulary, guards)
+
+    monkeypatch.setattr(bounds.UninstantiatedTask, "restrict", counted)
+    for states, bases in ((2, _reference_cases(2)[::40]), (3, _reference_cases(3)[:3])):
+        for rho in bases:
+            env = rho.env
+            sets = env.program_sets()
+            vocabularies = list(all_vocabularies(env))
+            # at three states the bound reads a third of the vocabularies
+            listed = vocabularies if states == 2 else vocabularies[::3]
+            verify_upper_bound(rho, listed)
+            restricted.clear()
+            maximal = verify_utility_maximal_at_P(rho)
+            masks = {sum(1 << sets.index(p) for p in v) for v in vocabularies}
+            held = {sum(1 << sets.index(p) for p in v) for v in listed}
+            assert sorted(restricted) == sorted(masks - held), rho
+            assert len(restricted) == (0 if states == 2 else 170)
+            fresh = mk_uninstantiated(rho.base)
+            assert maximal.to_json() == verify_utility_maximal_at_P(fresh).to_json()
+            programs = dict(zip(sets, env.programs))
+            for later in (vocabularies[::-1], [[programs[p] for p in v] for v in vocabularies]):
+                restricted.clear()
+                got = compare_vocabularies(rho, later)
+                assert restricted == [], rho
+                assert got.rows == compare_vocabularies(fresh, later).rows, rho
+
+
 #: sha256 over the verify_upper_bound JSON (empty outputs included, then
 #: excluded) and the verify_utility_maximal_at_P JSON of every 40th
 #: 2-state reference case and every 3-state one, over all sub-vocabularies

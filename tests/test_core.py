@@ -44,7 +44,12 @@ from weakform.errors import (
     TruthSetTooLarge,
     VocabularyTooLarge,
 )
-from weakform.learning import estimate_generalization_probabilities, weakness_proxy
+from weakform.learning import (
+    estimate_generalization_probabilities,
+    simplicity_cmp,
+    table_proxy,
+    weakness_proxy,
+)
 from weakform.tasks import infer, is_correct_policy, load_task, mk_task
 
 from helpers import (
@@ -442,6 +447,11 @@ MALFORMED_CALLS = {
     "infer-input": (lambda env, task, rho: infer(task, (), 5, 0), IndexOutOfRange),
     "Proxy.holds": (lambda env, task, rho: weakness_proxy().holds(env, 5, ()), IndexOutOfRange),
     "weakness_cmp": (lambda env, task, rho: weakness_cmp(env, (), 5), IndexOutOfRange),
+    "simplicity_cmp": (lambda env, task, rho: simplicity_cmp(5, ()), IndexOutOfRange),
+    "is_completion": (lambda env, task, rho: is_completion(5, ()), IndexOutOfRange),
+    "table_proxy-pairs": (lambda env, task, rho: table_proxy("t", 5), IndexOutOfRange),
+    "table_proxy-pair": (lambda env, task, rho: table_proxy("t", [5]), IndexOutOfRange),
+    "table_proxy-side": (lambda env, task, rho: table_proxy("t", [(5, ())]), IndexOutOfRange),
     "mk_task-inputs": (lambda env, task, rho: mk_task(env, 5, []), IndexOutOfRange),
     "mk_task-input": (lambda env, task, rho: mk_task(env, [5], []), IndexOutOfRange),
     "mk_task-outputs": (lambda env, task, rho: mk_task(env, [(2,)], 5), IndexOutOfRange),
