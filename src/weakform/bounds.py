@@ -33,7 +33,6 @@ from .core import (
     _members,
     encode_statement,
     env_hash,
-    extension_size,
     mk_environment,
 )
 from .errors import (
@@ -94,7 +93,8 @@ def weakest_correct_policy(task: Task, guards: Guards = DEFAULT_GUARDS) -> tuple
     policies = correct_policies(task)
     if not policies:
         raise NoCorrectPolicy("the task has no correct policy")
-    sizes = [extension_size(task.env, p, guards) for p in policies]
+    # the task's index was admitted when the task was built, as in ``correct_policies``
+    sizes = _index_cached(task.env).extension_sizes(policies, guards)
     best = max(sizes)
     return policies[sizes.index(best)], best
 

@@ -7,9 +7,10 @@ is a set of vocabulary indices whose programs share at least one state
 (the empty statement is admitted and is true everywhere).  The set of
 all statements of an environment is its *language*.  The *extension* of
 a statement x is the set of statements that contain x; its size is the
-"weakness" of x and is computed both by explicit enumeration and by
-inclusion-exclusion over the truth set, so the two paths can be checked
-against each other.
+"weakness" of x.  A caller holding the language index reads it as the
+popcount of the index's extension mask; ``extension_size`` computes it
+without the index, by inclusion-exclusion over the truth set, so the two
+paths can be checked against each other.
 
 All values are immutable after construction and every operation is a
 pure function of its arguments; results are cached per environment.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateProgram,
@@ -489,6 +490,29 @@ class LanguageIndex:
             for combo in combinations(positions, size)
         )
 
+    def extension_sizes(self, xs: Sequence[Statement], guards: Guards = DEFAULT_GUARDS) -> list[int]:
+        """|extension(x)| of each statement ``x`` of ``xs``, the popcount of
+        its extension mask.  A statement whose truth set exceeds
+        ``guards.max_truth_set`` is refused, the first one in ``xs`` named,
+        as ``extension_size`` refuses it."""
+        position = self.position
+        try:
+            rows = [position[x] for x in xs]
+        except (KeyError, TypeError):
+            # some x is not in canonical form, or no statement at all
+            rows = [position[require_statement(self.env, x)] for x in xs]
+        # a truth set holds at most every state
+        if self.env.state_count > guards.max_truth_set:
+            truth_masks = self.truth_masks
+            for i in rows:
+                size = truth_masks[i].bit_count()
+                if size > guards.max_truth_set:
+                    raise TruthSetTooLarge(
+                        f"|truth set| = {size} exceeds guard {guards.max_truth_set}"
+                    )
+        ext_masks = self.ext_masks
+        return [ext_masks[i].bit_count() for i in rows]
+
     def too_wide(self, guards: Guards) -> int:
         """The statements whose extension size the truth-set guard refuses."""
         limit = guards.max_truth_set
@@ -576,19 +600,26 @@ def extension(env: Environment, x: Iterable[int]) -> ExtensionSet:
     return LanguageIndex.of(env).extension_of_set((xs,))
 
 
-@lru_cache(maxsize=None)
-def _ie_extension_size(env: Environment, x: Statement, max_truth_set: int) -> int:
-    truth = _truth_mask(env, x)
+def extension_size(env: Environment, x: Iterable[int], guards: Guards = DEFAULT_GUARDS) -> int:
+    """|extension(x)| by inclusion-exclusion, without enumerating it or
+    building the language index.
+
+    Must agree exactly with ``len(extension(env, x))`` and with
+    ``LanguageIndex.extension_sizes``; the test suite sweeps the paths
+    against each other.
+    """
+    xs = require_statement(env, x)
+    truth = _truth_mask(env, xs)
     states = _bits(truth)
-    if len(states) > max_truth_set:
+    if len(states) > guards.max_truth_set:
         raise TruthSetTooLarge(
-            f"|truth set| = {len(states)} exceeds guard {max_truth_set}"
+            f"|truth set| = {len(states)} exceeds guard {guards.max_truth_set}"
         )
     # a completion of x adds programs that are all true at one state of
     # x's truth set: for each state, the programs outside x true there.
     # States with equal masks collapse in the inclusion-exclusion, and a
     # mask inside another adds nothing, so only the maximal ones count
-    x_bits = sum(1 << j for j in x)
+    x_bits = sum(1 << j for j in xs)
     containing = _maximal(
         sum(1 << j for j, p in enumerate(env.programs) if (p.mask >> s) & 1) & ~x_bits
         for s in states
@@ -607,16 +638,6 @@ def _ie_extension_size(env: Environment, x: Statement, max_truth_set: int) -> in
 
     walk((1 << env.vocabulary_size) - 1, 0, 1)
     return total
-
-
-def extension_size(env: Environment, x: Iterable[int], guards: Guards = DEFAULT_GUARDS) -> int:
-    """|extension(x)| by inclusion-exclusion, without enumerating it.
-
-    Must agree exactly with ``len(extension(env, x))``; the test suite
-    sweeps both paths against each other.
-    """
-    xs = require_statement(env, x)
-    return _ie_extension_size(env, xs, guards.max_truth_set)
 
 
 def extension_of_set(env: Environment, xs: Iterable[Iterable[int]]) -> ExtensionSet:

@@ -28,11 +28,11 @@ from .config import ExperimentConfig
 from .core import (
     Environment,
     Guards,
+    LanguageIndex,
     encode_statement,
     env_hash,
     enumerate_language,
     extension_of_set,
-    extension_size,
     mk_environment,
 )
 from .errors import (
@@ -170,7 +170,7 @@ def _learn_unit(config, env, factory, proxies, space, seed, trial) -> list[dict[
                 task_id=task_id,
                 proxy=name,
                 policy=encode_statement(pi),
-                extension_size=extension_size(env, pi, config.guards),
+                extension_size=space.index.extension_sizes((pi,), config.guards)[0],
                 generalized="true" if evaluate_generalization(pi, parent) else "false",
                 utility=eps,
                 **common,
@@ -195,14 +195,15 @@ def run_experiment(config: ExperimentConfig, timing: bool = False) -> list[dict[
 
 def _run_enumerate(config, env, factory) -> list[dict[str, str]]:
     space = task_space(env, config.guards, config.include_empty_outputs)
+    sizes = space.index.extension_sizes(space.language, config.guards)
     return [
         factory.row(
             language_size=len(space.language),
             task_count=space.total_count,
             policy=encode_statement(statement),
-            extension_size=extension_size(env, statement, config.guards),
+            extension_size=size,
         )
-        for statement in space.language
+        for statement, size in zip(space.language, sizes)
     ]
 
 
@@ -291,19 +292,25 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
 def _run_sample_gen(config, env, factory) -> list[dict[str, str]]:
     table = generalization_table(env, config.guards, config.include_empty_outputs)
     lang = table.statements
-    rows = []
-    for seed in config.seeds:
-        estimates = estimate_generalization_probabilities(
+    runs = [
+        (seed, estimate_generalization_probabilities(
             env, lang, config.samples, seed, config.guards, config.include_empty_outputs
-        )
-        for statement, est in zip(lang, estimates):
+        ))
+        for seed in config.seeds
+    ]
+    # the estimates come first, as they did per row, so an empty task
+    # space is reported before a truth set over the guard
+    sizes = LanguageIndex.of(env, config.guards).extension_sizes(lang, config.guards)
+    rows = []
+    for seed, estimates in runs:
+        for statement, est, size in zip(lang, estimates, sizes):
             exact = table.probability(statement)
             rows.append(
                 factory.row(
                     language_size=len(lang),
                     task_count=table.denominator,
                     policy=encode_statement(statement),
-                    extension_size=extension_size(env, statement, config.guards),
+                    extension_size=size,
                     value=f"{exact.numerator}/{exact.denominator}",
                     note=f"est={est.successes}/{est.samples}",
                     seed=seed,

@@ -35,13 +35,13 @@ from .core import (
     DEFAULT_GUARDS,
     Environment,
     Guards,
+    LanguageIndex,
     Statement,
     _index_cached,
     _members,
     _read_json,
     _require_statements,
     encode_statement,
-    extension_size,
     require_statement,
 )
 from .errors import (
@@ -134,8 +134,10 @@ class Proxy:
 
     def holds(self, env: Environment, l1: Statement, l2: Statement, guards=DEFAULT_GUARDS) -> bool:
         """Whether the relation holds of ``(l1, l2)``, both read as statements
-        of ``env`` first, so the answer does not depend on their spelling."""
+        of ``env`` first, so the answer does not depend on their spelling;
+        the index the rows may read is admitted under ``guards``."""
         pair = (require_statement(env, l1), require_statement(env, l2))
+        LanguageIndex.of(env, guards)
         return bool(self.rows(env, pair, guards)[0] >> 1 & 1)
 
     def __repr__(self) -> str:
@@ -143,9 +145,11 @@ class Proxy:
 
 
 def weakness_proxy() -> Proxy:
+    # the index was admitted with the statements' task, table or pair,
+    # perhaps under raised guards, as in ``correct_policies``
     return Proxy(
         "weakness",
-        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows([extension_size(env, s, guards) for s in xs]),
+        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows(_index_cached(env).extension_sizes(xs, guards)),
     )
 
 
@@ -189,11 +193,19 @@ def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[in
     successors: dict[Statement, set[Statement]] = {}
 
     def canonical(side: Iterable[int]) -> Statement:
-        return tuple(sorted(set(_members(side, IndexOutOfRange, "statement"))))
+        indices = _members(side, IndexOutOfRange, "statement")
+        for j in indices:
+            # bool is an int subclass, but True is no vocabulary index
+            if not isinstance(j, int) or isinstance(j, bool):
+                raise IndexOutOfRange(f"index {j!r} is no int")
+        return tuple(sorted(set(indices)))
 
     for pair in _members(true_pairs, IndexOutOfRange, "pair list"):
-        a, b = _members(pair, IndexOutOfRange, "pair")
-        successors.setdefault(canonical(a), set()).add(canonical(b))
+        sides = _members(pair, IndexOutOfRange, "pair")
+        if len(sides) != 2:
+            raise IndexOutOfRange(f"pair {pair!r} is not two sides")
+        a, b = map(canonical, sides)
+        successors.setdefault(a, set()).add(b)
 
     def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
         keys = [tuple(s) for s in statements]

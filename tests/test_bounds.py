@@ -93,6 +93,24 @@ def test_weakest_correct_policy(env2):
     assert weakest_correct_policy(t) == ((0,), 2)
 
 
+def test_weakest_correct_policy_matches_the_inclusion_exclusion_maximum(env2):
+    # the popcount path against the canonically first largest
+    # inclusion-exclusion size among the policies
+    checked = 0
+    for env in (env2, mk_environment(3, [{0, 1}, {1, 2}, {0, 2}])):
+        for task in enumerate_tasks(env):
+            policies = correct_policies(task)
+            if not policies:
+                with pytest.raises(NoCorrectPolicy):
+                    weakest_correct_policy(task)
+                continue
+            sizes = [extension_size(env, p) for p in policies]
+            best = max(sizes)
+            assert weakest_correct_policy(task) == (policies[sizes.index(best)], best)
+            checked += 1
+    assert checked == 959
+
+
 # --- powerset vocabularies ---------------------------------------------------------
 
 def test_full_powerset_vocabulary_sizes():
@@ -555,7 +573,7 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     for owner, name in (
         (bounds, "instantiate"),
         (bounds, "mk_environment"),
-        (bounds, "extension_size"),
+        (LanguageIndex, "extension_sizes"),
         (core, "extension_size"),
         (learning, "generalization_table"),
         (learning, "_table_cached"),

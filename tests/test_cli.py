@@ -289,6 +289,10 @@ def test_rerun_byte_identical(tmp_path):
     ({"experiment": "enumerate", "environment": ENV2_DOC, "output": {"path": 5}}, 2),
     # a guard the library does not know
     ({"experiment": "enumerate", "environment": ENV2_DOC, "guards": {"max_states": 3}}, 2),
+] + [
+    # the extension_size column counts under the config's guards too
+    ({"experiment": experiment, "environment": ENV2_DOC, "guards": {"max_truth_set": 1}}, 3)
+    for experiment in ("enumerate", "sample-gen")
 ])
 def test_bad_config_exit_code(tmp_path, capsys, doc, code):
     config = write_config(tmp_path, doc)

@@ -257,6 +257,22 @@ def test_extension_size_matches_the_truth_set_walk():
     assert checked == 23781
 
 
+def test_extension_sizes_refuse_a_wide_truth_set_as_extension_size_does():
+    # the popcount path names the first listed statement over the guard
+    # with the message of the inclusion-exclusion path
+    env = mk_environment(3, [{0, 1}, {1, 2}, {0, 2}])
+    index = LanguageIndex.of(env)
+    guards = Guards(max_truth_set=1)
+    for listed, wide in ((((0, 1), (0,), ()), (0,)), (((), (0,)), ())):
+        with pytest.raises(TruthSetTooLarge) as popcount:
+            index.extension_sizes(listed, guards)
+        with pytest.raises(TruthSetTooLarge) as walk:
+            extension_size(env, wide, guards)
+        assert str(popcount.value) == str(walk.value)
+    narrow = [(0, 1), (1, 2), (0, 2)]
+    assert index.extension_sizes(narrow, guards) == [extension_size(env, x, guards) for x in narrow]
+
+
 def test_extension_size_of_a_large_truth_set():
     # 26 states: the empty statement and program 2 are true in all of
     # them, yet only two distinct containing masks are maximal, so the
@@ -435,7 +451,8 @@ def test_load_environment_needs_an_object(tmp_path):
 #: library calls given a Python value that is no iterable where a
 #: statement, a statement set, a program or a candidate belongs: each
 #: raises the error its reader raises for a bad member, and a sweep
-#: records the candidate's row, as ``[(vocabulary, error)]``
+#: records the candidate's row, as ``[(vocabulary, error)]``; an
+#: ``(error, message)`` pair is a value of the wrong shape
 MALFORMED_CALLS = {
     "canon_statement": (lambda env, task, rho: canon_statement(env, 5), IndexOutOfRange),
     "truth_set": (lambda env, task, rho: truth_set(env, 5), IndexOutOfRange),
@@ -452,6 +469,19 @@ MALFORMED_CALLS = {
     "table_proxy-pairs": (lambda env, task, rho: table_proxy("t", 5), IndexOutOfRange),
     "table_proxy-pair": (lambda env, task, rho: table_proxy("t", [5]), IndexOutOfRange),
     "table_proxy-side": (lambda env, task, rho: table_proxy("t", [(5, ())]), IndexOutOfRange),
+    # a pair of other than two sides, and a side of other than ints
+    "table_proxy-three-sides": (
+        lambda env, task, rho: table_proxy("t", [((0,), (1,), (2,))]),
+        (IndexOutOfRange, r"\(\(0,\), \(1,\), \(2,\)\) is not two sides"),
+    ),
+    "table_proxy-one-side": (
+        lambda env, task, rho: table_proxy("t", [((0,),)]),
+        (IndexOutOfRange, r"\(\(0,\),\) is not two sides"),
+    ),
+    "table_proxy-index": (
+        lambda env, task, rho: table_proxy("t", [(("a", 1), ())]),
+        (IndexOutOfRange, "index 'a' is no int"),
+    ),
     "mk_task-inputs": (lambda env, task, rho: mk_task(env, 5, []), IndexOutOfRange),
     "mk_task-input": (lambda env, task, rho: mk_task(env, [5], []), IndexOutOfRange),
     "mk_task-outputs": (lambda env, task, rho: mk_task(env, [(2,)], 5), IndexOutOfRange),
@@ -491,7 +521,8 @@ def test_no_type_error_escapes_a_reader(env2, name):
     if isinstance(expected, list):
         assert [(row.vocabulary, row.error) for row in call(env2, task, rho)] == expected
     else:
-        with pytest.raises(expected, match="5 is no iterable"):
+        error, match = expected if isinstance(expected, tuple) else (expected, "5 is no iterable")
+        with pytest.raises(error, match=match):
             call(env2, task, rho)
 
 
@@ -506,7 +537,6 @@ def test_environment_to_dict(env2):
 #: life of the process, so a new one is listed here on purpose or not at all
 MODULE_CACHES = {
     "core._index_cached",
-    "core._ie_extension_size",
     "learning._table_cached",
     "tasks._space_cached",
 }

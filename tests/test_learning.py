@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from weakform import Guards, enumerate_language, extension_size, mk_environment
+from weakform.core import LanguageIndex
 from weakform.errors import (
     AmbiguousMaximum,
     EmptyTaskSpace,
@@ -22,6 +23,7 @@ from weakform.errors import (
 from weakform.learning import (
     GeneralizationTable,
     Proxy,
+    _key_rows,
     estimate_generalization_probabilities,
     estimate_generalization_probability,
     evaluate_generalization,
@@ -56,6 +58,33 @@ def test_weakness_cmp_examples(env2):
     assert weakness_cmp(env2, (0,), (2,)) is True
     assert weakness_cmp(env2, (0,), (0,)) is False
     assert weakness_cmp(env2, (), (0,)) is False
+
+
+def test_weakness_cmp_admits_the_index():
+    # the rows read the language index, which a comparison builds only
+    # under the caller's vocabulary guard
+    env = mk_environment(25, [[s] for s in range(25)])
+    with pytest.raises(VocabularyTooLarge):
+        weakness_cmp(env, (0,), (1,))
+    assert weakness_cmp(env, (0,), (1,), Guards(max_vocabulary=25)) is False
+
+
+def test_weakness_rows_match_the_inclusion_exclusion_sizes():
+    # the rows are popcounts off the index; the index-free
+    # inclusion-exclusion walk is the second path
+    for env in all_environments(3, 4):
+        lang = enumerate_language(env)
+        sizes = [extension_size(env, s) for s in lang]
+        assert LanguageIndex.of(env).extension_sizes(lang) == sizes, env
+        assert weakness_proxy().rows(env, lang) == _key_rows(sizes), env
+    # as extension_size reads them, the rows read any spelling of a
+    # statement and refuse a non-statement
+    env = mk_environment(2, [{0}, {1}, {0, 1}])
+    assert weakness_proxy().rows(env, [(2, 0, 0), (0,)]) == weakness_proxy().rows(env, [(0, 2), (0,)])
+    with pytest.raises(NotAStatement):
+        weakness_proxy().rows(env, [(0,), (0, 1)])
+    with pytest.raises(IndexOutOfRange, match="5 is no iterable"):
+        weakness_proxy().rows(env, [(0,), 5])
 
 
 def test_weakness_cmp_irreflexive_transitive_consistent(env2):
