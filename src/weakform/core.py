@@ -490,17 +490,17 @@ class LanguageIndex:
             for combo in combinations(positions, size)
         )
 
-    def extension_sizes(self, xs: Sequence[Statement], guards: Guards = DEFAULT_GUARDS) -> list[int]:
-        """|extension(x)| of each statement ``x`` of ``xs``, the popcount of
-        its extension mask.  A statement whose truth set exceeds
-        ``guards.max_truth_set`` is refused, the first one in ``xs`` named,
-        as ``extension_size`` refuses it."""
-        position = self.position
-        try:
-            rows = [position[x] for x in xs]
-        except (KeyError, TypeError):
-            # some x is not in canonical form, or no statement at all
-            rows = [position[require_statement(self.env, x)] for x in xs]
+    def read(self, xs: Iterable[Iterable[int]]) -> Sequence[Statement]:
+        """``require_statement`` of each of ``xs``; the index's own language
+        passed whole (``is``, since ``(True,) == (1,)``) reads as it stands."""
+        return xs if xs is self.statements else _require_statements(self.env, xs)
+
+    def extension_sizes(self, xs: Iterable[Iterable[int]], guards: Guards = DEFAULT_GUARDS) -> list[int]:
+        """|extension(x)| of each statement ``x`` of ``xs``, read by ``read``,
+        the popcount of its extension mask.  A statement whose truth set
+        exceeds ``guards.max_truth_set`` is refused, the first one in ``xs``
+        named, as ``extension_size`` refuses it."""
+        rows = list(map(self.position.__getitem__, self.read(xs)))
         # a truth set holds at most every state
         if self.env.state_count > guards.max_truth_set:
             truth_masks = self.truth_masks

@@ -2,16 +2,17 @@
 
 A proxy is a deterministic 0/1 relation on statements used to pick one
 correct policy out of many.  It is given by its rows: for a sequence of
-statements, one bit mask per statement holding the statements it ranks
-below.  The built-in proxies are weakness (compare extension sizes),
-simplicity (fewer member programs ranks higher), fixed random relations,
-and explicit tables.  Weakness and simplicity are key orders, so their
-rows come from one sort.  The generalization order ranks statements by
-how often they are a correct policy for a task drawn uniformly from the
-task space; sample efficiency scores a proxy by how well its verdicts
-match that order over all ordered statement pairs, a popcount of the
-XOR of the two orders' rows.  Learning keeps the correct policies whose
-row over the policy set is empty.
+statements, each read by ``LanguageIndex.read``, one bit mask per
+statement holding the statements it ranks below.  The built-in proxies
+are weakness (compare extension sizes), simplicity (fewer member
+programs ranks higher), fixed random relations, and explicit tables.
+Weakness and simplicity are key orders, so their rows come from one
+sort.  The generalization order ranks statements by how often they are
+a correct policy for a task drawn uniformly from the task space; sample
+efficiency scores a proxy by how well its verdicts match that order
+over all ordered statement pairs, a popcount of the XOR of the two
+orders' rows.  Learning keeps the correct policies whose row over the
+policy set is empty.
 
 Each of those counts is closed-form in the statement's extension and
 the statements true at its states: ``tasks._policy_count`` over the whole
@@ -126,7 +127,8 @@ class Proxy:
     ``rows(env, statements, guards)`` returns one mask per statement:
     bit j of row i is set when the relation holds of
     ``(statements[i], statements[j])``; weakness counts extensions
-    under the guards.
+    under the guards.  Every proxy reads them by ``LanguageIndex.read``, off
+    the index their task, table or pair admitted, perhaps under raised guards.
     """
 
     name: str
@@ -145,8 +147,6 @@ class Proxy:
 
 
 def weakness_proxy() -> Proxy:
-    # the index was admitted with the statements' task, table or pair,
-    # perhaps under raised guards, as in ``correct_policies``
     return Proxy(
         "weakness",
         lambda env, xs, guards=DEFAULT_GUARDS: _key_rows(_index_cached(env).extension_sizes(xs, guards)),
@@ -156,7 +156,7 @@ def weakness_proxy() -> Proxy:
 def simplicity_proxy() -> Proxy:
     return Proxy(
         "simplicity",
-        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows([-len(tuple(s)) for s in xs]),
+        lambda env, xs, guards=DEFAULT_GUARDS: _key_rows([-len(s) for s in _index_cached(env).read(xs)]),
     )
 
 
@@ -170,7 +170,7 @@ def random_proxy(seed: int) -> Proxy:
     """
 
     def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
-        codes = [encode_statement(s) for s in statements]
+        codes = [encode_statement(s) for s in _index_cached(env).read(statements)]
         tails = [code.encode("utf-8") for code in codes]
         out = []
         for code in codes:
@@ -208,7 +208,7 @@ def table_proxy(name: str, true_pairs: Iterable[tuple[Iterable[int], Iterable[in
         successors.setdefault(a, set()).add(b)
 
     def rows(env: Environment, statements: Sequence[Statement], guards=DEFAULT_GUARDS) -> list[int]:
-        keys = [tuple(s) for s in statements]
+        keys = _index_cached(env).read(statements)
         columns: dict[Statement, int] = {}
         for j, key in enumerate(keys):
             columns[key] = columns.get(key, 0) | 1 << j
@@ -237,17 +237,16 @@ def proxy_by_name(name: str, base_dir: str | Path | None = None) -> Proxy:
             path = Path(base_dir) / path
         try:
             pairs = _read_json(path, "proxy table")["true_pairs"]
-            # True and 1.0 equal 1, so a pair is two lists of plain ints
+            # the JSON shape only: a side "" or {} would read as the empty statement
             if not isinstance(pairs, list) or not all(
-                isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(side, list) and {int}.issuperset(map(type, side)) for side in pair)
+                isinstance(pair, list) and all(isinstance(side, list) for side in pair)
                 for pair in pairs
             ):
-                raise ValueError("each true pair must be two lists of ints")
+                raise ValueError("true_pairs must be a list of pairs, each side a list")
             return table_proxy(name, pairs)
         except ParseError as exc:  # its message names the file
             raise UnknownProxy(str(exc)) from None
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, IndexOutOfRange) as exc:
             raise UnknownProxy(f"cannot load proxy table {path}: {exc}") from None
     raise UnknownProxy(f"unknown proxy {name!r}")
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 from random import Random
 
 from weakform import (
+    Guards,
     enumerate_language,
     environment_to_dict,
     extension,
@@ -311,6 +313,23 @@ def test_criterion_6_upper_bound_recipe():
     _report(6, "upper-bound recipe", ok, detail)
     assert not failures, detail
     assert elapsed < 600.0
+
+
+def test_recipe_attains_no_decided_task_over_every_3_state_candidate():
+    # a finding beside criterion 6, which caps its 3-state candidates at
+    # |L_B| <= 12: over all 256 candidates the recipe attains none of the
+    # decided base tasks, in both output modes.  Under the default
+    # task-language guard (16) verify_upper_bound ranks no candidate with
+    # |L_B| > 16, and that silent skip leaves some base tasks undecided
+    raised = Guards(max_task_language=38)
+    for count, seed, decided, decided_by_default in ((40, 7, 38, 37), (150, 11, 129, 126)):
+        family = _phi3_family(count, seed=seed)
+        for include_empty in (True, False):
+            for guards, expected in ((raised, decided), (Guards(), decided_by_default)):
+                outcomes = Counter(
+                    verify_upper_bound(rho, "all", guards, include_empty).outcome for rho in family
+                )
+                assert outcomes == {"not_attained": expected, "no_candidate": count - expected}
 
 
 # --- 7: utility maximal at the full vocabulary ----------------------------------------------

@@ -453,6 +453,10 @@ def test_unwritable_report_path_exit_code(tmp_path, capsys, where):
     # true and 1.0 equal 1 to Python, but name no program
     [[[0], [True]]],
     [[[0], [1.0]]],
+    # the JSON shape: no list of pairs, or a side that is no list
+    {},
+    "01",
+    [["", [1]]],
 ])
 def test_malformed_table_file_exit_code(tmp_path, capsys, pairs):
     # every true pair must be two lists of ints, whether or not sorting

@@ -46,7 +46,9 @@ from weakform.errors import (
 )
 from weakform.learning import (
     estimate_generalization_probabilities,
+    random_proxy,
     simplicity_cmp,
+    simplicity_proxy,
     table_proxy,
     weakness_proxy,
 )
@@ -481,6 +483,18 @@ MALFORMED_CALLS = {
     "table_proxy-index": (
         lambda env, task, rho: table_proxy("t", [(("a", 1), ())]),
         (IndexOutOfRange, "index 'a' is no int"),
+    ),
+    # every proxy's rows and the index's sizes read a statement list as
+    # ``require_statement`` reads each member
+    "weakness-rows": (lambda env, task, rho: weakness_proxy().rows(env, 5), IndexOutOfRange),
+    "simplicity-rows": (lambda env, task, rho: simplicity_proxy().rows(env, 5), IndexOutOfRange),
+    "random-rows": (lambda env, task, rho: random_proxy(0).rows(env, 5), IndexOutOfRange),
+    "table-rows": (lambda env, task, rho: table_proxy("t", []).rows(env, 5), IndexOutOfRange),
+    "simplicity-row": (lambda env, task, rho: simplicity_proxy().rows(env, [5]), IndexOutOfRange),
+    "random-row": (lambda env, task, rho: random_proxy(0).rows(env, [5]), IndexOutOfRange),
+    "table-row": (lambda env, task, rho: table_proxy("t", []).rows(env, [5]), IndexOutOfRange),
+    "extension_sizes": (
+        lambda env, task, rho: LanguageIndex.of(env).extension_sizes(5), IndexOutOfRange
     ),
     "mk_task-inputs": (lambda env, task, rho: mk_task(env, 5, []), IndexOutOfRange),
     "mk_task-input": (lambda env, task, rho: mk_task(env, [5], []), IndexOutOfRange),

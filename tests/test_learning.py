@@ -87,6 +87,47 @@ def test_weakness_rows_match_the_inclusion_exclusion_sizes():
         weakness_proxy().rows(env, [(0,), 5])
 
 
+@pytest.mark.parametrize("proxy", [
+    weakness_proxy(),
+    simplicity_proxy(),
+    random_proxy(0),
+    table_proxy("table", [([0, 2], [0]), ([2], [0, 2])]),
+], ids=lambda proxy: proxy.name)
+def test_every_proxy_reads_spellings_as_weakness_does(proxy):
+    # every proxy's rows, and the index's extension sizes, read a statement
+    # list as require_statement reads each member, as extension_size does
+    env = mk_environment(2, [{0}, {1}, {0, 1}])
+    index = LanguageIndex.of(env)
+    assert proxy.rows(env, [(2, 0, 0), (0,)]) == proxy.rows(env, [(0, 2), (0,)])
+    assert index.extension_sizes([(2, 0, 0), (0,)]) == [
+        extension_size(env, (2, 0, 0)), extension_size(env, (0,))
+    ] == index.extension_sizes([(0, 2), (0,)])
+    readers = [
+        lambda xs: proxy.rows(env, xs),
+        index.extension_sizes,
+        lambda xs: [extension_size(env, x) for x in xs],
+    ]
+    for bad, error in [
+        ((0, 1), NotAStatement),
+        ((7,), IndexOutOfRange),
+        ((True,), IndexOutOfRange),
+        ((1.0,), IndexOutOfRange),
+    ]:
+        for read in readers:
+            with pytest.raises(error):
+                read([(0,), bad])
+    # the language passed whole reads as it stands, and a list copy reads
+    # alike; an equal tuple that spells (1,) as (True,) is read, and refused
+    lang = index.statements
+    assert proxy.rows(env, list(lang)) == proxy.rows(env, lang)
+    assert index.extension_sizes(list(lang)) == index.extension_sizes(lang)
+    spelt = tuple((True,) if s == (1,) else s for s in lang)
+    assert spelt == lang
+    for read in readers:
+        with pytest.raises(IndexOutOfRange):
+            read(spelt)
+
+
 def test_weakness_cmp_irreflexive_transitive_consistent(env2):
     lang = enumerate_language(env2)
     sizes = {l: extension_size(env2, l) for l in lang}
