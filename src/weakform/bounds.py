@@ -12,7 +12,7 @@ verification reports in this module do.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
@@ -337,15 +337,32 @@ def _report_header(rho: UninstantiatedTask, rows: Sequence[VocabularyRow], guard
     }
 
 
-@dataclass(frozen=True)
-class UtilityReport:
-    header: dict
-    rows: tuple[VocabularyRow, ...]
+def _num_den(q: Fraction) -> str:
+    """An exact rational as a report writes it, ``num/den`` even for an integer."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+class _Report:
+    """The one writer of a report: the keys of its first field, ``header``,
+    then each other field by name, a record by its ``to_dict`` and a tuple
+    of records as a list."""
 
     def to_json(self) -> str:
         doc = dict(self.header)
-        doc["rows"] = [r.to_dict() for r in self.rows]
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = [r.to_dict() for r in value]
+            doc[field.name] = value
         return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class UtilityReport(_Report):
+    header: dict
+    rows: tuple[VocabularyRow, ...]
 
 
 #: The message ``instantiate`` raises each error of ``UninstantiatedTask.restrict`` with.
@@ -501,17 +518,11 @@ class CandidatePolicy(NamedTuple):
     probability: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            "candidate_index": self.candidate_index,
-            "vocabulary": self.vocabulary,
-            "policy": self.policy,
-            "extension_size": self.extension_size,
-            "probability": f"{self.probability.numerator}/{self.probability.denominator}",
-        }
+        return {**self._asdict(), "probability": _num_den(self.probability)}
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """Outcome of the max-utility-then-max-weakness selection recipe."""
 
     header: dict
@@ -526,15 +537,6 @@ class BoundReport:
         if self.outcome == "no_candidate":
             return None
         return self.outcome == "attained"
-
-    def to_json(self) -> str:
-        doc = dict(self.header)
-        doc["outcome"] = self.outcome
-        doc["selected"] = self.selected.to_dict() if self.selected else None
-        doc["best"] = self.best.to_dict() if self.best else None
-        doc["ranking"] = [c.to_dict() for c in self.ranking]
-        doc["utility_rows"] = [r.to_dict() for r in self.utility_rows]
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def verify_upper_bound(
@@ -633,7 +635,7 @@ def _select(
 
 
 @dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(_Report):
     """Whether the full vocabulary maximises utility for one base task."""
 
     header: dict
@@ -641,14 +643,6 @@ class MaximalityReport:
     utility_at_full: int | None
     witness: VocabularyRow | None
     rows: tuple[VocabularyRow, ...]
-
-    def to_json(self) -> str:
-        doc = dict(self.header)
-        doc["holds"] = self.holds
-        doc["utility_at_full"] = self.utility_at_full
-        doc["witness"] = self.witness.to_dict() if self.witness else None
-        doc["rows"] = [r.to_dict() for r in self.rows]
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def verify_utility_maximal_at_P(

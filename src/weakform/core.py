@@ -432,6 +432,12 @@ class LanguageIndex:
         return tuple(map(self.extension_mask, self.statements))
 
     @cached_property
+    def ext_sizes(self) -> tuple[int, ...]:
+        """Each statement's extension size, the popcount of its extension
+        mask, read without keeping the |L|^2 bits of ``ext_masks``."""
+        return tuple(self.extension_mask(s).bit_count() for s in self.statements)
+
+    @cached_property
     def truth_masks(self) -> tuple[int, ...]:
         """Each statement's truth set, as a state mask."""
         return tuple(_truth_mask(self.env, s) for s in self.statements)
@@ -497,9 +503,9 @@ class LanguageIndex:
 
     def extension_sizes(self, xs: Iterable[Iterable[int]], guards: Guards = DEFAULT_GUARDS) -> list[int]:
         """|extension(x)| of each statement ``x`` of ``xs``, read by ``read``,
-        the popcount of its extension mask.  A statement whose truth set
-        exceeds ``guards.max_truth_set`` is refused, the first one in ``xs``
-        named, as ``extension_size`` refuses it."""
+        from ``ext_sizes``.  A statement whose truth set exceeds
+        ``guards.max_truth_set`` is refused, the first one in ``xs`` named,
+        as ``extension_size`` refuses it."""
         rows = list(map(self.position.__getitem__, self.read(xs)))
         # a truth set holds at most every state
         if self.env.state_count > guards.max_truth_set:
@@ -510,8 +516,7 @@ class LanguageIndex:
                     raise TruthSetTooLarge(
                         f"|truth set| = {size} exceeds guard {guards.max_truth_set}"
                     )
-        ext_masks = self.ext_masks
-        return [ext_masks[i].bit_count() for i in rows]
+        return list(map(self.ext_sizes.__getitem__, rows))
 
     def too_wide(self, guards: Guards) -> int:
         """The statements whose extension size the truth-set guard refuses."""

@@ -20,6 +20,7 @@ from random import Random
 
 from . import __version__
 from .bounds import (
+    _num_den,
     mk_uninstantiated,
     utility,
     verify_upper_bound,
@@ -132,7 +133,7 @@ def _derive_child(task: Task, rng: Random, child_input_count: int | None) -> Tas
     return mk_task(task.env, inputs, outs)
 
 
-def _learn_unit(config, env, factory, proxies, space, seed, trial) -> list[dict[str, str]]:
+def _learn_unit(config, factory, proxies, space, seed, trial) -> list[dict[str, str]]:
     common = dict(
         language_size=len(space.language),
         task_count=space.total_count,
@@ -215,7 +216,7 @@ def _run_learn(config, env, factory) -> list[dict[str, str]]:
         row
         for seed in config.seeds
         for trial in range(config.trials)
-        for row in _learn_unit(config, env, factory, proxies, space, seed, trial)
+        for row in _learn_unit(config, factory, proxies, space, seed, trial)
     ]
 
 
@@ -269,9 +270,8 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
     )
     selected = {}
     if report.selected is not None:
-        probability = report.selected.probability
         selected = dict(
-            value=f"{probability.numerator}/{probability.denominator}",
+            value=_num_den(report.selected.probability),
             policy=report.selected.policy,
             proxy=report.selected.vocabulary,
         )
@@ -282,7 +282,7 @@ def _run_verify_bound(config, env, factory) -> list[dict[str, str]]:
                 task_id=pair.vocabulary,
                 policy=pair.policy,
                 extension_size=pair.extension_size,
-                value=f"{pair.probability.numerator}/{pair.probability.denominator}",
+                value=_num_den(pair.probability),
                 note=f"rank={rank}",
             )
         )
@@ -304,14 +304,13 @@ def _run_sample_gen(config, env, factory) -> list[dict[str, str]]:
     rows = []
     for seed, estimates in runs:
         for statement, est, size in zip(lang, estimates, sizes):
-            exact = table.probability(statement)
             rows.append(
                 factory.row(
                     language_size=len(lang),
                     task_count=table.denominator,
                     policy=encode_statement(statement),
                     extension_size=size,
-                    value=f"{exact.numerator}/{exact.denominator}",
+                    value=_num_den(table.probability(statement)),
                     note=f"est={est.successes}/{est.samples}",
                     seed=seed,
                 )

@@ -135,12 +135,11 @@ class Proxy:
     rows: Callable[[Environment, Sequence[Statement], Guards], list[int]]
 
     def holds(self, env: Environment, l1: Statement, l2: Statement, guards=DEFAULT_GUARDS) -> bool:
-        """Whether the relation holds of ``(l1, l2)``, both read as statements
-        of ``env`` first, so the answer does not depend on their spelling;
-        the index the rows may read is admitted under ``guards``."""
-        pair = (require_statement(env, l1), require_statement(env, l2))
+        """Whether the relation holds of ``(l1, l2)``, read by the rows as
+        statements of ``env``, so the answer does not depend on their
+        spelling; the index the rows read is admitted under ``guards`` first."""
         LanguageIndex.of(env, guards)
-        return bool(self.rows(env, pair, guards)[0] >> 1 & 1)
+        return bool(self.rows(env, (l1, l2), guards)[0] >> 1 & 1)
 
     def __repr__(self) -> str:
         return f"Proxy({self.name})"

@@ -487,6 +487,26 @@ def test_holds_answers_one_pair(env2):
     assert "holds" in Proxy.__dict__
 
 
+def test_holds_reads_each_statement_once(env2, monkeypatch):
+    # the rows read the pair through ``LanguageIndex.read``; ``holds`` reads it no more
+    import weakform.core
+    import weakform.learning
+
+    calls = []
+    original = weakform.core.require_statement
+
+    def counted(env, candidate):
+        calls.append(candidate)
+        return original(env, candidate)
+
+    for module in (weakform.core, weakform.learning):
+        monkeypatch.setattr(module, "require_statement", counted)
+    for proxy in (weakness_proxy(), simplicity_proxy()):
+        calls.clear()
+        assert proxy.holds(env2, (0,), (2,)) is (proxy.name == "weakness")
+        assert calls == [(0,), (2,)], proxy
+
+
 # --- learning ---------------------------------------------------------------------------------
 
 def test_learn_weakness(env2):

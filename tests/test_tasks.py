@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from weakform import Guards, enumerate_language, full_powerset_vocabulary, mk_environment
+from weakform import Guards, enumerate_language, full_powerset_vocabulary, mk_environment, utility
 from weakform import tasks as tasks_module
 from weakform.core import ExtensionSet, LanguageIndex, _stmt_order
 from weakform.errors import (
@@ -217,6 +217,18 @@ def test_task_is_built_from_one_iterable(env2):
         Task(*fields)
 
 
+def test_a_repeated_or_respelled_member_is_read_once(env2):
+    # a statement set holds each statement once, however often or however
+    # it is spelled; the input mask is the OR of its members' bits, not their sum
+    plain = mk_task(env2, [(0,)], [(0, 2)])
+    for inputs, outputs in (([(0,), (0,)], [(0, 2)]), ([(0,), [0, 0]], [(0, 2), (2, 0)])):
+        assert mk_task(env2, inputs, outputs) == plain
+        doc = {"inputs": [list(x) for x in inputs], "outputs": [list(y) for y in outputs]}
+        assert load_task(doc, env2) == plain
+        assert load_task({**task_to_dict(plain), **doc}) == plain
+    assert plain.inputs == ((0,),) and plain.outputs_correct == ((0, 2),)
+
+
 def test_mk_task_empty_inputs(env2):
     with pytest.raises(EmptyInputs):
         mk_task(env2, [], [])
@@ -312,6 +324,9 @@ def test_policies_of_a_large_language_use_linear_memory():
         t = mk_task(env, [top[:-1]], [top])
         policies = correct_policies(t).members
         peak = tracemalloc.get_traced_memory()[1]
+        # the weakest correct policy (13,) extends to 2^13 statements, one an output
+        assert utility(t) == (1 << 13) - 1
+        utility_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(enumerate_language(env)) == 1 << 14
@@ -320,6 +335,7 @@ def test_policies_of_a_large_language_use_linear_memory():
     assert policies[0] == (13,)
     assert is_correct_policy(t, (13,)) and not is_correct_policy(t, (0,))
     assert peak < 16 << 20
+    assert utility_peak < 16 << 20
 
 
 # --- inference ---------------------------------------------------------------------
