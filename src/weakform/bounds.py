@@ -25,15 +25,13 @@ from .core import (
     Environment,
     ExtensionSet,
     Guards,
-    LanguageIndex,
     Program,
     Statement,
     _bits,
     _index_cached,
-    _members,
+    _program_positions,
     encode_statement,
     env_hash,
-    mk_environment,
 )
 from .errors import (
     EmptyInstantiation,
@@ -197,42 +195,6 @@ def mk_uninstantiated(base: Task) -> UninstantiatedTask:
     return UninstantiatedTask(base)
 
 
-def _positions(index: LanguageIndex, candidate: Iterable) -> list[int]:
-    """The base positions of a candidate's programs, in its order: state-set
-    iterables or Program values, each drawn from the base vocabulary.
-
-    A program with a state that is no int (``"a"``, 1.0) is built by
-    ``mk_environment`` before it is sorted, and raises its
-    ``StateOutOfRange``.  Then a foreign program raises
-    ``InvalidVocabulary``, as does a Program over another number of
-    states, even when its states name a base program.  A candidate with
-    a repeated program, or with an int state that is no plain int (True,
-    an int subclass), is built by ``mk_environment`` too, which raises
-    that vocabulary's own error; every other candidate skips the build."""
-    position = index.program_position
-    n = index.env.state_count
-    sets = []
-    for p in _members(candidate, InvalidVocabulary, "candidate"):
-        if isinstance(p, Program):
-            if p.width != n:
-                raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {n}")
-            states = p.states()
-        else:
-            states = _members(p, InvalidVocabulary, "program")
-            if not all(isinstance(s, int) for s in states):
-                mk_environment(n, [states])
-            states = tuple(sorted(states))
-        if states not in position:
-            raise InvalidVocabulary(
-                f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
-            )
-        sets.append(states)
-    found = list(map(position.__getitem__, sets))
-    if len(set(found)) < len(found) or not {int}.issuperset(map(type, chain.from_iterable(sets))):
-        mk_environment(n, sets)
-    return found
-
-
 def instantiate(
     rho: UninstantiatedTask,
     v_prime: Iterable,
@@ -241,22 +203,25 @@ def instantiate(
     """Restrict the base task to a sub-vocabulary of state-set iterables
     or Program values, each drawn from the base vocabulary.
 
-    Keeps exactly the inputs and correct outputs whose programs are all
-    still present, and raises what building that task in the new
-    environment would raise.  A kept output still completes a kept
-    input: the input it completed has a subset of its programs.
-    Restriction by the full vocabulary is the identity.  The task is read
-    off the base task's masks (``UninstantiatedTask.restrict``), as the
-    vocabulary comparisons below read every restriction; the tests check
-    it against a restriction by the programs' state tuples.
+    The candidate is read as ``mk_environment`` reads a vocabulary
+    (``core._program_positions``).  Keeps exactly the inputs and correct
+    outputs whose programs are all still present, and raises what
+    building that task in the new environment would raise.  A kept
+    output still completes a kept input: the input it completed has a
+    subset of its programs.  Restriction by the full vocabulary is the
+    identity.  The task is read off the base task's masks
+    (``UninstantiatedTask.restrict``), as the vocabulary comparisons
+    below read every restriction; the tests check it against a
+    restriction by the programs' state tuples.
     """
-    vocabulary = sum(1 << b for b in _positions(rho.index, v_prime))
+    vocabulary = sum(1 << b for b in _program_positions(rho.env, v_prime))
     restricted = rho.restrict(vocabulary, guards)
     if isinstance(restricted, type):
         size = vocabulary.bit_count()
         raise restricted(_REFUSALS[restricted].format(size=size, guards=guards))
-    sets = rho.env.program_sets()
-    env2 = mk_environment(rho.env.state_count, map(sets.__getitem__, _bits(vocabulary)))
+    # base canonical order, restricted, is the restricted canonical order
+    programs = rho.env.programs
+    env2 = Environment(rho.env.state_count, tuple(map(programs.__getitem__, _bits(vocabulary))))
     statements = rho.index.statements
     # the restricted language is dropped: the new environment has its own
     inputs, extension, outputs = (
@@ -289,8 +254,8 @@ def encode_vocabulary(programs: Iterable) -> str:
     for p in programs:
         p = p.states() if isinstance(p, Program) else tuple(p)
         try:
-            p = sorted(p)
-        except TypeError:  # a state that is no int may not sort: kept as given
+            p = sorted(set(p))
+        except TypeError:  # a state that is no int may not sort or hash: kept as given
             pass
         parts.append(encode_statement(p))
     return "[%s]" % ",".join(parts)
@@ -384,9 +349,9 @@ def _parsed(
     rho: UninstantiatedTask, candidates: Sequence[Iterable]
 ) -> Iterator[tuple[str, int | type[WeakformError]]]:
     """Each caller-supplied candidate's report string, with its base
-    program mask or the class of the error ``_positions`` raises on it
-    (as ``restrict`` gives its own); a candidate, or a program of it,
-    that is no iterable is written as its ``repr``, with
+    program mask or the class of the error ``core._program_positions``
+    raises on it (as ``restrict`` gives its own); a candidate, or a
+    program of it, that is no iterable is written as its ``repr``, with
     ``InvalidVocabulary``.  A candidate in canonical form, a tuple of base
     state tuples in base order whose states are exact ints, is parsed
     once per environment, into ``LanguageIndex.parsed``."""
@@ -409,7 +374,7 @@ def _parsed(
             yield got
             continue
         try:
-            found = _positions(index, cand)
+            found = _program_positions(rho.env, cand)
         except WeakformError as exc:
             yield encode_vocabulary(cand), type(exc)
             continue

@@ -21,6 +21,7 @@ from .core import (
     Environment,
     Guards,
     _list_of_lists,
+    _program_positions,
     environment_to_dict,
     full_powerset_vocabulary,
     load_environment,
@@ -261,21 +262,15 @@ def config_from_dict(
     if candidates != "all":
         _expect(
             isinstance(candidates, list)
-            and all(
-                isinstance(v, list)
-                and all(isinstance(p, list) and all(map(_is_int, p)) for p in v)
-                for v in candidates
-            ),
+            and all(isinstance(v, list) and all(isinstance(p, list) for p in v) for v in candidates),
             "candidates must be \"all\" or a list of vocabularies (lists of states)",
         )
-        candidates = tuple(
-            tuple(tuple(sorted(set(p))) for p in vocab) for vocab in candidates
-        )
-        base = set(env.program_sets())
-        _expect(
-            all(p in base for vocab in candidates for p in vocab),
-            "candidates may only use programs of the environment",
-        )
+        # each program read as the environment's own, by the library's reader
+        sets = env.program_sets()
+        with _invalid_as_parse_error("candidates"):
+            candidates = tuple(
+                tuple(map(sets.__getitem__, _program_positions(env, v))) for v in candidates
+            )
 
     rho = doc.get("rho")
     if rho is not None:

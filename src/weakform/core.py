@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateProgram,
     IndexOutOfRange,
+    InvalidVocabulary,
     NotAStatement,
     ParseError,
     StateOutOfRange,
@@ -194,14 +195,43 @@ def mk_environment(state_count: int, programs: Iterable[Iterable[int]]) -> Envir
     """
     _check_state_count(state_count)
     masks = [_mask_of(p, state_count) for p in _members(programs, StateOutOfRange, "vocabulary")]
+    _check_distinct(masks, state_count)
+    canonical = sorted((Program(m, state_count) for m in masks), key=Program.sort_key)
+    return Environment(state_count, tuple(canonical))
+
+
+def _check_distinct(masks: list[int], state_count: int) -> None:
+    """Two identical programs are an error, the first repeated one named."""
     seen: set[int] = set()
     for m in masks:
         if m in seen:
-            dup = Program(m, state_count)
-            raise DuplicateProgram(f"program {dup!r} appears twice")
+            raise DuplicateProgram(f"program {Program(m, state_count)!r} appears twice")
         seen.add(m)
-    canonical = sorted((Program(m, state_count) for m in masks), key=Program.sort_key)
-    return Environment(state_count, tuple(canonical))
+
+
+def _program_positions(env: Environment, candidate: Iterable) -> list[int]:
+    """The vocabulary position of each program of ``candidate``, in its
+    order, each read as ``mk_environment`` reads a program: a Program
+    value over ``env``'s number of states as its mask, any other as the
+    set of its states.  Every program is read before a repeated one
+    raises ``DuplicateProgram``, and one missing from ``env`` raises
+    ``InvalidVocabulary`` last."""
+    n = env.state_count
+    masks = []
+    for p in _members(candidate, InvalidVocabulary, "candidate"):
+        if isinstance(p, Program):
+            if p.width != n:
+                raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {n}")
+            masks.append(p.mask)
+        else:
+            masks.append(_mask_of(_members(p, InvalidVocabulary, "program"), n))
+    _check_distinct(masks, n)
+    position = {p.mask: j for j, p in enumerate(env.programs)}
+    for m in masks:
+        if m not in position:
+            states = encode_statement(Program(m, n).states())
+            raise InvalidVocabulary(f"program {states} is not in the base vocabulary")
+    return list(map(position.__getitem__, masks))
 
 
 # --- serialisation -----------------------------------------------------------
@@ -252,9 +282,9 @@ def load_environment(source: str | Path | dict) -> Environment:
     missing = [key for key in ("states", "vocabulary") if key not in doc]
     if missing:
         raise ParseError(f"environment document has no {' or '.join(map(repr, missing))}")
-    env = mk_environment(doc["states"], _list_of_lists(doc, "vocabulary"))
-    loaded = [tuple(sorted(set(p))) for p in doc["vocabulary"]]
-    if loaded != list(env.program_sets()):
+    vocabulary = _list_of_lists(doc, "vocabulary")
+    env = mk_environment(doc["states"], vocabulary)
+    if _program_positions(env, vocabulary) != list(range(env.vocabulary_size)):
         warnings.warn(
             "vocabulary was reordered into canonical order on load",
             VocabularyReorderedWarning,
@@ -464,11 +494,6 @@ class LanguageIndex:
             if not programs >> j & 1:
                 outside |= mask
         return ((1 << len(self.statements)) - 1) & ~outside
-
-    @cached_property
-    def program_position(self) -> dict[tuple[int, ...], int]:
-        """Each program's state tuple, mapped to its vocabulary position."""
-        return {states: b for b, states in enumerate(self.env.program_sets())}
 
     @cached_property
     def program_codes(self) -> tuple[str, ...]:

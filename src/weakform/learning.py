@@ -302,8 +302,7 @@ def generalization_probability(
 ) -> Fraction:
     """Exact probability that ``l`` is a correct policy of a task drawn
     uniformly from the task space."""
-    x = require_statement(env, l)
-    return generalization_table(env, guards, include_empty_outputs).probability(x)
+    return generalization_table(env, guards, include_empty_outputs).probability(l)
 
 
 def gen_cmp(

@@ -330,29 +330,32 @@ def brute_sample_efficiency(env: Environment, verdicts_a, verdicts_b) -> int:
 def brute_instantiate(rho, v_prime, guards=DEFAULT_GUARDS):
     """``bounds.instantiate`` by its state-tuple definition.
 
-    Every candidate program must be a base program, a Program value over
-    the base's number of states, and a state that is no int raises what
-    ``mk_environment`` raises on it; the restricted
-    environment is built from the candidate, and each base statement is
-    carried over program by program, through the programs' state tuples,
-    when all of its programs survive.  Outputs that complete no
-    surviving input are dropped.
+    The restricted environment is built by ``mk_environment`` from the
+    candidate's programs, a Program value over the base's number of
+    states read as its state tuple, after each program's states have
+    been read in turn; each of them, in the candidate's order, must then
+    be a base program.  Each base statement is carried
+    over program by program, through the programs' state tuples, when
+    all of its programs survive.  Outputs that complete no surviving
+    input are dropped.
     """
+    n = rho.env.state_count
     base_sets = rho.env.program_sets()
-    sets = []
+    given = []
     for p in v_prime:
-        if isinstance(p, Program) and p.width != rho.env.state_count:
-            raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {rho.env.state_count}")
-        states = p.states() if isinstance(p, Program) else tuple(p)
-        if not all(isinstance(s, int) for s in states):
-            mk_environment(rho.env.state_count, [states])  # names the state that is no int
-        states = tuple(sorted(states))
+        if isinstance(p, Program):
+            if p.width != n:
+                raise InvalidVocabulary(f"{p!r} is over {p.width} states, not {n}")
+            p = p.states()
+        given.append(tuple(p))
+        mk_environment(n, given[-1:])  # a program's state error precedes a later one's
+    env2 = mk_environment(n, given)
+    for states in given:
+        states = tuple(sorted(set(states)))
         if states not in base_sets:
             raise InvalidVocabulary(
                 f"program {{{','.join(map(str, states))}}} is not in the base vocabulary"
             )
-        sets.append(states)
-    env2 = mk_environment(rho.env.state_count, sets)
     kept = {p.states(): j for j, p in enumerate(env2.programs)}
 
     def remap(statements):

@@ -180,9 +180,11 @@ def test_instantiate_empty(rho2):
 
 
 def test_instantiate_rejects_foreign_programs():
+    # a state outside the base names no program of it: building the
+    # restricted environment would refuse the state
     env_p = full_powerset_vocabulary(1)
     rho = mk_uninstantiated(mk_task(env_p, [(1,)], []))
-    with pytest.raises(InvalidVocabulary):
+    with pytest.raises(StateOutOfRange):
         instantiate(rho, [(0, 1)])
 
 
@@ -238,10 +240,10 @@ def test_instantiate_matches_state_tuple_definition(rho2):
                 vocabulary = [p for p in env2p.programs[::-1] if p.states() in vocabulary]
             cases.append((rho, vocabulary))
     errors = [
-        ([(5,)], InvalidVocabulary),
+        ([(5,)], StateOutOfRange),
         ([(0,), (True,)], StateOutOfRange),
         ([(0, 1), (1, 0)], DuplicateProgram),
-        ([(1,), (5,), (0, 1), (0, 1)], InvalidVocabulary),
+        ([(1,), (5,), (0, 1), (0, 1)], StateOutOfRange),
     ]
     cases += [(rho2, vocabulary) for vocabulary, _ in errors]
     for rho3 in _phi3_family(4, seed=7):
@@ -485,11 +487,12 @@ def _malformed(rho):
     sets = rho.env.program_sets()
     return [
         [(5,)],                                  # a foreign state
-        [sets[1], (0, 0, 1)],                    # a foreign program
+        [sets[1], (0, 0, 1)],                    # a repeated state: {0,1}
         [sets[1], sets[-1], sets[1]],            # a repeated program
+        [(0,), (5,), (0,)],                      # the state error before the repeat
         [(True,), sets[-1]],                     # a state that only equals an int
         [(1.0,), (0, 1)],
-        [(True,), (7,)],                         # foreign beats the bool
+        [(True,), (7,)],                         # the first program's error first
         [full[-1], sets[-1]],                    # a Program repeating a tuple
         list(full[::-1]),                        # Program values, reversed
         iter(sets[1:]),                          # a one-shot iterator
@@ -498,11 +501,33 @@ def _malformed(rho):
         [tuple(map(_State, sets[-1]))],          # an int subclass is a state
         [(0, "a")],                              # a state that is no int and does not sort
         [mk_environment(5, [[0], [1, 4]]).programs[0], (1,)],  # a Program over other states
+        [(7,), mk_environment(5, [[0], [1, 4]]).programs[0]],  # the state error before it
     ]
 
 
 class _State(int):
     pass
+
+
+def test_instantiate_raises_what_mk_environment_raises(rho2):
+    # a candidate of state iterables that building an environment refuses
+    # is refused by instantiate with the same error: its programs are read
+    # as mk_environment reads them, in its order
+    refused = 0
+    for candidate in map(list, _malformed(rho2)):
+        if any(isinstance(p, core.Program) for p in candidate):
+            continue
+        try:
+            mk_environment(rho2.env.state_count, candidate)
+        except WeakformError as exc:
+            want = exc
+        else:
+            continue
+        with pytest.raises(type(want)) as got:
+            instantiate(rho2, candidate)
+        assert str(got.value) == str(want), candidate
+        refused += 1
+    assert refused == 7
 
 
 def _reference_cases(states):
@@ -572,7 +597,7 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     built = []
     for owner, name in (
         (bounds, "instantiate"),
-        (bounds, "mk_environment"),
+        (core, "mk_environment"),
         (LanguageIndex, "extension_sizes"),
         (core, "extension_size"),
         (learning, "generalization_table"),
@@ -592,8 +617,8 @@ def test_vocabulary_sweeps_build_no_restricted_task(monkeypatch):
     for mode, want in zip((True, False), bound_reports):
         assert verify_upper_bound(rho, candidates, Guards(), mode).to_json() == want.to_json()
     assert built == []
-    assert not hasattr(bounds, "generalization_table")
-    assert not hasattr(bounds, "mk_task")
+    for name in ("generalization_table", "mk_task", "mk_environment"):
+        assert not hasattr(bounds, name)
     assert bound_reports[0].ranking and bound_reports[1].ranking
 
 
@@ -721,7 +746,7 @@ def test_a_second_base_task_reuses_the_environment_work(monkeypatch):
     for mode in (True, False):
         verify_upper_bound(mk_uninstantiated(first), candidates, Guards(), mode)
     calls = []
-    for name in ("_class_counts", "_positions"):
+    for name in ("_class_counts", "_program_positions"):
         original = getattr(bounds, name)
 
         def record(*args, _name=name, _original=original, **kwargs):
@@ -913,7 +938,7 @@ def test_a_four_state_bound_sizes_its_count_by_the_ranked_languages():
     # language ranked, a few statements, and not to the 942 of the base
     # language, whose table would take over 100 MiB
     rho = mk_uninstantiated(mk_task(full_powerset_vocabulary(4), [(1, 7)], []))
-    for table in ("program_position", "program_codes", "truth_masks", "down"):
+    for table in ("program_codes", "truth_masks", "down"):
         getattr(rho.index, table)  # the environment's own tables are not the call's
     tracemalloc.start()
     try:

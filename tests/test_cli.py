@@ -14,11 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakform import cli, load_environment, mk_environment
+from weakform import cli, full_powerset_vocabulary, load_environment, mk_environment
+from weakform.bounds import compare_vocabularies, mk_uninstantiated
 from weakform.config import EXPERIMENT_KINDS
-from weakform.errors import IndexOutOfRange, ParseError, StateOutOfRange
+from weakform.core import _program_positions
+from weakform.errors import (
+    DuplicateProgram,
+    IndexOutOfRange,
+    InvalidVocabulary,
+    ParseError,
+    StateOutOfRange,
+)
 from weakform.learning import sample_efficiency, table_proxy
-from weakform.tasks import load_task
+from weakform.tasks import load_task, mk_task
 
 from helpers import brute_extension_of_set, brute_language
 
@@ -432,6 +440,53 @@ def test_a_malformed_statement_set_gets_one_verdict(tmp_path, capsys, key, state
     assert _exit_code(
         tmp_path, {"experiment": "verify-bound", "environment": {"full_powerset": 2}, "rho": sets}
     ) == 2
+
+
+#: candidate documents and the error the library's program reader raises
+#: on each: a repeated state names its program once, and a repeated
+#: program, a state that is no int or lies outside the states, or a
+#: program the environment lacks is refused
+CANDIDATE_VERDICTS = [
+    ({"full_powerset": 2}, [[0, 0], [0, 1]], None),
+    ({"full_powerset": 2}, [[0], [0]], DuplicateProgram),
+    ({"full_powerset": 2}, [[5]], StateOutOfRange),
+    ({"full_powerset": 2}, [[True]], StateOutOfRange),
+    ({"full_powerset": 2}, [[0.5]], StateOutOfRange),
+    (ENV2_DOC, [[1], []], InvalidVocabulary),
+]
+
+
+@pytest.mark.parametrize("environment, candidate, error", CANDIDATE_VERDICTS, ids=_document_id)
+def test_a_candidate_gets_one_verdict(tmp_path, capsys, environment, candidate, error):
+    # the library and the command read a candidate by one rule: the
+    # command exits 2 exactly where the library records an error row, and
+    # an accepted candidate reports as the vocabulary it names
+    powerset = "full_powerset" in environment
+    env = full_powerset_vocabulary(2) if powerset else load_environment(environment)
+    named = [sorted(set(p)) for p in candidate]
+    if error is not None:
+        with pytest.raises(error):
+            _program_positions(env, candidate)
+    if powerset:
+        rho = {"inputs": [[3]], "outputs": [[1, 3]]}
+        base = mk_uninstantiated(mk_task(env, rho["inputs"], rho["outputs"]))
+        rows = compare_vocabularies(base, [candidate, named]).rows
+        assert rows[0].error == (error and error.__name__)
+        if error is None:
+            assert rows[0][1:] == rows[1][1:]
+        doc = {"experiment": "verify-bound", "environment": environment, "rho": rho}
+    else:
+        doc = {"experiment": "enumerate", "environment": environment}
+    reports = []
+    for i, candidates in enumerate(([candidate], [named])):
+        config, out = write_config(tmp_path, {**doc, "candidates": candidates}), tmp_path / f"{i}.csv"
+        code = cli.main([doc["experiment"], "--config", str(config), "--out", str(out)])
+        assert code == (2 if error else 0)
+        reports.append(out.read_bytes() if out.exists() else None)
+    if error is None:
+        assert reports[0] == reports[1]
+    else:
+        assert reports[0] is None
 
 
 @pytest.mark.parametrize("where", ["missing/r.csv", "."])

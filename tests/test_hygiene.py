@@ -1,8 +1,10 @@
-"""Every name a library module imports is used there or exported."""
+"""Every name a library module imports is used there or exported, and
+every private name it defines is read somewhere in the library."""
 
 from __future__ import annotations
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,55 @@ def test_the_scan_finds_an_unused_import():
         "    return json.dumps(c(2, 1))\n"
     )
     assert _unused_imports(source) == ["os", "or_"]
+
+
+def _unread_private_names(sources: list[str]) -> list[str]:
+    """The private names (``_name``, dunders aside) that a module of
+    ``sources`` defines at its top level or in a class body, and that no
+    module of them reads as a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in chain(tree.body, *classes):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in Path(weakform.__file__).parent.glob("*.py")]
+    assert _unread_private_names(sources) == []
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = [
+        "import json\n"
+        "_LIMIT = 3\n"
+        "_dead: int = 4\n"
+        "def _helper():\n"
+        "    return json.dumps(_LIMIT)\n"
+        "class _Base:\n"
+        "    _slot = None\n"
+        "    def __init__(self):\n"
+        "        self._unused = 1\n"
+        "    def _stale(self):\n"
+        "        return self._slot\n",
+        "from .a import _helper, _Base\n"
+        "class B(_Base):\n"
+        "    pass\n"
+        "_helper()\n",
+    ]
+    assert _unread_private_names(sources) == ["_dead", "_stale"]

@@ -246,6 +246,27 @@ def test_empty_statement_never_generalizes_sweep():
         assert generalization_probability(env, ()) == 0
 
 
+def test_generalization_probability_reads_its_statement_once(env2, monkeypatch):
+    # the table's ``probability`` reads the statement; the caller reads it no
+    # more, so an error of the table comes before an error of the statement
+    import weakform.core
+    import weakform.learning
+
+    calls = []
+    original = weakform.core.require_statement
+
+    def counted(env, candidate):
+        calls.append(candidate)
+        return original(env, candidate)
+
+    for module in (weakform.core, weakform.learning):
+        monkeypatch.setattr(module, "require_statement", counted)
+    assert generalization_probability(env2, (0,)) == Fraction(59, 2330)
+    assert calls == [(0,)]
+    with pytest.raises(EmptyTaskSpace):
+        generalization_probability(mk_environment(1, []), (5,))
+
+
 def test_gen_cmp_examples(env2):
     assert gen_cmp(env2, (), (0,)) is True
     assert gen_cmp(env2, (0,), (0,)) is False
