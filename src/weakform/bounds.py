@@ -250,6 +250,8 @@ def restriction_is_strict_child(rho: UninstantiatedTask, restricted: Task) -> bo
 # --- candidate vocabularies -----------------------------------------------------------
 
 def encode_vocabulary(programs: Iterable) -> str:
+    """Each program as its sorted state set; a state that is no exact int
+    is written by its ``repr``, so ``"0"`` or ``True`` never reads as 0 or 1."""
     parts = []
     for p in programs:
         p = p.states() if isinstance(p, Program) else tuple(p)
@@ -257,7 +259,7 @@ def encode_vocabulary(programs: Iterable) -> str:
             p = sorted(set(p))
         except TypeError:  # a state that is no int may not sort or hash: kept as given
             pass
-        parts.append(encode_statement(p))
+        parts.append(encode_statement(s if type(s) is int else repr(s) for s in p))
     return "[%s]" % ",".join(parts)
 
 

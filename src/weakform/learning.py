@@ -352,7 +352,8 @@ def estimate_generalization_probabilities(
     """Estimate each statement's probability by uniform task sampling.
 
     All statements share one stream of ``samples`` draws from
-    ``Random(seed)``, each decoded once, so every estimate equals that
+    ``Random(seed)``, each walked once (``TaskSpace._walk``: the union
+    and output mask, no input set), so every estimate equals that
     statement's own call.  A draw is a hit for ``p`` when
     ``union & pmask == omask``: ``E ∩ ext(p) = O``, the identity that
     ``correct_policies`` states as down-sets.  The drawn output masks
@@ -370,7 +371,7 @@ def estimate_generalization_probabilities(
     drawn: defaultdict[int, Counter] = defaultdict(Counter)
     rng = Random(seed)
     for _ in range(samples):
-        _, union, omask = space._decode(rng.randrange(space.total_count))
+        union, omask, *_ = space._walk(rng.randrange(space.total_count))
         drawn[union][omask] += 1
     hits = [sum(omasks.get(union & pmask, 0) for union, omasks in drawn.items()) for pmask in pmasks]
     return [GeneralizationEstimate(x, h, samples, seed) for x, h in zip(xs, hits)]

@@ -1,22 +1,20 @@
 """Tasks over a finite language: validity, policies, inference and the
 task space.
 
-A task pairs a set of input statements with a set of designated correct
-outputs drawn from (but never equal to) the inputs' extension.  The task
-space of an environment is every such pair; it is counted from the
-statements' extensions alone (a memoised pivot recursion over the
-statement order) and enumerated explicitly, and the two must agree.
-Sampling is exactly uniform: a single random index into the counted
-space is decoded back into a task by the same count, size class first
-and then one member of the input set at a time.  The stream is a
-pipeline of C iterators that holds at most one run's output sets
-(``TaskSpace.tasks``); nothing here keeps a table of input sets.
+A task pairs a set of input statements with a set of correct outputs
+drawn from (but never equal to) the inputs' extension.  The task space
+of an environment is every such pair, counted from the statements'
+extensions alone (a memoised pivot recursion) and enumerated
+explicitly; the two must agree.  Sampling is exactly uniform: one
+random index is decoded back into a task by the same count.  Nothing
+here keeps a table of input sets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, repeat, starmap
+from itertools import accumulate, chain, combinations, repeat, starmap
 from math import comb
 from operator import and_, itemgetter, or_
 from pathlib import Path
@@ -82,13 +80,11 @@ class Task(tuple):
     """Inputs, correct outputs, and the cached input extension.
 
     A slotted tuple ``(env, inputs, outputs_correct, extension)`` with
-    read-only fields, built from one iterable as a tuple is: the task
-    space streams millions of tasks, and the type call, mapped over each
-    input set's output sets, builds each in C with no Python frame per
-    task (``mk_task`` is the validated constructor).  Two tasks are equal
-    when their environment, inputs and correct outputs are (the extension
-    follows from the inputs), and the hash agrees.  A task equals only
-    another ``Task``: never a plain tuple of the same fields.
+    read-only fields, built from one iterable as a tuple is, so the
+    stream builds each task in C (``mk_task`` is the validated
+    constructor).  Two tasks are equal when their environment, inputs
+    and correct outputs are, and the hash agrees; a task never equals a
+    plain tuple.
     """
 
     __slots__ = ()
@@ -309,24 +305,19 @@ def _union_power_sum(ext: tuple[int, ...], p: int, c: int, memo: dict, ones: tup
 
     The polynomial is packed into one int (Kronecker substitution), with
     fields of ``w = 2n + 2`` bits, read off ``len(ones)``.  A coefficient
-    sums at most ``C(n, r) <= 2^n`` powers of at most ``2^n``, so it is at
-    most ``2^(2n) < 2^w``, and so is every coefficient of the partial sums
-    and products below: no field ever carries into the next, and adding,
-    multiplying and shifting the ints adds, multiplies and scales the
-    polynomials exactly.
+    is at most ``C(n, r) 2^n <= 2^(2n) < 2^w``, as is every coefficient
+    of the partial sums and products below, so no field carries into
+    the next.
 
     Pivot on the lowest position x of P, which is minimal in P
-    (statements are ordered by size, so no other member of P lies below
-    x).  The subsets without x give ``G(P - x, C)``.  A subset with x
-    counts all of ``up(x) & C``, takes the other members of
-    ``P & up(x)`` freely (their extensions lie inside x's, so they add
-    to the size only, a factor ``(1 + z)`` each), and leaves
-    ``G(P - up(x), C - up(x))``: one multiply and one shift.  Positions
-    of C that no member of P reaches are never counted, so each step
-    drops them: C stays inside the reach of P (an empty P comes with an
-    empty C), and ``memo`` stays small, at most 215 states over every
-    vocabulary of up to five programs on four states with |L| <= 20,
-    where the subsets number up to 2^20.
+    (statements are ordered by size).  The subsets without x give
+    ``G(P - x, C)``.  A subset with x counts all of ``up(x) & C``, takes
+    the other members of ``P & up(x)`` freely (their extensions lie
+    inside x's: a factor ``(1 + z)`` each), and leaves
+    ``G(P - up(x), C - up(x))``.  Positions of C that no member of P
+    reaches are never counted, so each step drops them, and ``memo``
+    stays small: at most 215 states over every vocabulary of up to five
+    programs on four states with |L| <= 20.
     """
     if not c:
         return ones[p.bit_count()]
@@ -360,13 +351,11 @@ def _class_counts(
     extension taken inside ``language``; ``m`` is 1 when empty outputs are
     excluded, and ``memo`` and ``ones`` are ``_union_power_sum``'s.
 
-    An input set of k statements admits ``2^|union| - 1 - m`` output
-    sets; a nonempty union holds its own inputs, so none is negative,
-    and class k sums them over its C(n, k) sets.  With ``language`` the
+    An input set admits ``2^|union| - 1 - m`` output sets (a nonempty
+    union holds its inputs, so none is negative).  With ``language`` the
     down-set ``below(B)`` of a program mask B, these are the counts of
-    the task space restricted to the sub-vocabulary B, read off the base
-    extension masks: its statements are ``L_B`` and their extensions
-    ``ext & L_B``.
+    the restriction to the sub-vocabulary B: its statements are ``L_B``
+    and their extensions ``ext & L_B``.
     """
     n = language.bit_count()
     fields = _fields(ext, language, language, memo, ones)
@@ -378,16 +367,15 @@ def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
     at position p (one of them) is a correct policy, each extension taken
     inside ``language``; ``m`` is 1 when empty outputs are excluded.
 
-    p is a correct policy for exactly one output set per input set I,
-    namely ``E_I & E`` for p's extension E.  That output set is
-    inadmissible when it is all of E_I, that is when I lies inside E (``2^|E| - 1`` sets, one
-    fewer when E is the whole language, since I = L is no input set),
-    and, with empty outputs excluded, when it is empty, that is when I
-    holds only the D statements outside the OR of ``true_at`` over p's
-    truth set (``2^|D| - 1`` sets).  Of the ``2^n - 2`` input sets that leaves
-    ``2^n - 2^|E| - 1 + [E = L]``, less ``2^|D| - 1`` when m is 1.  As
-    with ``_class_counts``, ``language = below(B)`` gives the count of
-    the restriction to the sub-vocabulary B.
+    p is a correct policy for one output set per input set I, ``E_I & E``
+    for p's extension E.  It is inadmissible when it is all of E_I, when
+    I lies inside E (``2^|E| - 1`` sets, one fewer when E = L), and,
+    with empty outputs excluded, when it is empty, when I holds only the
+    D statements outside the OR of ``true_at`` over p's truth set
+    (``2^|D| - 1`` sets).  Of the ``2^n - 2`` input sets that leaves
+    ``2^n - 2^|E| - 1 + [E = L]``, less ``2^|D| - 1`` when m is 1;
+    ``language = below(B)`` gives the restriction's count, as in
+    ``_class_counts``.
     """
     extension = index.ext_masks[p] & language
     count = (1 << language.bit_count()) - (1 << extension.bit_count()) - 1 + (extension == language)
@@ -397,10 +385,29 @@ def _policy_count(index: LanguageIndex, p: int, language: int, m: int) -> int:
     return count
 
 
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Column k < n holds ``C(y, k)`` for y < n."""
+    return tuple(tuple(comb(y, k) for y in range(n)) for k in range(n))
+
+
+def _unrank(columns: tuple[tuple[int, ...], ...], m: int, k: int, rank: int) -> int:
+    """The rank-th k-subset of positions 0..m-1 in lexicographic order,
+    as a mask; ``columns`` is ``_binomials`` of more than m.  Mirrored
+    (j to m-1-j), the order is colexicographic reversed, so the rank
+    becomes ``C(m, k) - 1 - rank``, whose digits in the combinatorial
+    number system take one bisection each."""
+    rest = columns[k][m] - 1 - rank
+    mask = 0
+    for column in columns[k:0:-1]:
+        y = bisect_right(column, rest) - 1
+        rest -= column[y]
+        mask |= 1 << m - 1 - y
+    return mask
+
+
 # A run of input sets whose extension has at most this many statements
-# replays one tuple of its output sets (at most 2^10 - 1 = 1,023 of them,
-# about 0.1 MiB).  A longer extension may belong to a single input set with
-# up to 2^|L| - 1 output sets, so buffering it would only cost memory.
+# replays one tuple of its output sets (at most 1,023, about 0.1 MiB); a
+# longer extension may serve one input set, so buffering it costs memory.
 _SHARED_OUTPUTS = 10
 
 
@@ -409,15 +416,14 @@ class TaskSpace:
 
     Input sets come in one canonical order (``_subsets_in_order``: by
     size, then positions) that enumeration and sampling share; the
-    index->task mapping of ``sample_index`` is a contract.
-    ``total_count`` and the task count of each size class are read off
-    the size-graded pivot count of the statements' extension masks
-    (``_union_power_sum``).  A draw decodes its index
-    with the same count: the size class from the class totals, then
-    each member of the input set in turn, from the task count of each
-    block of the canonical order (the sets that share a prefix of
-    members).  The draws share one row per position (``_rows``) and
-    the memo of the count behind them, kept on the space.
+    index->task mapping of ``sample_index`` is a contract.  Each size
+    class's task count is read off the pivot count
+    (``_union_power_sum``).  A draw is a walk (``_walk``), which counts
+    its way to the size class and then to each member of the input set
+    until their union of extensions is final, and an unrank step
+    (``_unrank``) for the rest of the input set; the estimator reads the
+    walk alone.  The draws' tables (``_starts``, ``_columns``, ``_rows``
+    and the count's memo) are built on the first draw.
     ``include_empty_outputs`` keeps or drops tasks whose correct output
     set is empty (kept by default).
     """
@@ -446,15 +452,23 @@ class TaskSpace:
 
     @cached_property
     def _memo(self) -> dict:
-        """The memo of ``_union_power_sum`` that every draw shares, begun
-        on the first draw, so a space that only counts keeps none."""
+        """The memo of ``_union_power_sum`` that the draws share."""
         return {}
+
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """The first index of each size class, then ``total_count``."""
+        return tuple(accumulate(self._class_counts, initial=0))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return _binomials(len(self.ext_masks))
 
     @cached_property
     def _rows(self) -> list[tuple]:
         """Per position i: its bit and extension, the positions after it,
-        ``(1+m) C(n-1-i, k)`` for each k, and ``G(after, c)`` unpacked for
-        each c the draws reach."""
+        ``(1+m) C(n-1-i, k)`` per k, and ``G(after, c)`` unpacked per c
+        that a draw reaches."""
         n = len(self.ext_masks)
         return [
             (1 << i, up, ((1 << n) - 1) ^ ((2 << i) - 1),
@@ -463,12 +477,10 @@ class TaskSpace:
         ]
 
     def task_from_masks(self, imask: int, omask: int) -> Task:
-        """The task with input set ``imask`` and output set ``omask``, both
-        masks over canonical language positions (as ``sample_index``
-        returns them).  The masks are checked as ``mk_task`` checks a
-        task: nonempty inputs short of the whole language, and outputs
-        strictly inside their extension.  A mask must be an ``int``: ``True``
-        or ``1.0`` names no set, though each equals 1."""
+        """The task with input set ``imask`` and output set ``omask``,
+        masks over canonical positions (as ``sample_index`` returns them),
+        checked as ``mk_task`` checks a task; a mask must be an ``int``
+        (``True`` or ``1.0`` names no set)."""
         if type(imask) is not int:
             raise InputsNotStrictSubset(f"input mask {imask!r} is no int")
         if not imask:
@@ -496,16 +508,12 @@ class TaskSpace:
         """Every task exactly once: input sets by size then encoding,
         output sets likewise within each input set.
 
-        The stream is a pipeline of C iterators: ``chain.from_iterable``
-        flattens a ``map`` that makes one Python call per input set, and
-        that call returns a ``map`` of the ``Task`` type call over the
-        set's output sets, so no Python frame runs per task.  A run of
-        consecutive input sets with one union shares one ``ExtensionSet``
-        and, when the extension has at most ``_SHARED_OUTPUTS`` statements,
-        one tuple of its output sets, built once and replayed for each
-        input set of the run.  So the stream holds at most one run's
-        output sets, at most 1,023 of them; a longer extension's output
-        sets are drawn lazily from ``combinations`` per input set.
+        The stream is a pipeline of C iterators with one Python call per
+        input set, which returns a ``map`` of the ``Task`` type call over
+        the set's output sets.  A run of input sets with one union shares
+        one ``ExtensionSet`` and, up to ``_SHARED_OUTPUTS`` statements,
+        one tuple of its output sets, replayed for each set of the run; a
+        longer extension's output sets come lazily from ``combinations``.
         """
         env = self.env
         statements = self.language
@@ -534,27 +542,28 @@ class TaskSpace:
 
     # -- exact uniform sampling ----------------------------------------------
 
-    def _decode(self, index: int) -> tuple[int, int, int]:
-        """The input mask, its union of extensions and the output mask of
-        the task at a flat index in [0, total_count).
+    def _walk(self, index: int) -> tuple[int, int, int, int, int]:
+        """The union of extensions, the output mask, the input members
+        taken, k and a rank of the task at a flat index: the rest of the
+        input set is the rank-th k-subset of the positions after the last
+        member taken.
 
-        Input sets come in canonical order, each with its tasks in a
-        run, and the index falls into the first set whose running task
-        count exceeds it.  Counting finds it: the size class from the
-        class totals; then, with union U of the members chosen and k
-        more after the next, the sets whose next member is i hold
+        The size class comes from the class totals; then, with union U
+        of the members chosen and k more after the next, the sets whose
+        next member is i hold
         ``2^|U | up(i)| * G(after i, ~(U | up(i)))[k] - (1+m) C(n-1-i, k)``
-        tasks (read off ``_rows``), which the index enters or skips.  A set
-        that admits no task adds nothing, so no index lands on it.  The
+        tasks (``_rows``), which the index enters or skips.  Once taking
+        i leaves ``~(U | up(i))`` no later position, the union is final
+        (unions of extensions are upward closed), so each k-set after i
+        admits the same output sets, and the walk stops.  The
         remainder's bits pick the output set among U's members."""
         if type(index) is not int:
             raise IndexOutOfRange(f"task index {index!r} is no int")
         if not 0 <= index < self.total_count:
             raise IndexOutOfRange(f"task index {index} outside [0, {self.total_count})")
-        k = 0  # the members still to choose after the next one
-        while index >= self._class_counts[k]:
-            index -= self._class_counts[k]
-            k += 1
+        starts = self._starts
+        k = bisect_right(starts, index) - 1  # members still to choose after the next
+        index -= starts[k]
         imask = union = 0
         for bit, up, after, losses, fields_of in self._rows:
             joined = union | up
@@ -566,7 +575,8 @@ class TaskSpace:
             if index < block:
                 imask |= bit
                 union = joined
-                if not k:
+                if not (c and k):  # each set in the block has block // fields[k] tasks
+                    rank, index = divmod(index, block // fields[k])
                     break
                 k -= 1
             else:
@@ -580,7 +590,15 @@ class TaskSpace:
             omask |= (ordinal & run // low) * low
             ordinal >>= run.bit_count()
             members ^= run
-        return imask, union, omask
+        return union, omask, imask, k, rank
+
+    def _decode(self, index: int) -> tuple[int, int, int]:
+        """The input mask, its union of extensions and the output mask of
+        the task at a flat index: the walk, then the unrank step."""
+        union, omask, imask, k, rank = self._walk(index)
+        last = imask.bit_length()
+        rest = _unrank(self._columns, len(self.ext_masks) - last, k, rank)
+        return imask | rest << last, union, omask
 
     def sample_index(self, index: int) -> tuple[int, int]:
         """Decode a flat index in [0, total_count) into task masks."""
@@ -605,10 +623,9 @@ class TaskSpace:
     def level(self, task: Task) -> int:
         """Length of the longest strictly ascending chain of parents.
 
-        Every parent has at least one more input, and adding one input
-        at a time always yields a parent (keep the outputs, or add one
-        when empty outputs are excluded), so the longest chain stops one
-        short of the whole language: ``|L| - 1 - |inputs|``.
+        Adding one input at a time always yields a parent (keep the
+        outputs, or add one when empty outputs are excluded), so the
+        chain stops one short of the language: ``|L| - 1 - |inputs|``.
         """
         if task.env != self.env:
             raise EnvironmentMismatch("task belongs to a different environment")

@@ -220,12 +220,13 @@ def table_decode(space, index: int) -> tuple[int, int, int]:
 def per_draw_estimates(space, pmasks, samples: int, seed: int) -> list[int]:
     """The hits of each statement (given by its extension mask) over
     ``samples`` seeded draws, as the estimator counted them before it
-    counted output masks per union: every draw is tested against every
-    statement, a hit when ``union & pmask == omask``."""
+    counted output masks per union: every draw, decoded by the table
+    sampler, is tested against every statement, a hit when
+    ``union & pmask == omask``."""
     hits = [0] * len(pmasks)
     rng = Random(seed)
     for _ in range(samples):
-        _, union, omask = space._decode(rng.randrange(space.total_count))
+        _, union, omask = table_decode(space, rng.randrange(space.total_count))
         for i, pmask in enumerate(pmasks):
             if union & pmask == omask:
                 hits[i] += 1

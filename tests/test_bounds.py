@@ -199,7 +199,17 @@ def test_instantiate_names_a_state_that_is_no_int(rho2):
     assert compare_vocabularies(rho2, [[(0, "a")]]).rows[0].error == "StateOutOfRange"
     report = verify_upper_bound(rho2, [[(0, "a")], [(0,), (0, 1)]])
     assert [r.error for r in report.utility_rows] == ["StateOutOfRange", None]
-    assert report.header["candidates"][0] == "[{0,a}]"
+    assert report.header["candidates"][0] == "[{0,'a'}]"
+
+
+def test_an_error_row_names_its_candidate_apart_from_an_int_one(rho2):
+    # the states of "01" are the strings "0" and "1": its row must not
+    # read like the row of the int candidate [(0,), (1,)]
+    by_string, by_int = compare_vocabularies(rho2, ["01", [(0,), (1,)]]).rows
+    assert (by_string.error, by_int.error) == ("StateOutOfRange", "EmptyInstantiation")
+    assert by_int.vocabulary == "[{0},{1}]"
+    assert by_string.vocabulary == "[{'0'},{'1'}]" != by_int.vocabulary
+    assert encode_vocabulary([(True,), (1.0,)]) == "[{True},{1.0}]"
 
 
 def test_instantiate_rejects_a_program_over_other_states():

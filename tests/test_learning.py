@@ -357,7 +357,7 @@ def test_estimates_refuse_a_sample_count_below_one(env2, monkeypatch, samples):
     def draw(space, index):
         raise AssertionError("drew a task")
 
-    monkeypatch.setattr(TaskSpace, "_decode", draw)
+    monkeypatch.setattr(TaskSpace, "_walk", draw)
     with pytest.raises(InvalidSampleCount):
         estimate_generalization_probabilities(env2, [(0,)], samples, 1)
     with pytest.raises(InvalidSampleCount):

@@ -625,7 +625,7 @@ def test_counting_builds_no_table():
         tracemalloc.stop()
     space = task_space(env, guards)
     assert table.denominator == total == space.total_count
-    assert "_memo" not in vars(space)
+    assert not {"_memo", "_starts", "_columns", "_rows"} & set(vars(space))
     assert peak <= (8 << 18) // 16
 
 
@@ -800,6 +800,80 @@ def test_draws_match_the_running_count_oracle(include_empty):
         check(space, range(0, space.total_count, 11))
         checked += 1
     assert checked == 112
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_walk_matches_the_running_count_oracle(include_empty):
+    # the estimator reads the walk alone: its union and output mask
+    # against the table sampler at every size-class boundary and on
+    # 2,000 seeded indices of each |L| >= 18 space
+    large = [_env_18(), _guard_limit_env(), (_disjoint_env(20), Guards(max_task_language=20))]
+    for env, guards in large:
+        space = TaskSpace(env, guards, include_empty)
+        rng = Random(len(space.language))
+        indices = _class_boundaries(space) + [rng.randrange(space.total_count) for _ in range(2000)]
+        for i in indices:
+            assert space._walk(i)[:2] == table_decode(space, i)[1:], (env, i)
+
+
+def _lex_rank(members, m):
+    """The rank of a sorted k-subset of range(m) among the k-subsets in
+    lexicographic order: for each member, the subsets that agree before
+    it and hold a smaller member in its place."""
+    k, rank, low = len(members), 0, 0
+    for t, x in enumerate(members):
+        rank += sum(comb(m - 1 - j, k - 1 - t) for j in range(low, x))
+        low = x + 1
+    return rank
+
+
+def test_unrank_matches_combinations():
+    # every rank of every k for m <= 12, and the first, middle and last
+    # ranks of every k for m = 19 and m = 37
+    columns = tasks_module._binomials(38)
+
+    def unrank(m, k, rank):
+        mask = tasks_module._unrank(columns, m, k, rank)
+        return tuple(j for j in range(m) if mask >> j & 1)
+
+    for m in range(13):
+        for k in range(m + 1):
+            got = [unrank(m, k, rank) for rank in range(comb(m, k))]
+            assert got == list(combinations(range(m), k)), (m, k)
+            assert [_lex_rank(c, m) for c in got] == list(range(comb(m, k)))
+    for k in range(20):
+        total = comb(19, k)
+        expected = list(combinations(range(19), k))
+        for rank in (0, total // 2, total - 1):
+            assert unrank(19, k, rank) == expected[rank], (k, rank)
+    for k in range(38):
+        total = comb(37, k)
+        assert unrank(37, k, 0) == next(combinations(range(37), k))
+        assert unrank(37, k, total - 1) == tuple(sorted(next(combinations(range(36, -1, -1), k))))
+        middle = unrank(37, k, total // 2)
+        assert len(middle) == k and _lex_rank(middle, 37) == total // 2, k
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_a_draw_stops_once_its_union_is_final(monkeypatch, include_empty):
+    # position 0 is the empty statement, whose extension is all of L: an
+    # input set that holds it has its final union after the first row,
+    # so a cold space reads that one row's count and unranks the rest
+    env, guards = _guard_limit_env()
+    calls = []
+    fields = tasks_module._fields
+    monkeypatch.setattr(tasks_module, "_fields", lambda *args: calls.append(args) or fields(*args))
+    space = TaskSpace(env, guards, include_empty)
+    starts = space._starts
+    indices = [starts[k] for k in range(1, len(starts) - 1)]  # the input sets {0, 1, .., k}
+    indices += [space.total_count // 2, starts[10] + (starts[11] - starts[10]) // 3]
+    for i in indices:
+        cold = TaskSpace(env, guards, include_empty)
+        calls.clear()
+        imask, _, _ = cold._decode(i)
+        assert imask & 1 and imask.bit_count() > 1, i
+        assert len(calls) == 1, (i, len(calls))
+        assert (imask, *cold._walk(i)[:2]) == table_decode(space, i)
 
 
 @pytest.mark.parametrize("include_empty", [True, False])
